@@ -145,6 +145,11 @@ class L1LeastSquares(CompositeProblem):
                 f"b has length {b.shape}, expected ({A.shape[0]},)")
         if lam < 0:
             raise ValueError("lam must be nonnegative")
+        for name, data in (("A", A), ("b", b)):
+            if not np.all(np.isfinite(data)):
+                raise ValueError(
+                    f"{name} has {int(np.sum(~np.isfinite(data)))} "
+                    f"non-finite entries (NaN or Inf)")
         self.A = A
         self.b = b
         self.lam = float(lam)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .mirror import EuclideanGeometry, mirror_step
 from .multilevel import RestrictionChain, build_chain, build_coarse_model
-from .problem import CompositeProblem, SmoothedView
+from .problem import CompositeProblem, L1LeastSquares, SmoothedView
 
 __all__ = [
     "SolverConfig",
@@ -201,19 +201,33 @@ def _prox_at(problem, x, L):
     return problem.g_prox(x - fgx / L, 1.0 / L), fgx
 
 
-def _backtracked_prox(problem, x, L, growth):
-    """Grow L geometrically until F(prox_L(x)) <= F(x) - Prog_L(x)."""
-    Fx = problem.value(x)
-    fgx = problem.f_grad(x)
-    gx_val = problem.g_value(x)
+def _prox_residual(problem, y, g_y, L, f_y, growth):
+    """Prox step x = prox_L(y) taken with the gradient ``g_y`` at y, and
+    its residual r = B x - b; returns (x, r, L) for one product with B.
+
+    With ``f_y`` None, L is kept.  Given ``f_y`` = f(y), L grows by
+    ``growth`` until the descent-lemma test
+    f(x) <= f(y) + <g_y, x - y> + L/2 ||x - y||^2 holds, which is
+    F(x) <= F(y) - Prog_L(y) with the g terms cancelled; each probe costs
+    one product with B.
+    """
+    if f_y is not None:
+        slack = 1e-12 * max(1.0, abs(f_y + problem.g_value(y)))
     while True:
-        y = problem.g_prox(x - fgx / L, 1.0 / L)
-        d = y - x
-        prog_val = -(0.5 * L * float(d @ d) + float(fgx @ d)
-                     + problem.g_value(y) - gx_val)
-        if problem.value(y) <= Fx - prog_val + 1e-12 * max(1.0, abs(Fx)):
-            return y, fgx, L
+        x = problem.g_prox(y - g_y / L, 1.0 / L)
+        r = problem.residual(x)
+        if f_y is None:
+            return x, r, L
+        d = x - y
+        if 0.5 * float(r @ r) <= f_y + float(g_y @ d) \
+                + 0.5 * L * float(d @ d) + slack:
+            return x, r, L
         L *= growth
+
+
+def _objective(problem, x, r):
+    """F(x) from the residual r = B x - b, with no product."""
+    return 0.5 * float(r @ r) + problem.g_value(x)
 
 
 def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None):
@@ -234,48 +248,64 @@ def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None):
 # Baseline solvers.
 
 
-def ista(problem: CompositeProblem, x0, config: SolverConfig) -> Solution:
-    """Proximal gradient iteration x_{k+1} = prox(x_k); monotone in F."""
+def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
+    """Proximal gradient iteration x_{k+1} = prox(x_k); monotone in F.
+
+    One product with B and one with B^T per iteration: the residual of
+    each new iterate gives both its objective and the next gradient.
+    """
     x = _as_start(problem, x0)
+    r = problem.residual(x)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
     L = config.bt_init_L if config.backtracking else problem.L_f
     for k in range(config.max_iters):
-        if config.backtracking:
-            xn, _, L = _backtracked_prox(problem, x, L, config.bt_growth)
-        else:
-            xn, _ = _prox_at(problem, x, L)
+        g = problem.apply_adjoint(r)
+        f_x = 0.5 * float(r @ r) if config.backtracking else None
+        xn, r, L = _prox_residual(problem, x, g, L, f_x, config.bt_growth)
         Dn = float(np.linalg.norm(x - xn))
         if Dn < config.eps:
             return _finish(problem, x, Dn, k, True, {"grad": k}, t0, trace)
         x = xn
-        trace.append(TraceRow(k, "grad", problem.value(x), Dn,
+        trace.append(TraceRow(k, "grad", _objective(problem, x, r), Dn,
                               NAN, NAN, NAN, NAN, time.monotonic_ns() - ns0))
-    Dn = float(np.linalg.norm(x - _prox_at(problem, x, L)[0]))
+    g = problem.apply_adjoint(r)
+    Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L, 1.0 / L)))
     return _finish(problem, x, Dn, config.max_iters, Dn < config.eps,
                    {"grad": config.max_iters}, t0, trace)
 
 
-def fista(problem: CompositeProblem, x0, config: SolverConfig) -> Solution:
+def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Accelerated proximal gradient with the t_{k+1} = (1+sqrt(1+4t_k^2))/2
-    momentum sequence; stops on ||D(x_k)|| < eps at the main iterate."""
-    x_prev = _as_start(problem, x0)
-    y = x_prev.copy()
+    momentum sequence; stops on ||D(x_k)|| < eps at the main iterate.
+
+    Each iteration makes one product with B and one with B^T (backtracking
+    adds one B per rejected probe).  The residual r_x = B x - b and the
+    gradient g_x = B^T r_x of the main iterate give F(x) and the stopping
+    test, and since products are linear, the momentum point
+    y = x + beta (x - x_prev) has gradient g_x + beta (g_x - g_prev) and
+    residual r_x + beta (r_x - r_prev).  g_x is recomputed exactly every
+    iteration, so rounding does not build up.
+    """
+    x = _as_start(problem, x0)
+    r = problem.residual(x)
+    g = problem.apply_adjoint(r)
+    x_prev, r_prev, g_prev = x, r, g
+    y, r_y, g_y = x, r, g
     t = 1.0
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
     L = config.bt_init_L if config.backtracking else problem.L_f
-    best_F, best_x = problem.value(x_prev), x_prev
+    L_f = problem.L_f
+    best_F, best_x = _objective(problem, x, r), x
     for k in range(config.max_iters):
-        if config.backtracking:
-            x, _, L = _backtracked_prox(problem, y, L, config.bt_growth)
-        else:
-            x, _ = _prox_at(problem, y, L)
-        p, _ = _prox_at(problem, x, problem.L_f)
-        Dn = float(np.linalg.norm(x - p))
-        Fx = problem.value(x)
+        f_y = 0.5 * float(r_y @ r_y) if config.backtracking else None
+        x, r, L = _prox_residual(problem, y, g_y, L, f_y, config.bt_growth)
+        g = problem.apply_adjoint(r)
+        Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L_f, 1.0 / L_f)))
+        Fx = _objective(problem, x, r)
         trace.append(TraceRow(k, "grad", Fx, Dn, NAN, NAN, NAN, NAN,
                               time.monotonic_ns() - ns0))
         if Fx < best_F:
@@ -283,9 +313,13 @@ def fista(problem: CompositeProblem, x0, config: SolverConfig) -> Solution:
         if Dn < config.eps:
             return _finish(problem, x, Dn, k + 1, True, {"grad": k + 1}, t0, trace)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        x_prev, t = x, t_next
-    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, problem.L_f)[0]))
+        beta = (t - 1.0) / t_next
+        y = x + beta * (x - x_prev)
+        g_y = g + beta * (g - g_prev)
+        if config.backtracking:
+            r_y = r + beta * (r - r_prev)
+        x_prev, r_prev, g_prev, t = x, r, g, t_next
+    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f)[0]))
     return _finish(problem, best_x, Dn, config.max_iters, False,
                    {"grad": config.max_iters}, t0, trace)
 

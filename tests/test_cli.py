@@ -64,6 +64,17 @@ class TestSolve:
         assert code == 1
         assert "byte offset" in capsys.readouterr().err
 
+    def test_non_finite_vector_exit_one(self, tmp_path, capsys):
+        mpath, vpath = tmp_path / "A.mlm", tmp_path / "b.mlv"
+        write_matrix(mpath, np.ones((4, 3)))
+        write_vector(vpath, np.array([1.0, np.nan, 0.0, 2.0]))
+        code = run_cli(["solve", str(mpath), str(vpath), "--solver", "fista",
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "b has 1 non-finite" in err
+
     def test_budget_exhaustion_exit_two(self, tiny_instance, tmp_path):
         mpath, vpath = tiny_instance
         code = run_cli(["solve", mpath, vpath, "--lambda", "0.05",

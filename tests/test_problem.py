@@ -264,6 +264,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             L1LeastSquares(np.ones((2, 2)), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected_by_name(self, bad):
+        A = np.ones((3, 2))
+        A[1, 0] = bad
+        with pytest.raises(ValueError, match="^A has 1 non-finite"):
+            L1LeastSquares(A, np.ones(3), 0.1)
+        b = np.ones(3)
+        b[2] = bad
+        with pytest.raises(ValueError, match="^b has 1 non-finite"):
+            L1LeastSquares(np.ones((3, 2)), b, 0.1, bucket=True)
+
     def test_bucket_effective_dimension(self):
         p = L1LeastSquares(np.ones((3, 2)), np.ones(3), 0.1, bucket=True)
         assert p.dim == 5

@@ -22,6 +22,7 @@ from mgprox import (
     mfista,
     update_eta_alpha,
 )
+from mgprox import solvers
 from conftest import one_d_lasso, random_lasso
 
 
@@ -39,6 +40,22 @@ class QuadObjective:
 
     def lipschitz(self):
         return float(np.linalg.eigvalsh(self.H)[-1])
+
+
+class CountingLasso(L1LeastSquares):
+    """L1LeastSquares that counts its products with B and B^T."""
+
+    def __init__(self, *args, **kwargs):
+        self.calls = {"apply": 0, "apply_adjoint": 0}
+        super().__init__(*args, **kwargs)
+
+    def apply(self, x):
+        self.calls["apply"] += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, r):
+        self.calls["apply_adjoint"] += 1
+        return super().apply_adjoint(r)
 
 
 def bucket_instance(seed=3, m=120, n=64, lam=1e-4):
@@ -145,6 +162,50 @@ class TestFista:
         ref = fista(p, np.zeros(p.dim), SolverConfig(eps=1e-11, max_iters=8000))
         assert sol.converged
         assert abs(sol.objective - ref.objective) <= 1e-7
+
+    @pytest.mark.parametrize("solver", [ista, fista])
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_one_product_each_way_per_iteration(self, rng, solver, bucket,
+                                                backtracking):
+        p = CountingLasso(rng.standard_normal((40, 10)),
+                          rng.standard_normal(40), 0.5, bucket=bucket)
+        cfg = SolverConfig(eps=1e-6, max_iters=20000,
+                           backtracking=backtracking, bt_init_L=1e-2)
+        p.calls = {"apply": 0, "apply_adjoint": 0}
+        sol = solver(p, np.zeros(p.dim), cfg)
+        assert sol.converged and sol.iterations > 50
+        # a probe is rejected only while L < ||B||^2 <= L_f
+        rejected = math.ceil(math.log2(p.L_f / cfg.bt_init_L)) \
+            if backtracking else 0
+        k = sol.iterations
+        assert k <= p.calls["apply_adjoint"] <= k + 3
+        assert k <= p.calls["apply"] <= k + 3 + rejected
+
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_recycled_momentum_gradient_is_exact(self, rng, monkeypatch,
+                                                 backtracking):
+        # the gradient (and, when backtracking, f) at each momentum point y
+        # is a combination of earlier products; it must match a fresh one
+        p = random_lasso(rng, m=40, n=60, lam=0.05)
+        seen = []
+        real = solvers._prox_residual
+
+        def spy(problem, y, g_y, L, f_y, growth):
+            seen.append((y.copy(), g_y.copy(), f_y))
+            return real(problem, y, g_y, L, f_y, growth)
+
+        monkeypatch.setattr(solvers, "_prox_residual", spy)
+        cfg = SolverConfig(eps=1e-15, max_iters=600,
+                           backtracking=backtracking)
+        sol = fista(p, np.zeros(p.dim), cfg)
+        assert sol.iterations == 600 and len(seen) == 600
+        for y, g_y, f_y in seen:
+            exact = p.f_grad(y)
+            assert np.linalg.norm(g_y - exact) \
+                <= 1e-12 * np.linalg.norm(exact)
+            if backtracking:
+                assert f_y == pytest.approx(p.f_value(y), rel=1e-12)
 
     def test_converged_satisfies_stop_independently(self, rng):
         p = random_lasso(rng, m=15, n=10)
