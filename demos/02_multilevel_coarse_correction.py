@@ -11,14 +11,13 @@ from mgprox import (
     build_chain,
     build_coarse_model,
     fista,
-    full_weighting,
     gen_instance,
     magma,
 )
 
 # --- the restriction stencil ------------------------------------------------
 print("full weighting on 8 points:")
-print(full_weighting(8))
+print(build_chain(8, 2).R_x)
 
 chain = build_chain(8, 3)
 print("3-level composed operator maps 8 ->", chain.n_H)

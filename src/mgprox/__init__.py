@@ -30,7 +30,6 @@ from .multilevel import (
     coarse_grad,
     coarse_lipschitz,
     coarse_value,
-    full_weighting,
     prolong,
     restrict,
 )

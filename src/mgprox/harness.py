@@ -96,6 +96,7 @@ class RunRecord:
     support_size: int
     time_s: float
     trace: list = field(default_factory=list, repr=False)
+    error: str = ""
 
 
 def gen_correlated_dictionary(m: int, n: int, rho: float, seed) -> np.ndarray:
@@ -171,7 +172,8 @@ def run_compare(spec: ExperimentSpec) -> list:
 
     Timing is monotonic wall clock and excludes instance generation; a
     short warm-up solve is discarded before the timed runs.  Individual
-    solver failures are recorded and never abort the batch.
+    solver failures are recorded, with the exception's type and message
+    in ``error``, and never abort the batch.
     """
     problem, _, _ = gen_instance(spec)
     x0s = _starting_points(spec, problem.dim)
@@ -192,11 +194,12 @@ def run_compare(spec: ExperimentSpec) -> list:
             t0 = time.monotonic()
             try:
                 sol = run_solver(solver, problem, x0, config, chain=chain)
-            except Exception:  # noqa: BLE001 - record and continue
+            except Exception as exc:  # noqa: BLE001 - record and continue
                 records.append(RunRecord(h, solver, rep, False, 0,
                                          float("nan"), float("nan"),
                                          float("nan"), 0,
-                                         time.monotonic() - t0))
+                                         time.monotonic() - t0,
+                                         error=f"{type(exc).__name__}: {exc}"))
                 continue
             elapsed = time.monotonic() - t0
             records.append(RunRecord(

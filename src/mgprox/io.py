@@ -13,6 +13,7 @@ keys of the form "<solver>.<field>".
 
 import csv
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -43,7 +44,7 @@ TRACE_COLUMNS = ("k", "step_kind", "F", "D_norm", "eta", "alpha", "t", "s",
                  "elapsed_ns")
 RECORD_COLUMNS = ("spec_hash", "solver", "rep", "converged", "iterations",
                   "objective", "grad_map_norm", "l1_norm", "support_size",
-                  "time_s")
+                  "time_s", "error")
 
 
 class FileFormatError(ValueError):
@@ -94,6 +95,16 @@ def _read_exact(fh, nbytes, path, what):
     return data
 
 
+def _read_payload(fh, nbytes, path, what):
+    """Read a header-announced payload; sizes the file cannot hold fail."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:
+        raise FileFormatError(path, f"header claims {what} ({nbytes} bytes) "
+                              f"but only {left} bytes follow",
+                              offset=len(MAGIC_VECTOR))
+    return _read_exact(fh, nbytes, path, what)
+
+
 def _parse_float(token, path, lineno):
     try:
         return float(token)
@@ -108,7 +119,7 @@ def read_vector(path) -> np.ndarray:
         magic = fh.read(6)
         if magic == MAGIC_VECTOR:
             (n,) = struct.unpack("<Q", _read_exact(fh, 8, path, "dimension"))
-            data = _read_exact(fh, 8 * n, path, f"{n} float64 values")
+            data = _read_payload(fh, 8 * n, path, f"{n} float64 values")
             return np.frombuffer(data, dtype="<f8").copy()
         if magic == MAGIC_MATRIX:
             raise FileFormatError(path, "matrix file given where a vector "
@@ -135,8 +146,8 @@ def read_matrix(path) -> np.ndarray:
         if magic == MAGIC_MATRIX:
             rows, cols = struct.unpack(
                 "<QQ", _read_exact(fh, 16, path, "dimensions"))
-            data = _read_exact(fh, 8 * rows * cols, path,
-                               f"{rows}x{cols} float64 values")
+            data = _read_payload(fh, 8 * rows * cols, path,
+                                 f"{rows}x{cols} float64 values")
             return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
         if magic == MAGIC_VECTOR:
             raise FileFormatError(path, "vector file given where a matrix "
@@ -203,7 +214,8 @@ def write_records_csv(records, path):
         for r in records:
             w.writerow([r.spec_hash, r.solver, r.rep, int(r.converged),
                         r.iterations, _fmt(r.objective), _fmt(r.grad_map_norm),
-                        _fmt(r.l1_norm), r.support_size, _fmt(r.time_s)])
+                        _fmt(r.l1_norm), r.support_size, _fmt(r.time_s),
+                        r.error])
 
 
 def read_records_csv(path):
@@ -219,7 +231,7 @@ def read_records_csv(path):
                 converged=bool(int(rec[3])), iterations=int(rec[4]),
                 objective=float(rec[5]), grad_map_norm=float(rec[6]),
                 l1_norm=float(rec[7]), support_size=int(rec[8]),
-                time_s=float(rec[9])))
+                time_s=float(rec[9]), error=rec[10]))
     return records
 
 

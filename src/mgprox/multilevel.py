@@ -1,9 +1,9 @@
 """Level-transfer operators and first-order-coherent coarse models.
 
-Restriction uses the standard full-weighting stencil, composed across
-levels; prolongation is its exact transpose (sigma = 1).  For bucket
-problems the operators act only on the x block and pass the error block
-through unchanged: R = [R_x, I].
+Restriction uses the standard stride-2 full-weighting stencil
+1/4 [1 2 1], composed across levels; prolongation is its exact transpose
+(sigma = 1).  For bucket problems the operators act only on the x block
+and pass the error block through unchanged: R = [R_x, I].
 
 The coarse objective is the reduced smoothed l1 least-squares model plus
 a linear correction <v_H, .> chosen so that the coarse gradient at the
@@ -17,7 +17,6 @@ import numpy as np
 from .problem import SmoothedView, power_iteration, LIPSCHITZ_SAFETY
 
 __all__ = [
-    "full_weighting",
     "RestrictionChain",
     "build_chain",
     "restrict",
@@ -30,44 +29,25 @@ __all__ = [
 ]
 
 
-def full_weighting(n: int) -> np.ndarray:
-    """One-level full-weighting restriction, shape (n/2, n); n must be even.
-
-    Rows are 0.25*[2 1 0 ...], 0.25*[0 1 2 1 0 ...], shifting by two
-    columns per row, with the last row ending 0.25*[... 1 2 1].
-    """
-    if n % 2 != 0 or n < 2:
-        raise ValueError(f"full weighting needs an even dimension, got {n}")
-    nh = n // 2
-    R = np.zeros((nh, n))
-    R[0, 0] = 0.5
-    R[0, 1] = 0.25
-    for i in range(1, nh):
-        R[i, 2 * i - 1] = 0.25
-        R[i, 2 * i] = 0.5
-        R[i, 2 * i + 1] = 0.25
-    return R
-
-
 class RestrictionChain:
     """Composed restriction across levels, acting on the x block.
 
     The prolongation shares the same array (P = R^T structurally).  For a
     fine x-dimension that is not divisible by 2^(levels-1) the stencils
-    are built on the next padded size and the composed operator keeps its
+    act on the next padded size and the composed operator keeps its
     first n columns; this is equivalent to zero-padding the x block.
     """
 
-    def __init__(self, n: int, levels: int, stencils, R_x: np.ndarray,
+    def __init__(self, n: int, levels: int, R_x: np.ndarray,
                  bucket: bool = False, m: int = 0):
         self.n = n
         self.levels = levels
-        self.stencils = stencils
         self.R_x = R_x
         self.n_H = R_x.shape[0]
         self.bucket = bucket
         self.m = m
-        self.level_dims = [n] + [s.shape[0] for s in stencils]
+        self.level_dims = [n] + [self.n_H << k
+                                 for k in reversed(range(levels - 1))]
         self._model_cache = weakref.WeakKeyDictionary()
 
     @property
@@ -131,6 +111,9 @@ def build_chain(n: int, levels: int, bucket: bool = False,
 
     levels = 1 yields the degenerate identity chain (R = I on the x block),
     used to switch the multilevel machinery off.
+
+    R_x^T is the coarse identity prolonged one level at a time, in
+    O(n * n_H) time and memory; every entry is an exact dyadic rational.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -138,24 +121,24 @@ def build_chain(n: int, levels: int, bucket: bool = False,
         raise ValueError("n must be >= 1")
     if bucket and m < 1:
         raise ValueError("bucket chains need the error-block size m")
-    if levels == 1:
-        return RestrictionChain(n, 1, [], np.eye(n), bucket=bucket, m=m)
     max_depth = int(np.floor(np.log2(n))) + 1
     if 2 ** (levels - 1) > n:
         raise ValueError(
             f"n={n} is too small for {levels} levels; "
             f"maximum feasible depth is {max_depth}")
     factor = 2 ** (levels - 1)
-    n_pad = ((n + factor - 1) // factor) * factor
-    stencils = []
-    size = n_pad
-    R = np.eye(n_pad)
+    n_H = (n + factor - 1) // factor
+    P = np.eye(n_H)
     for _ in range(levels - 1):
-        S = full_weighting(size)
-        stencils.append(S)
-        R = S @ R
-        size //= 2
-    return RestrictionChain(n, levels, stencils, R[:, :n], bucket=bucket, m=m)
+        Q = np.zeros((2 * P.shape[0], n_H))
+        Q[0::2] = 0.5 * P
+        Q[1::2] = 0.25 * P
+        Q[1:-1:2] += 0.25 * P[1:]
+        P = Q
+    # C order, as the dense build stored R_x: the restrict/prolong products
+    # then sum in the same order and magma's iterates stay bitwise equal.
+    return RestrictionChain(n, levels, np.ascontiguousarray(P[:n].T),
+                            bucket=bucket, m=m)
 
 
 def restrict(chain: RestrictionChain, w: np.ndarray) -> np.ndarray:

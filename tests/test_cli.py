@@ -64,6 +64,17 @@ class TestSolve:
         assert code == 1
         assert "byte offset" in capsys.readouterr().err
 
+    def test_lying_vector_header_exit_one(self, tmp_path, capsys):
+        mpath, vpath = tmp_path / "A.mlm", tmp_path / "b.mlv"
+        write_matrix(mpath, np.ones((4, 3)))
+        write_vector(vpath, np.ones(4))
+        raw = vpath.read_bytes()
+        vpath.write_bytes(raw[:6] + (2 ** 62).to_bytes(8, "little") + raw[14:])
+        code = run_cli(["solve", str(mpath), str(vpath)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "byte offset 6" in err
+
     def test_non_finite_vector_exit_one(self, tmp_path, capsys):
         mpath, vpath = tmp_path / "A.mlm", tmp_path / "b.mlv"
         write_matrix(mpath, np.ones((4, 3)))

@@ -14,6 +14,7 @@ from mgprox import (
     run_compare,
     subgradient_residual,
 )
+from mgprox.io import read_records_csv, write_records_csv
 from conftest import one_d_lasso
 
 
@@ -191,6 +192,24 @@ class TestRunCompare:
         assert all(np.isnan(r.objective) for r in ista_records)
         fista_records = [r for r in records if r.solver == "fista"]
         assert all(r.converged for r in fista_records)
+
+    def test_solver_failure_reason_recorded(self, monkeypatch, tmp_path):
+        real = harness.run_solver
+
+        def failing(name, problem, x0, config, chain=None):
+            if name == "ista" and config.max_iters > 3:
+                raise FloatingPointError("overflow in step, 'x' = 1e308")
+            return real(name, problem, x0, config, chain=chain)
+
+        monkeypatch.setattr(harness, "run_solver", failing)
+        records = run_compare(self._spec())
+        reason = "FloatingPointError: overflow in step, 'x' = 1e308"
+        assert [r.error for r in records if r.solver == "ista"] == [reason] * 2
+        assert all(r.error == "" for r in records if r.solver == "fista")
+        path = tmp_path / "records.csv"
+        write_records_csv(records, path)
+        assert [r.error for r in read_records_csv(path)] == \
+            [r.error for r in records]
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):

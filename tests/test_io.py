@@ -52,6 +52,33 @@ class TestBinaryFormats:
         with pytest.raises(FileFormatError, match="byte offset"):
             read_matrix(path)
 
+    # The claimed sizes below are never allocated: the header is checked
+    # against the file size first.
+    @pytest.mark.parametrize("n", [2 ** 62, 5])
+    def test_vector_header_larger_than_file_rejected(self, tmp_path, n):
+        path = tmp_path / "v.mlv"
+        write_vector(path, np.arange(4.0))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:6] + n.to_bytes(8, "little") + raw[14:])
+        with pytest.raises(FileFormatError,
+                           match="byte offset 6: header claims") as info:
+            read_vector(path)
+        assert info.value.offset == 6
+
+    @pytest.mark.parametrize("rows, cols", [(2 ** 62, 2 ** 62), (3, 4),
+                                            (2 ** 62, 1)])
+    def test_matrix_header_larger_than_file_rejected(self, tmp_path, rows,
+                                                     cols):
+        path = tmp_path / "a.mlm"
+        write_matrix(path, np.ones((3, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:6] + rows.to_bytes(8, "little")
+                         + cols.to_bytes(8, "little") + raw[22:])
+        with pytest.raises(FileFormatError,
+                           match="byte offset 6: header claims") as info:
+            read_matrix(path)
+        assert info.value.offset == 6
+
     def test_kind_mismatch_rejected(self, tmp_path):
         vpath = tmp_path / "v.mlv"
         write_vector(vpath, np.ones(2))

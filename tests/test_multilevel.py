@@ -10,13 +10,37 @@ from mgprox import (
     coarse_grad,
     coarse_lipschitz,
     coarse_value,
-    full_weighting,
     prolong,
     restrict,
 )
 from conftest import random_lasso
 
 SAFETY = 1.01
+
+
+def _full_weighting(n):
+    """Dense one-level full-weighting restriction, shape (n/2, n)."""
+    nh = n // 2
+    R = np.zeros((nh, n))
+    R[0, 0] = 0.5
+    R[0, 1] = 0.25
+    for i in range(1, nh):
+        R[i, 2 * i - 1] = 0.25
+        R[i, 2 * i] = 0.5
+        R[i, 2 * i + 1] = 0.25
+    return R
+
+
+def _dense_chain(n, levels):
+    """Reference chain: dense stencil products on a padded identity."""
+    factor = 2 ** (levels - 1)
+    n_pad = ((n + factor - 1) // factor) * factor
+    R = np.eye(n_pad)
+    size = n_pad
+    for _ in range(levels - 1):
+        R = _full_weighting(size) @ R
+        size //= 2
+    return R[:, :n]
 
 
 class TestFullWeighting:
@@ -27,21 +51,18 @@ class TestFullWeighting:
             [0, 0, 0, 1, 2, 1, 0, 0],
             [0, 0, 0, 0, 0, 1, 2, 1],
         ])
-        assert np.array_equal(full_weighting(8), expected)
+        assert np.array_equal(build_chain(8, 2).R_x, expected)
 
     def test_row_action_on_ones(self):
-        assert np.allclose(full_weighting(8) @ np.ones(8), [0.75, 1, 1, 1])
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            full_weighting(7)
+        assert np.allclose(build_chain(8, 2).R_x @ np.ones(8),
+                           [0.75, 1, 1, 1])
 
 
 class TestBuildChain:
     def test_two_levels_shape(self):
         chain = build_chain(8, 2)
         assert chain.R_x.shape == (4, 8)
-        assert np.array_equal(chain.R_x, full_weighting(8))
+        assert np.array_equal(chain.R_x, _full_weighting(8))
 
     def test_four_levels_single_coarse_var(self):
         chain = build_chain(8, 4)
@@ -61,11 +82,33 @@ class TestBuildChain:
         # n = 9 pads to 10 for one halving; columns beyond n are dropped
         chain = build_chain(9, 2)
         assert chain.R_x.shape == (5, 9)
-        assert np.array_equal(chain.R_x, full_weighting(10)[:, :9])
+        assert np.array_equal(chain.R_x, _full_weighting(10)[:, :9])
 
     def test_composed_is_product_of_stencils(self):
         chain = build_chain(16, 3)
-        assert np.allclose(chain.R_x, full_weighting(8) @ full_weighting(16))
+        assert np.array_equal(chain.R_x,
+                              _full_weighting(8) @ _full_weighting(16))
+
+    @pytest.mark.parametrize("n, levels", [
+        (10, 2), (256, 3), (1000, 4), (1023, 10)])
+    def test_matches_dense_stencil_product_bitwise(self, n, levels):
+        chain = build_chain(n, levels)
+        assert np.array_equal(chain.R_x, _dense_chain(n, levels))
+        assert chain.R_x.flags["C_CONTIGUOUS"]
+
+    def test_large_chain_is_linear_in_n(self, rng):
+        # the dense construction would need a 2 GB identity at this size
+        n, levels = 2 ** 14, 8
+        chain = build_chain(n, levels)
+        n_H = n // 2 ** (levels - 1)
+        assert chain.R_x.shape == (n_H, n)
+        assert chain.R_x.nbytes == 8 * n_H * n
+        assert chain.level_dims == [n >> k for k in range(levels)]
+        for _ in range(5):
+            w = rng.standard_normal(n)
+            u = rng.standard_normal(n_H)
+            lhs = chain.restrict(w) @ u
+            assert abs(lhs - w @ chain.prolong(u)) <= 1e-12 * (1 + abs(lhs))
 
     def test_bucket_requires_m(self):
         with pytest.raises(ValueError):
