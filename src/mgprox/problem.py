@@ -233,8 +233,12 @@ class SmoothedView:
     def g_grad(self, x):
         return self.problem.g_mu_grad(x, self.mu)
 
-    def value(self, x) -> float:
-        return self.problem.f_value(x) + self.g_value(x)
+    def value(self, x, r=None) -> float:
+        """F_mu(x); given the residual r = B x - b of a least-squares
+        problem, f(x) = 0.5 ||r||^2 is taken from it with no product."""
+        if r is None:
+            return self.problem.f_value(x) + self.g_value(x)
+        return 0.5 * float(r @ r) + self.g_value(x)
 
     def grad(self, x):
         return self.problem.f_grad(x) + self.g_grad(x)

@@ -158,7 +158,6 @@ class MagmaState:
     x_tilde: np.ndarray = None
     q: int = 0
     s_prev: float = NAN
-    step_log: list = field(default_factory=list)
 
 
 @dataclass
@@ -195,9 +194,10 @@ def _as_start(problem, x0):
     return x0.copy()
 
 
-def _prox_at(problem, x, L):
-    """Prox step and the gradient used to take it (one f-gradient pass)."""
-    fgx = problem.f_grad(x)
+def _prox_at(problem, x, L, r=None):
+    """Prox step and the gradient used to take it (one f-gradient pass;
+    given the residual r = B x - b, one product with B^T only)."""
+    fgx = problem.f_grad(x) if r is None else problem.apply_adjoint(r)
     return problem.g_prox(x - fgx / L, 1.0 / L), fgx
 
 
@@ -230,10 +230,11 @@ def _objective(problem, x, r):
     return 0.5 * float(r @ r) + problem.g_value(x)
 
 
-def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None):
+def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None,
+            objective=None):
     return Solution(
         x=x,
-        objective=problem.value(x),
+        objective=problem.value(x) if objective is None else objective,
         grad_map_norm=Dn,
         iterations=k,
         converged=converged,
@@ -403,7 +404,7 @@ def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
     F0 = objective.value(x0)
     if gn < tol:
         return CoarseSolveResult(x0, 0, [F0], gn, available=False)
-    x_prev, F_prev = x0, F0
+    x_prev, F_prev, g_prev = x0, F0, g0
     y = x0
     gy = g0
     t = 1.0
@@ -413,17 +414,18 @@ def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
         Fz = objective.value(zc)
         if Fz <= F_prev:
             x, Fx = zc, Fz
+            gx = objective.grad(x)
         else:
-            x, Fx = x_prev, F_prev
+            # the monotone test keeps x_prev, whose gradient is known
+            x, Fx, gx = x_prev, F_prev, g_prev
         values.append(Fx)
-        gx = objective.grad(x)
         gn = float(np.linalg.norm(gx))
         if gn < tol or j == max_iters:
             return CoarseSolveResult(x, j, values, gn, available=True)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x + (t / t_next) * (zc - x) + ((t - 1.0) / t_next) * (x - x_prev)
         gy = objective.grad(y)
-        x_prev, F_prev, t = x, Fx, t_next
+        x_prev, F_prev, g_prev, t = x, Fx, gx, t_next
     return CoarseSolveResult(x_prev, max_iters, values, gn, available=True)
 
 
@@ -452,7 +454,8 @@ def coarse_condition(state: MagmaState, grad_mu: np.ndarray,
 
 def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
                   config: SolverConfig, slope: float = None,
-                  f_x: float = None, s_start: float = None) -> float:
+                  s_start: float = None, r_x: np.ndarray = None,
+                  Bd: np.ndarray = None) -> float:
     """Largest s in {s0 * tau^i} with F_mu(x+s d) <= F_mu(x) + c s <d, grad>.
 
     For convex F_mu the acceptance set along a descent direction is an
@@ -462,6 +465,10 @@ def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
     up while accepted and down while rejected, giving the same result as
     the plain top-down scan with fewer evaluations.
 
+    Every probe takes its residual as r_x + s B d and makes no product
+    with B; the residual ``r_x`` = B x - b and ``Bd`` = B d are formed
+    once each unless the caller passes them.
+
     Raises LineSearchError after ``line_search_cap`` probes below the
     start; raises ValueError if d is not a descent direction at x.
     """
@@ -469,11 +476,15 @@ def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
         slope = float(d @ view.grad(x))
     if not slope < 0:
         raise ValueError(f"d is not a descent direction (slope {slope:.3e})")
-    if f_x is None:
-        f_x = view.value(x)
+    if r_x is None:
+        r_x = view.problem.residual(x)
+    if Bd is None:
+        Bd = view.problem.apply(d)
+    f_x = view.value(x, r=r_x)
 
     def accepted(step):
-        return view.value(x + step * d) <= f_x + config.armijo_c * step * slope
+        return view.value(x + step * d, r=r_x + step * Bd) \
+            <= f_x + config.armijo_c * step * slope
 
     s = config.s0 if s_start is None else min(s_start, config.s0)
     if accepted(s):
@@ -502,7 +513,27 @@ def _check_bookkeeping(state, eta_n, alpha_n, t):
         raise InvariantViolation(f"t_k out of (0, 1] at k={state.k}: {t}")
 
 
-def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
+def _certified_residual(problem, x, r_x, g, p, L_f, k):
+    """Residual B p - b of the prox point p of x taken with g = B^T r_x.
+
+    Also certifies L_f along this step: the descent lemma
+    f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2, which the guarantee
+    lemmas assume, costs three dot products here; a violation raises
+    InvariantViolation naming L_f.
+    """
+    r_p = problem.residual(p)
+    d = p - x
+    f_x = 0.5 * float(r_x @ r_x)
+    f_p = 0.5 * float(r_p @ r_p)
+    bound = f_x + float(g @ d) + 0.5 * L_f * float(d @ d)
+    if f_p > bound + 1e-12 * max(1.0, abs(f_x)):
+        raise InvariantViolation(
+            f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
+            f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
+    return r_p
+
+
+def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
           config: SolverConfig) -> Solution:
     """Multilevel accelerated gradient/mirror solver.
 
@@ -522,6 +553,16 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
     back to the already-computed gradient step for that iteration.  A
     final gradient iteration is appended whenever the run would otherwise
     end on a coarse step.
+
+    Products: the residuals r_y = B y - b and r_z = B z - b are kept, each
+    made once when y or z is formed, and since t + (1-t) = 1 every anchor
+    x = t z + (1-t) y has the residual t r_z + (1-t) r_y.  A gradient
+    iteration makes two products with B (r_y and r_z) and one with B^T
+    (grad f(x)); a coarse attempt adds one B^T at its re-formed anchor,
+    and its line search one B (B d), which gives every probe, the
+    accepted y and its incumbent test their residuals, so an accepted
+    coarse step makes no product for r_y.  Each gradient step checks the
+    descent lemma for L_f.
     """
     if chain.fine_dim != problem.dim:
         raise ValueError(
@@ -530,6 +571,8 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
     L_f = problem.L_f
     y = _as_start(problem, x0)
     z = y.copy()
+    r_y = problem.residual(y)
+    r_z = r_y
     state = MagmaState(k=0, x=y, y=y, z=z, alpha=0.0, eta=L_f,
                        s_prev=config.s0)
     t0 = time.perf_counter()
@@ -537,10 +580,10 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
     trace = []
     events = []
     counts = {"grad": 0, "coarse": 0, "fallback": 0}
-    F_y = problem.value(y)  # incumbent objective, updated every step
-    best_F, best_x = F_y, y
+    F_y = _objective(problem, y, r_y)  # incumbent objective, updated every step
+    best_F, best_x, best_r = F_y, y, r_y
     converged = False
-    x_stop, Dn_stop = y, NAN
+    x_stop, r_stop, Dn_stop = y, r_y, NAN
     horizon = config.max_iters if config.mu_schedule == "horizon" else None
 
     def smoothing_for(eta_prov, alpha_prov):
@@ -556,16 +599,17 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
         eta_g, alpha_g = update_eta_alpha(state, "grad", None, L_f, None, config)
         t_g = _combination_weight(alpha_g, eta_g)
         x = t_g * z + (1.0 - t_g) * y
-        p, fgx = _prox_at(problem, x, L_f)
+        r_x = t_g * r_z + (1.0 - t_g) * r_y
+        p, fgx = _prox_at(problem, x, L_f, r_x)
         Dn = float(np.linalg.norm(x - p))
         if Dn < config.eps:
-            converged, x_stop, Dn_stop = True, x, Dn
+            converged, x_stop, r_stop, Dn_stop = True, x, r_x, Dn
             break
         mu_k = smoothing_for(eta_g, alpha_g)
         view = SmoothedView(problem, mu_k)
 
         kind = "grad"
-        x_used, fg_used, y_next = x, fgx, p
+        x_used, fg_used = x, fgx
         eta_n, alpha_n, t_used, s_used = eta_g, alpha_g, t_g, NAN
 
         if k >= 1 and not chain.is_identity:
@@ -577,13 +621,12 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
                 kind = "fallback"  # promoted back to coarse only on success
                 _, spectral = chain.coarse_dictionary(problem)
                 L_H = spectral + problem.lam / mu_k
-                eta_c = max(1.0 / (4.0 * state.alpha ** 2 * state.eta),
-                            L_H / (config.armijo_c * state.s_prev * config.kappa ** 2))
-                alpha_c = 1.0 / (2.0 * eta_c) \
-                    + state.alpha * math.sqrt(state.eta / eta_c)
+                eta_c, alpha_c = update_eta_alpha(state, "coarse", state.s_prev,
+                                                  L_f, L_H, config)
                 t_c = _combination_weight(alpha_c, eta_c)
                 x_c = t_c * z + (1.0 - t_c) * y
-                fg_c = problem.f_grad(x_c)
+                r_c = t_c * r_z + (1.0 - t_c) * r_y
+                fg_c = problem.apply_adjoint(r_c)
                 grad_mu_c = fg_c + view.g_grad(x_c)
                 state.x = x_c
                 # by coherence the coarse entry gradient is R grad F_mu(x_c),
@@ -605,10 +648,12 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
                             raise InvariantViolation(
                                 f"coarse direction not a descent direction at "
                                 f"k={k}: slope {slope:.6e} vs bound {bound:.6e}")
+                        Bd = problem.apply(d)
                         try:
                             s_k = armijo_search(view, x_c, d, config,
                                                 slope=slope,
-                                                s_start=state.s_prev)
+                                                s_start=state.s_prev,
+                                                r_x=r_c, Bd=Bd)
                         except LineSearchError:
                             s_k = None
                         # the Armijo test controls F_mu only; the true
@@ -617,16 +662,15 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
                         # coarse step to beat the incumbent y.
                         if s_k is not None:
                             y_cand = x_c + s_k * d
-                            if problem.value(y_cand) > F_y:
+                            r_cand = r_c + s_k * Bd
+                            F_cand = _objective(problem, y_cand, r_cand)
+                            if F_cand > F_y:
                                 s_k = None
                         if s_k is not None:
                             kind = "coarse"
-                            y_next = y_cand
-                            eta_n = max(
-                                1.0 / (4.0 * state.alpha ** 2 * state.eta),
-                                L_H / (config.armijo_c * s_k * config.kappa ** 2))
-                            alpha_n = 1.0 / (2.0 * eta_n) \
-                                + state.alpha * math.sqrt(state.eta / eta_n)
+                            y_next, r_next, F_next = y_cand, r_cand, F_cand
+                            eta_n, alpha_n = update_eta_alpha(
+                                state, "coarse", s_k, L_f, L_H, config)
                             t_used, s_used = t_c, s_k
                             x_used, fg_used = x_c, fg_c
                             events.append(CoarseEvent(
@@ -634,9 +678,13 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
 
         if k >= 1:
             _check_bookkeeping(state, eta_n, alpha_n, t_used)
+        if kind != "coarse":
+            r_next = _certified_residual(problem, x, r_x, fgx, p, L_f, k)
+            y_next, F_next = p, _objective(problem, p, r_next)
 
         z = mirror_step(geometry, problem, z, fg_used, alpha_n)
-        y = y_next
+        r_z = problem.residual(z)
+        y, r_y, F_y = y_next, r_next, F_next
         counts[kind] += 1
         if kind == "coarse":
             state.x_tilde, state.q, state.s_prev = x_used.copy(), 0, s_used
@@ -652,42 +700,39 @@ def magma(problem: CompositeProblem, chain: RestrictionChain, x0,
             state.q += 1
         state.k, state.alpha, state.eta, state.t = k + 1, alpha_n, eta_n, t_used
         state.x, state.y, state.z = x_used, y, z
-        state.step_log.append(kind)
-        F_y = problem.value(y)
         if F_y < best_F:
-            best_F, best_x = F_y, y
+            best_F, best_x, best_r = F_y, y, r_y
         trace.append(TraceRow(k, kind, F_y, Dn, eta_n, alpha_n, t_used, s_used,
                               time.monotonic_ns() - ns0))
         k += 1
 
     if trace and trace[-1].step_kind == "coarse":
         # the convergence guarantee is stated for runs ending on a
-        # gradient step; append one.
+        # gradient step; append one.  Its mirror step would go unused.
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha_n, eta_n)
         x = t * z + (1.0 - t) * y
-        p, fgx = _prox_at(problem, x, L_f)
+        r_x = t * r_z + (1.0 - t) * r_y
+        p, fgx = _prox_at(problem, x, L_f, r_x)
         Dn_x = float(np.linalg.norm(x - p))
         _check_bookkeeping(state, eta_n, alpha_n, t)
-        z = mirror_step(geometry, problem, z, fgx, alpha_n)
-        y = p
+        r_y = _certified_residual(problem, x, r_x, fgx, p, L_f, k)
+        y, F_y = p, _objective(problem, p, r_y)
         counts["grad"] += 1
         state.k, state.alpha, state.eta, state.t = state.k + 1, alpha_n, eta_n, t
         state.q += 1
-        state.step_log.append("grad")
-        Fy = problem.value(y)
-        if Fy < best_F:
-            best_F, best_x = Fy, y
-        trace.append(TraceRow(k, "grad", Fy, Dn_x, eta_n, alpha_n, t, NAN,
+        if F_y < best_F:
+            best_F, best_x, best_r = F_y, y, r_y
+        trace.append(TraceRow(k, "grad", F_y, Dn_x, eta_n, alpha_n, t, NAN,
                               time.monotonic_ns() - ns0))
         k += 1
 
     if converged:
         return _finish(problem, x_stop, Dn_stop, state.k, True, counts, t0,
-                       trace, events)
-    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f)[0]))
+                       trace, events, _objective(problem, x_stop, r_stop))
+    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f, best_r)[0]))
     return _finish(problem, best_x, Dn, state.k, Dn < config.eps, counts, t0,
-                   trace, events)
+                   trace, events, best_F)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,30 @@ class TestMfista:
         assert res.values[1] <= res.values[0] \
             - float(g0 @ g0) / (2 * obj.lipschitz()) + 1e-12
 
+    def test_rejection_reuses_known_gradient(self, rng):
+        # a rejected step keeps x_prev, whose gradient is already known:
+        # one grad at the start, one per accepted step and one per
+        # momentum point
+        H = np.diag(np.logspace(0, 4, 8))
+        obj = QuadObjective(H, rng.standard_normal(8))
+        trial_values, grads = [], []
+        real_value, real_grad = obj.value, obj.grad
+
+        def value(x):
+            trial_values.append(real_value(x))
+            return trial_values[-1]
+
+        def grad(x):
+            grads.append(x)
+            return real_grad(x)
+
+        obj.value, obj.grad = value, grad
+        res = mfista(obj, rng.standard_normal(8) * 3, 1e-12, 300)
+        rejected = sum(trial_values[j] > res.values[j - 1]
+                       for j in range(1, len(res.values)))
+        assert rejected > 10
+        assert len(grads) == 2 * res.iterations - rejected
+
     def test_reaches_same_minimizer_as_gradient_descent(self):
         H = np.array([[3.0]])
         c = np.array([6.0])
@@ -382,6 +406,30 @@ class TestArmijo:
             cold = armijo_search(view, x, d, cfg)
             warm = armijo_search(view, x, d, cfg, s_start=cold * cfg.tau ** 3)
             assert warm == pytest.approx(cold, rel=1e-9)
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_residual_probes_match_direct_probes(self, rng, bucket):
+        # each probe takes its residual as r_x + s B d; the step chosen
+        # must be the one a top-down scan of direct F_mu evaluations picks
+        cfg = SolverConfig(armijo_c=1e-4, s0=10.0, tau=0.7)
+        for _ in range(25):
+            p = random_lasso(rng, m=12, n=7, bucket=bucket)
+            view = SmoothedView(p, 1e-2)
+            x = rng.standard_normal(p.dim)
+            d = -view.grad(x) + 0.1 * rng.standard_normal(p.dim)
+            slope = float(d @ view.grad(x))
+            if not slope < 0:
+                continue
+            s_direct = cfg.s0
+            while view.value(x + s_direct * d) \
+                    > view.value(x) + cfg.armijo_c * s_direct * slope:
+                s_direct *= cfg.tau
+            assert armijo_search(view, x, d, cfg) \
+                == pytest.approx(s_direct, rel=1e-9)
+            assert armijo_search(view, x, d, cfg, slope=slope,
+                                 r_x=p.residual(x), Bd=p.apply(d),
+                                 s_start=s_direct * cfg.tau ** 2) \
+                == pytest.approx(s_direct, rel=1e-9)
 
     def test_non_descent_rejected(self):
         view = self._quadratic_view()
@@ -502,6 +550,83 @@ class TestMagma:
                     SolverConfig(eps=1e-8, max_iters=100))
         ts = [row.elapsed_ns for row in sol.trace]
         assert all(ts[i + 1] >= ts[i] for i in range(len(ts) - 1))
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_products_per_iteration(self, bucket):
+        # two B and one B^T per iteration; a coarse attempt adds at most
+        # one of each (B^T at its anchor, B d for the line search)
+        spec = ExperimentSpec(m=200, n=128, rho=0.9, k_true=4,
+                              corruption=0.2 if bucket else 0.0, noise=0.01,
+                              seed=3, lam=1e-5)
+        base, _, _ = gen_instance(spec)
+        p = CountingLasso(base.A, base.b, base.lam, bucket=bucket)
+        chain = build_chain(p.n_x, 2, bucket=bucket, m=p.m)
+        cfg = SolverConfig(eps=1e-6, max_iters=5000, kappa=0.7, levels=2)
+        p.calls = {"apply": 0, "apply_adjoint": 0}
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.converged and sol.iterations > 50
+        if bucket:
+            assert sol.step_counts["coarse"] > 0
+        k = sol.iterations
+        attempts = sol.step_counts["coarse"] + sol.step_counts["fallback"]
+        assert k <= p.calls["apply_adjoint"] <= k + attempts + 2
+        assert 2 * k - attempts <= p.calls["apply"] <= 2 * k + attempts + 2
+
+    def test_recycled_products_are_exact(self, monkeypatch):
+        # anchor residuals and gradients, the line search's B d and every
+        # F(y) come from combinations of earlier products; each must match
+        # a fresh evaluation
+        p = bucket_instance(seed=3, m=200, n=128, lam=1e-3)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        seen = {"anchor": 0, "coarse": 0, "armijo": 0, "objective": 0}
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        def spy(name, real, check):
+            def wrapper(*args, **kwargs):
+                check(*args, **kwargs)
+                seen[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(solvers, real.__name__, wrapper)
+
+        def check_anchor(problem, x, r_x, g, p_x, L_f, k):
+            assert close(r_x, problem.residual(x))
+            assert close(g, problem.f_grad(x))
+
+        def check_coarse(problem, chain, x, mu, fine_grad):
+            assert close(fine_grad, SmoothedView(problem, mu).grad(x))
+
+        def check_armijo(view, x, d, config, r_x, Bd, **kwargs):
+            assert close(r_x, view.problem.residual(x))
+            assert close(Bd, view.problem.apply(d))
+
+        def check_objective(problem, x, r):
+            assert close(r, problem.residual(x))
+            assert 0.5 * float(r @ r) + problem.g_value(x) \
+                == pytest.approx(problem.value(x), rel=1e-12)
+
+        spy("anchor", solvers._certified_residual, check_anchor)
+        spy("coarse", solvers.build_coarse_model, check_coarse)
+        spy("armijo", solvers.armijo_search, check_armijo)
+        spy("objective", solvers._objective, check_objective)
+        cfg = SolverConfig(eps=1e-9, max_iters=600, kappa=0.7, levels=2)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.step_counts["coarse"] > 0
+        assert seen["anchor"] == sol.iterations - sol.step_counts["coarse"]
+        assert seen["coarse"] >= seen["armijo"] >= sol.step_counts["coarse"]
+        assert seen["objective"] >= sol.iterations + 1
+
+    def test_lipschitz_constant_certified(self):
+        # f(x) = 0.5 (2x - 1)^2 has L = 4; with L_f forced to 1 the first
+        # prox step breaks the descent lemma
+        p = L1LeastSquares(np.array([[2.0]]), np.array([1.0]), 0.01)
+        chain = build_chain(1, 1)
+        cfg = SolverConfig(eps=1e-9, max_iters=50, levels=1)
+        assert magma(p, chain, np.zeros(1), cfg).converged
+        p.L_f = 1.0
+        with pytest.raises(solvers.InvariantViolation, match="L_f = 1 "):
+            magma(p, chain, np.zeros(1), cfg)
 
     def test_dimension_mismatch_rejected(self, rng):
         p = random_lasso(rng, m=10, n=8)
