@@ -1,43 +1,40 @@
 """Multilevel accelerated proximal solvers for composite optimization.
 
-The library solves min F(x) = f(x) + g(x) with f smooth and g given by
-its prox, with l1-regularized least squares (and its bucket variant for
-dense error correction) as the flagship instance family.  Solvers: ista,
+The library solves min F(x) = f(x) + g(x) for l1-regularized least
+squares, f(x) = 0.5*||Ax - b||^2 and g(x) = lam*||x||_1 (L1LeastSquares),
+and its bucket variant for dense error correction.  Solvers: ista,
 fista, agm, and the multilevel magma, plus the monotone mfista used on
 smoothed coarse models.
+
+Each operation has one public name: the methods of L1LeastSquares,
+SmoothedView, RestrictionChain and CoarseModel, and the functions
+prox_step, prog, gradient_mapping and mirror_step for the steps the
+guarantee lemmas are stated for.
 """
 
 from .problem import (
-    CompositeProblem,
     L1LeastSquares,
     SmoothedView,
-    grad_f,
     gradient_mapping,
     lipschitz_estimate,
+    mirror_step,
     power_iteration,
     prog,
     prox_step,
-    smoothed_grad,
-    smoothed_value,
     soft_threshold,
 )
-from .mirror import BregmanGeometry, EuclideanGeometry, bregman, mirror_step
 from .multilevel import (
     CoarseModel,
     RestrictionChain,
     build_chain,
     build_coarse_model,
-    coarse_grad,
-    coarse_lipschitz,
-    coarse_value,
-    prolong,
-    restrict,
 )
 from .solvers import (
     CoarseEvent,
     InvariantViolation,
     LineSearchError,
     MagmaState,
+    REJECTION_REASONS,
     Solution,
     SolverConfig,
     TraceRow,

@@ -8,9 +8,9 @@ These are runtime smoke checks; the full test suite lives in tests/.
 import numpy as np
 
 from .harness import ExperimentSpec, gen_instance, subgradient_residual
-from .mirror import EuclideanGeometry, bregman, mirror_step
 from .multilevel import build_chain, build_coarse_model
-from .problem import L1LeastSquares, SmoothedView, prog, prox_step, soft_threshold
+from .problem import (L1LeastSquares, SmoothedView, mirror_step, prog,
+                      prox_step, soft_threshold)
 from .solvers import SolverConfig, fista, magma
 
 __all__ = ["SUITES", "run_suites"]
@@ -52,7 +52,6 @@ def check_coherence(config):
 def check_guarantees(config):
     """Gradient-descent and mirror-descent guarantee inequalities."""
     rng = np.random.default_rng(12)
-    geometry = EuclideanGeometry()
     worst = np.inf
     for problem in _small_instances(60, rng):
         L = problem.L_f
@@ -64,10 +63,12 @@ def check_guarantees(config):
                     - problem.value(y))
         # mirror descent guarantee with alpha <= 1/L
         alpha = float(rng.uniform(0.05, 1.0)) / L
-        xp = mirror_step(geometry, problem, x, problem.f_grad(x), alpha)
+        xp = mirror_step(problem, x, problem.f_grad(x), alpha)
         lhs = alpha * (problem.value(x) - problem.value(u))
+        # Euclidean Bregman terms V_x(u) - V_xp(u)
+        d, dp = x - u, xp - u
         rhs = alpha ** 2 * L * prog(problem, x, L) \
-            + bregman(geometry, x, u) - bregman(geometry, xp, u)
+            + 0.5 * float(d @ d) - 0.5 * float(dp @ dp)
         worst = min(worst, rhs - lhs)
     ok = worst >= -1e-8
     return ok, f"min guarantee slack {worst:.3g}"

@@ -19,13 +19,8 @@ from .problem import SmoothedView, power_iteration, LIPSCHITZ_SAFETY
 __all__ = [
     "RestrictionChain",
     "build_chain",
-    "restrict",
-    "prolong",
     "CoarseModel",
     "build_coarse_model",
-    "coarse_value",
-    "coarse_grad",
-    "coarse_lipschitz",
 ]
 
 
@@ -63,6 +58,7 @@ class RestrictionChain:
         return self.levels == 1
 
     def restrict(self, w: np.ndarray) -> np.ndarray:
+        """Transfer a fine vector to the coarse level."""
         w = np.asarray(w, dtype=float)
         if w.shape != (self.fine_dim,):
             raise ValueError(
@@ -72,6 +68,7 @@ class RestrictionChain:
         return self.R_x @ w
 
     def prolong(self, u: np.ndarray) -> np.ndarray:
+        """Transfer a coarse vector back to the fine level (P = R^T)."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.coarse_dim,):
             raise ValueError(
@@ -141,16 +138,6 @@ def build_chain(n: int, levels: int, bucket: bool = False,
                             bucket=bucket, m=m)
 
 
-def restrict(chain: RestrictionChain, w: np.ndarray) -> np.ndarray:
-    """Transfer a fine vector to the coarse level."""
-    return chain.restrict(w)
-
-
-def prolong(chain: RestrictionChain, d_H: np.ndarray) -> np.ndarray:
-    """Transfer a coarse vector back to the fine level (P = R^T)."""
-    return chain.prolong(d_H)
-
-
 class CoarseModel:
     """Smoothed reduced model with linear coherence correction.
 
@@ -205,6 +192,7 @@ class CoarseModel:
         return self.base_grad(w) + self.v_H
 
     def lipschitz(self) -> float:
+        """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu_H."""
         return self.L
 
 
@@ -234,18 +222,3 @@ def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
         fine_grad = SmoothedView(problem, mu_fine).grad(np.asarray(x_k, dtype=float))
     model.v_H = chain.restrict(fine_grad) - model.base_grad(anchor)
     return model
-
-
-def coarse_value(model: CoarseModel, w_H: np.ndarray) -> float:
-    """Objective value of the coarse model."""
-    return model.value(w_H)
-
-
-def coarse_grad(model: CoarseModel, w_H: np.ndarray) -> np.ndarray:
-    """Gradient of the coarse model."""
-    return model.grad(w_H)
-
-
-def coarse_lipschitz(model: CoarseModel) -> float:
-    """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu_H."""
-    return model.lipschitz()

@@ -14,15 +14,12 @@ import numpy as np
 __all__ = [
     "soft_threshold",
     "power_iteration",
-    "CompositeProblem",
     "L1LeastSquares",
     "SmoothedView",
-    "grad_f",
     "prox_step",
     "prog",
     "gradient_mapping",
-    "smoothed_value",
-    "smoothed_grad",
+    "mirror_step",
     "lipschitz_estimate",
 ]
 
@@ -72,59 +69,8 @@ def _check_dim(x: np.ndarray, dim: int):
         raise ValueError(f"expected vector of length {dim}, got shape {x.shape}")
 
 
-class CompositeProblem:
-    """Base interface for composite objectives.
-
-    Concrete problems provide the smooth part f (value and gradient), the
-    nonsmooth part g (value and prox), a Lipschitz constant for grad f,
-    a mu-smoothed surrogate of g, and the smoothing parameters
-    (alpha_s, beta1, beta2, K) with beta1 + beta2 = beta.
-
-    Problem data is immutable after construction; all operations are pure
-    functions of their inputs, so one instance can be shared across
-    concurrent solver runs.
-    """
-
-    dim: int
-    L_f: float
-    smoothing_alpha: float
-    smoothing_beta1: float
-    smoothing_beta2: float
-    smoothing_K: float
-
-    @property
-    def smoothing_beta(self) -> float:
-        return self.smoothing_beta1 + self.smoothing_beta2
-
-    def f_value(self, x):
-        raise NotImplementedError
-
-    def f_grad(self, x):
-        raise NotImplementedError
-
-    def f_value_grad(self, x):
-        """Value and gradient of f from one pass over the data."""
-        return self.f_value(x), self.f_grad(x)
-
-    def g_value(self, x):
-        raise NotImplementedError
-
-    def g_prox(self, v, t):
-        """argmin_y 0.5*||y - v||^2 + t*g(y) for t > 0."""
-        raise NotImplementedError
-
-    def g_mu_value(self, x, mu):
-        raise NotImplementedError
-
-    def g_mu_grad(self, x, mu):
-        raise NotImplementedError
-
-    def value(self, x) -> float:
-        return self.f_value(x) + self.g_value(x)
-
-
-class L1LeastSquares(CompositeProblem):
-    """f(x) = 0.5*||Ax - b||^2, g(x) = lam*||x||_1.
+class L1LeastSquares:
+    """F(x) = f(x) + g(x) with f(x) = 0.5*||Ax - b||^2, g(x) = lam*||x||_1.
 
     With ``bucket=True`` the effective dictionary is B = [A, I] acting on
     w = [x, e] of length n + m; matrix-vector products with the identity
@@ -132,6 +78,10 @@ class L1LeastSquares(CompositeProblem):
 
     lam = 0 is accepted and turns the instance into a plain least-squares
     problem (g == 0), which is convenient for smooth sanity checks.
+
+    Problem data is immutable after construction and every method is a
+    pure function of its inputs, so one instance can be shared across
+    concurrent solver runs.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lam: float = 1e-6,
@@ -156,12 +106,8 @@ class L1LeastSquares(CompositeProblem):
         self.bucket = bool(bucket)
         self.m, self.n_x = A.shape
         self.dim = self.n_x + self.m if bucket else self.n_x
-        # smoothable parameters of lam*||.||_1: (alpha_s, beta, K) with
-        # beta1 = 0, beta2 = lam * dim, K = 0; grad Lipschitz lam/mu.
-        self.smoothing_alpha = self.lam
-        self.smoothing_beta1 = 0.0
-        self.smoothing_beta2 = self.lam * self.dim
-        self.smoothing_K = 0.0
+        # g <= g_mu <= g + smoothing_beta * mu for the l1 smoothing
+        self.smoothing_beta = self.lam * self.dim
         self.L_f = lipschitz_estimate(self)
 
     # -- operator products ------------------------------------------------
@@ -181,7 +127,7 @@ class L1LeastSquares(CompositeProblem):
     def residual(self, x):
         return self.apply(x) - self.b
 
-    # -- composite interface ----------------------------------------------
+    # -- smooth part f and nonsmooth part g --------------------------------
     def f_value(self, x) -> float:
         r = self.residual(x)
         return 0.5 * float(r @ r)
@@ -189,14 +135,11 @@ class L1LeastSquares(CompositeProblem):
     def f_grad(self, x):
         return self.apply_adjoint(self.residual(x))
 
-    def f_value_grad(self, x):
-        r = self.residual(x)
-        return 0.5 * float(r @ r), self.apply_adjoint(r)
-
     def g_value(self, x) -> float:
         return self.lam * float(np.sum(np.abs(x)))
 
     def g_prox(self, v, t):
+        """argmin_y 0.5*||y - v||^2 + t*g(y) for t > 0."""
         if t <= 0:
             raise ValueError("prox step constant must be positive")
         return soft_threshold(v, t * self.lam)
@@ -207,25 +150,23 @@ class L1LeastSquares(CompositeProblem):
     def g_mu_grad(self, x, mu):
         return self.lam * x / np.sqrt(mu * mu + x * x)
 
+    def value(self, x) -> float:
+        return self.f_value(x) + self.g_value(x)
+
 
 class SmoothedView:
-    """mu-smoothed view F_mu(x) = f(x) + g_mu(x) of a composite problem.
+    """mu-smoothed view F_mu(x) = f(x) + g_mu(x) of a problem.
 
     For the l1 penalty, g_mu(x) = lam * sum_j sqrt(mu^2 + x_j^2), which
     sandwiches g as g(x) <= g_mu(x) <= g(x) + lam*dim*mu and has a
     (lam/mu)-Lipschitz gradient.
     """
 
-    def __init__(self, problem: CompositeProblem, mu: float):
+    def __init__(self, problem: L1LeastSquares, mu: float):
         if mu <= 0:
             raise ValueError(f"smoothing level mu must be positive, got {mu}")
         self.problem = problem
         self.mu = float(mu)
-
-    @property
-    def grad_lipschitz(self) -> float:
-        p = self.problem
-        return p.L_f + p.smoothing_K + p.smoothing_alpha / self.mu
 
     def g_value(self, x) -> float:
         return self.problem.g_mu_value(x, self.mu)
@@ -245,16 +186,10 @@ class SmoothedView:
 
 
 # ---------------------------------------------------------------------------
-# Operation-style wrappers.
+# The steps the guarantee lemmas are stated for.
 
 
-def grad_f(problem: CompositeProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth part at x."""
-    _check_dim(np.asarray(x), problem.dim)
-    return problem.f_grad(np.asarray(x, dtype=float))
-
-
-def prox_step(problem: CompositeProblem, x: np.ndarray, L: float) -> np.ndarray:
+def prox_step(problem: L1LeastSquares, x: np.ndarray, L: float) -> np.ndarray:
     """argmin_y L/2*||y - x||^2 + <grad f(x), y - x> + g(y)."""
     if L <= 0:
         raise ValueError("L must be positive")
@@ -262,7 +197,7 @@ def prox_step(problem: CompositeProblem, x: np.ndarray, L: float) -> np.ndarray:
     return problem.g_prox(x - problem.f_grad(x) / L, 1.0 / L)
 
 
-def prog(problem: CompositeProblem, x: np.ndarray, L: float) -> float:
+def prog(problem: L1LeastSquares, x: np.ndarray, L: float) -> float:
     """Decrease value of the prox subproblem at x; always >= 0."""
     if L <= 0:
         raise ValueError("L must be positive")
@@ -274,23 +209,30 @@ def prog(problem: CompositeProblem, x: np.ndarray, L: float) -> float:
              + problem.g_value(y) - problem.g_value(x))
 
 
-def gradient_mapping(problem: CompositeProblem, x: np.ndarray) -> np.ndarray:
+def gradient_mapping(problem: L1LeastSquares, x: np.ndarray) -> np.ndarray:
     """Optimality measure D(x) = x - prox(x); vanishes exactly at minimizers."""
     x = np.asarray(x, dtype=float)
     return x - prox_step(problem, x, problem.L_f)
 
 
-def smoothed_value(view: SmoothedView, x: np.ndarray) -> float:
-    """F_mu(x) = f(x) + g_mu(x)."""
-    return view.value(np.asarray(x, dtype=float))
+def mirror_step(problem: L1LeastSquares, z: np.ndarray, xi: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """argmin_u 0.5*||u - z||^2 + alpha*<xi, u> + alpha*g(u).
+
+    This Euclidean mirror step is exactly the prox of alpha*g at
+    z - alpha*xi: with an l1 penalty the shrinkage
+    T_(alpha*lam)(z - alpha*xi), with g == 0 the plain translation.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    z = np.asarray(z, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if z.shape != xi.shape:
+        raise ValueError(f"shape mismatch: {z.shape} vs {xi.shape}")
+    return problem.g_prox(z - alpha * xi, alpha)
 
 
-def smoothed_grad(view: SmoothedView, x: np.ndarray) -> np.ndarray:
-    """grad F_mu(x); the g part is lam*x_j/sqrt(mu^2 + x_j^2) entrywise."""
-    return view.grad(np.asarray(x, dtype=float))
-
-
-def lipschitz_estimate(problem: "L1LeastSquares") -> float:
+def lipschitz_estimate(problem: L1LeastSquares) -> float:
     """Safe upper bound on ||A^T A||_2 (bucket: ||B^T B||_2).
 
     Power iteration to relative tolerance 1e-6, inflated by 1.01.

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mirror import EuclideanGeometry, mirror_step
 from .multilevel import RestrictionChain, build_chain, build_coarse_model
-from .problem import CompositeProblem, L1LeastSquares, SmoothedView
+from .problem import L1LeastSquares, SmoothedView, mirror_step
 
 __all__ = [
     "SolverConfig",
@@ -30,6 +29,7 @@ __all__ = [
     "TraceRow",
     "CoarseEvent",
     "Solution",
+    "REJECTION_REASONS",
     "LineSearchError",
     "InvariantViolation",
     "ista",
@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 NAN = float("nan")
+
+# Why a coarse attempt fell back to the gradient step, in the order magma
+# tests them; Solution.rejections counts each.
+REJECTION_REASONS = ("entry_stationary", "condition_lost", "no_decrease",
+                     "line_search_failed", "objective_rejected")
 
 
 class LineSearchError(RuntimeError):
@@ -146,15 +151,17 @@ class CoarseEvent:
 
 @dataclass
 class MagmaState:
-    """Coupled iterate triple and step-size bookkeeping."""
+    """Step-size bookkeeping and the inputs of the coarse condition.
+
+    x is the anchor the condition is tested at, x_tilde the anchor of the
+    last coarse attempt, q the gradient steps since then and s_prev the
+    last accepted coarse step size.
+    """
 
     k: int
     x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     alpha: float
     eta: float
-    t: float = NAN
     x_tilde: np.ndarray = None
     q: int = 0
     s_prev: float = NAN
@@ -171,6 +178,7 @@ class Solution:
     elapsed_s: float
     trace: list
     coarse_events: list = field(default_factory=list)
+    rejections: dict = field(default_factory=dict)  # reason -> fallbacks
 
 
 @dataclass
@@ -231,7 +239,7 @@ def _objective(problem, x, r):
 
 
 def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None,
-            objective=None):
+            objective=None, rejections=None):
     return Solution(
         x=x,
         objective=problem.value(x) if objective is None else objective,
@@ -242,6 +250,7 @@ def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None,
         elapsed_s=time.perf_counter() - t0,
         trace=trace,
         coarse_events=events or [],
+        rejections=dict(rejections or {}),
     )
 
 
@@ -352,17 +361,16 @@ def _combination_weight(alpha, eta):
     return min(1.0 / (alpha * eta), 1.0)
 
 
-def agm(problem: CompositeProblem, x0, config: SolverConfig) -> Solution:
+def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Coupled gradient/mirror scheme with alpha_{k+1} = (k+2)/(2 L_f).
 
     x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k),
     z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}).
     """
-    geometry = EuclideanGeometry()
     L_f = problem.L_f
     y = _as_start(problem, x0)
     z = y.copy()
-    state = MagmaState(k=0, x=y, y=y, z=z, alpha=0.0, eta=L_f)
+    state = MagmaState(k=0, x=y, alpha=0.0, eta=L_f)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
@@ -376,8 +384,8 @@ def agm(problem: CompositeProblem, x0, config: SolverConfig) -> Solution:
         if Dn < config.eps:
             return _finish(problem, x, Dn, k, True, {"grad": k}, t0, trace)
         y = p
-        z = mirror_step(geometry, problem, z, fgx, alpha_n)
-        state.k, state.alpha, state.eta, state.t = k + 1, alpha_n, eta_n, t
+        z = mirror_step(problem, z, fgx, alpha_n)
+        state.k, state.alpha, state.eta = k + 1, alpha_n, eta_n
         Fy = problem.value(y)
         if Fy < best_F:
             best_F, best_x = Fy, y
@@ -513,10 +521,11 @@ def _check_bookkeeping(state, eta_n, alpha_n, t):
         raise InvariantViolation(f"t_k out of (0, 1] at k={state.k}: {t}")
 
 
-def _certified_residual(problem, x, r_x, g, p, L_f, k):
-    """Residual B p - b of the prox point p of x taken with g = B^T r_x.
+def _gradient_step(problem, x, r_x, g, p, L_f, k):
+    """Take the prox step y = p of the anchor x, formed with g = B^T r_x.
 
-    Also certifies L_f along this step: the descent lemma
+    Returns the residual B p - b and the objective F(p), for one product
+    with B.  Also certifies L_f along this step: the descent lemma
     f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2, which the guarantee
     lemmas assume, costs three dot products here; a violation raises
     InvariantViolation naming L_f.
@@ -530,7 +539,81 @@ def _certified_residual(problem, x, r_x, g, p, L_f, k):
         raise InvariantViolation(
             f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
-    return r_p
+    return r_p, _objective(problem, p, r_p)
+
+
+def _smoothing(problem, config, eta, alpha):
+    """mu of the coarse model at the provisional (eta, alpha): config.mu, or
+    max(zeta / ((L_f + eta) alpha^2 beta T), 1e-12) on the horizon schedule."""
+    if config.mu_schedule == "fixed":
+        return config.mu
+    beta = max(problem.smoothing_beta, 1e-30)
+    mu = config.zeta / ((problem.L_f + eta) * alpha ** 2 * beta
+                        * config.max_iters)
+    return max(mu, 1e-12)
+
+
+def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
+                     config, k):
+    """One coarse attempt at iteration k, from the iterates y and z.
+
+    Re-forms the anchor x = t z + (1-t) y with the coarse-branch eta,
+    estimated from the previously accepted step size, and re-tests the
+    coarse condition there (``config`` may carry a widened K_d).  Then
+    solves the coherent coarse model with mfista, checks that the
+    prolonged correction d descends on F_mu, finds an Armijo step s and
+    requires y = x + s d to beat the incumbent objective F_y.
+
+    Returns (x, step): the re-formed anchor, and either the reason the
+    attempt stopped, one of REJECTION_REASONS, or the accepted step
+    (y, B y - b, F(y), grad f(x), eta, alpha, t, s, its CoarseEvent).
+    """
+    _, spectral = chain.coarse_dictionary(problem)
+    L_H = spectral + problem.lam / view.mu
+    eta, alpha = update_eta_alpha(state, "coarse", state.s_prev,
+                                  problem.L_f, L_H, config)
+    t = _combination_weight(alpha, eta)
+    x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
+    g = problem.apply_adjoint(r_x)
+    grad_mu = g + view.g_grad(x)
+    state.x = x
+    # by coherence the coarse entry gradient is R grad F_mu(x), so an
+    # entry-stationary solve is skipped without building the model.
+    if float(np.linalg.norm(chain.restrict(grad_mu))) < config.coarse_tol:
+        return x, "entry_stationary"
+    if not coarse_condition(state, grad_mu, chain, config):
+        return x, "condition_lost"
+    model = build_coarse_model(problem, chain, x, view.mu, fine_grad=grad_mu)
+    res = mfista(model, model.anchor, config.coarse_tol, config.coarse_budget)
+    if not res.available:
+        # the test above, on another rounding of the same gradient
+        return x, "entry_stationary"
+    if not res.values[-1] < res.values[1]:
+        return x, "no_decrease"
+    d = chain.prolong(res.x - model.anchor)
+    slope = float(d @ grad_mu)
+    gn2 = float(grad_mu @ grad_mu)
+    bound = -config.kappa ** 2 / (2.0 * L_H) * gn2
+    if not slope < bound + 1e-9:
+        raise InvariantViolation(
+            f"coarse direction not a descent direction at "
+            f"k={k}: slope {slope:.6e} vs bound {bound:.6e}")
+    Bd = problem.apply(d)
+    try:
+        s = armijo_search(view, x, d, config, slope=slope,
+                          s_start=state.s_prev, r_x=r_x, Bd=Bd)
+    except LineSearchError:
+        return x, "line_search_failed"
+    # the Armijo test controls F_mu only; the true objective may grow by
+    # up to beta*mu, which keeps undoing late-stage convergence.  Require
+    # the coarse step to beat the incumbent y.
+    y_new, r_new = x + s * d, r_x + s * Bd
+    F_new = _objective(problem, y_new, r_new)
+    if F_new > F_y:
+        return x, "objective_rejected"
+    eta, alpha = update_eta_alpha(state, "coarse", s, problem.L_f, L_H, config)
+    event = CoarseEvent(k, slope, math.sqrt(gn2), L_H, s, res.iterations)
+    return x, (y_new, r_new, F_new, g, eta, alpha, t, s, event)
 
 
 def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
@@ -538,21 +621,21 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     """Multilevel accelerated gradient/mirror solver.
 
     Each iteration forms x_k = t_k z_k + (1-t_k) y_k, stops if
-    ||D(x_k)|| < eps, then either takes the prox step y_{k+1} = prox(x_k)
-    or, when the coarse condition fires, solves the coherent coarse model
+    ||D(x_k)|| < eps, then either takes the gradient step
+    y_{k+1} = prox(x_k) or, when the coarse condition fires, tries a
+    coarse step (_try_coarse_step): it solves the coherent coarse model
     with mfista and sets y_{k+1} = x_k + s_k d_k with an Armijo step on
     the smoothed objective.  The mirror step z_{k+1} uses grad f(x_k) and
     the finalized alpha_{k+1}.
 
     The bookkeeping needs eta_{k+1} (hence s_k) before x_k exists, so the
-    iterate is first formed with the gradient-branch weights; if the
-    coarse condition fires, it is re-formed with the coarse-branch eta
-    estimated from the previously accepted step size and the condition is
-    re-verified at the new anchor.  Coarse-solve unavailability, a lost
-    condition at the re-formed anchor, or a failed line search all fall
-    back to the already-computed gradient step for that iteration.  A
-    final gradient iteration is appended whenever the run would otherwise
-    end on a coarse step.
+    iterate is first formed with the gradient-branch weights; a coarse
+    attempt re-forms it with the coarse-branch eta estimated from the
+    previously accepted step size.  An attempt that stops takes the
+    already-computed gradient step for that iteration (a "fallback");
+    Solution.rejections counts why, by the names in REJECTION_REASONS.
+    A run that has not converged and would end on a coarse step gets one
+    more gradient step, without its mirror step.
 
     Products: the residuals r_y = B y - b and r_z = B z - b are kept, each
     made once when y or z is formed, and since t + (1-t) = 1 every anchor
@@ -567,172 +650,93 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     if chain.fine_dim != problem.dim:
         raise ValueError(
             f"chain acts on dimension {chain.fine_dim}, problem has {problem.dim}")
-    geometry = EuclideanGeometry()
     L_f = problem.L_f
     y = _as_start(problem, x0)
     z = y.copy()
     r_y = problem.residual(y)
     r_z = r_y
-    state = MagmaState(k=0, x=y, y=y, z=z, alpha=0.0, eta=L_f,
-                       s_prev=config.s0)
+    state = MagmaState(k=0, x=y, alpha=0.0, eta=L_f, s_prev=config.s0)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
     events = []
     counts = {"grad": 0, "coarse": 0, "fallback": 0}
+    rejections = dict.fromkeys(REJECTION_REASONS, 0)
     F_y = _objective(problem, y, r_y)  # incumbent objective, updated every step
     best_F, best_x, best_r = F_y, y, r_y
     converged = False
-    x_stop, r_stop, Dn_stop = y, r_y, NAN
-    horizon = config.max_iters if config.mu_schedule == "horizon" else None
-
-    def smoothing_for(eta_prov, alpha_prov):
-        if horizon is None:
-            return config.mu
-        beta = max(problem.smoothing_beta, 1e-30)
-        mu_k = config.zeta / ((L_f + eta_prov) * alpha_prov ** 2 * beta * horizon)
-        return max(mu_k, 1e-12)
-
-    k = 0
     fail_streak = 0  # consecutive failed coarse attempts; backs off retries
-    while k < config.max_iters:
-        eta_g, alpha_g = update_eta_alpha(state, "grad", None, L_f, None, config)
-        t_g = _combination_weight(alpha_g, eta_g)
-        x = t_g * z + (1.0 - t_g) * y
-        r_x = t_g * r_z + (1.0 - t_g) * r_y
-        p, fgx = _prox_at(problem, x, L_f, r_x)
+    for k in range(config.max_iters):
+        eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
+        t = _combination_weight(alpha, eta)
+        x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
+        p, g = _prox_at(problem, x, L_f, r_x)
         Dn = float(np.linalg.norm(x - p))
         if Dn < config.eps:
-            converged, x_stop, r_stop, Dn_stop = True, x, r_x, Dn
+            converged = True
             break
-        mu_k = smoothing_for(eta_g, alpha_g)
-        view = SmoothedView(problem, mu_k)
 
         kind = "grad"
-        x_used, fg_used = x, fgx
-        eta_n, alpha_n, t_used, s_used = eta_g, alpha_g, t_g, NAN
-
         if k >= 1 and not chain.is_identity:
-            grad_mu = fgx + view.g_grad(x)
+            view = SmoothedView(problem, _smoothing(problem, config, eta, alpha))
             state.x = x
             gate = config if fail_streak == 0 else dataclasses.replace(
                 config, K_d=config.K_d * min(2 ** fail_streak, 64))
-            if coarse_condition(state, grad_mu, chain, gate):
-                kind = "fallback"  # promoted back to coarse only on success
-                _, spectral = chain.coarse_dictionary(problem)
-                L_H = spectral + problem.lam / mu_k
-                eta_c, alpha_c = update_eta_alpha(state, "coarse", state.s_prev,
-                                                  L_f, L_H, config)
-                t_c = _combination_weight(alpha_c, eta_c)
-                x_c = t_c * z + (1.0 - t_c) * y
-                r_c = t_c * r_z + (1.0 - t_c) * r_y
-                fg_c = problem.apply_adjoint(r_c)
-                grad_mu_c = fg_c + view.g_grad(x_c)
-                state.x = x_c
-                # by coherence the coarse entry gradient is R grad F_mu(x_c),
-                # so an entry-stationary (hence unavailable) solve can be
-                # skipped without building the model.
-                entry_grad = float(np.linalg.norm(chain.restrict(grad_mu_c)))
-                if entry_grad >= config.coarse_tol \
-                        and coarse_condition(state, grad_mu_c, chain, gate):
-                    model = build_coarse_model(problem, chain, x_c, mu_k,
-                                               fine_grad=grad_mu_c)
-                    res = mfista(model, model.anchor, config.coarse_tol,
-                                 config.coarse_budget)
-                    if res.available and res.values[-1] < res.values[1]:
-                        d = chain.prolong(res.x - model.anchor)
-                        slope = float(d @ grad_mu_c)
-                        gn2 = float(grad_mu_c @ grad_mu_c)
-                        bound = -config.kappa ** 2 / (2.0 * L_H) * gn2
-                        if not slope < bound + 1e-9:
-                            raise InvariantViolation(
-                                f"coarse direction not a descent direction at "
-                                f"k={k}: slope {slope:.6e} vs bound {bound:.6e}")
-                        Bd = problem.apply(d)
-                        try:
-                            s_k = armijo_search(view, x_c, d, config,
-                                                slope=slope,
-                                                s_start=state.s_prev,
-                                                r_x=r_c, Bd=Bd)
-                        except LineSearchError:
-                            s_k = None
-                        # the Armijo test controls F_mu only; the true
-                        # objective may grow by up to beta*mu, which keeps
-                        # undoing late-stage convergence.  Require the
-                        # coarse step to beat the incumbent y.
-                        if s_k is not None:
-                            y_cand = x_c + s_k * d
-                            r_cand = r_c + s_k * Bd
-                            F_cand = _objective(problem, y_cand, r_cand)
-                            if F_cand > F_y:
-                                s_k = None
-                        if s_k is not None:
-                            kind = "coarse"
-                            y_next, r_next, F_next = y_cand, r_cand, F_cand
-                            eta_n, alpha_n = update_eta_alpha(
-                                state, "coarse", s_k, L_f, L_H, config)
-                            t_used, s_used = t_c, s_k
-                            x_used, fg_used = x_c, fg_c
-                            events.append(CoarseEvent(
-                                k, slope, math.sqrt(gn2), L_H, s_k, res.iterations))
+            if coarse_condition(state, g + view.g_grad(x), chain, gate):
+                x_c, step = _try_coarse_step(problem, chain, view, state,
+                                             y, r_y, z, r_z, F_y, gate, k)
+                # remember the attempt's anchor, accepted or not; without
+                # this the moved-away clause re-fires every iteration and
+                # each failing attempt costs a coarse solve.
+                state.x_tilde, state.q = x_c.copy(), 0
+                if isinstance(step, str):
+                    kind = "fallback"
+                    rejections[step] += 1
+                    fail_streak += 1
+                else:
+                    kind = "coarse"
+                    fail_streak = 0
+                    y, r_y, F_y, g, eta, alpha, t, s, event = step
+                    events.append(event)
+                    state.s_prev = s
 
         if k >= 1:
-            _check_bookkeeping(state, eta_n, alpha_n, t_used)
+            _check_bookkeeping(state, eta, alpha, t)
         if kind != "coarse":
-            r_next = _certified_residual(problem, x, r_x, fgx, p, L_f, k)
-            y_next, F_next = p, _objective(problem, p, r_next)
-
-        z = mirror_step(geometry, problem, z, fg_used, alpha_n)
-        r_z = problem.residual(z)
-        y, r_y, F_y = y_next, r_next, F_next
-        counts[kind] += 1
-        if kind == "coarse":
-            state.x_tilde, state.q, state.s_prev = x_used.copy(), 0, s_used
-            fail_streak = 0
-        else:
-            if kind == "fallback":
-                # remember the failed attempt anchor; without this the
-                # moved-away clause re-fires every iteration and each
-                # failing attempt costs a coarse solve.
-                state.x_tilde = x_c.copy()
-                state.q = 0
-                fail_streak += 1
+            r_y, F_y = _gradient_step(problem, x, r_x, g, p, L_f, k)
+            y, s = p, NAN
             state.q += 1
-        state.k, state.alpha, state.eta, state.t = k + 1, alpha_n, eta_n, t_used
-        state.x, state.y, state.z = x_used, y, z
+        z = mirror_step(problem, z, g, alpha)
+        r_z = problem.residual(z)
+        counts[kind] += 1
+        state.k, state.alpha, state.eta = k + 1, alpha, eta
         if F_y < best_F:
             best_F, best_x, best_r = F_y, y, r_y
-        trace.append(TraceRow(k, kind, F_y, Dn, eta_n, alpha_n, t_used, s_used,
+        trace.append(TraceRow(k, kind, F_y, Dn, eta, alpha, t, s,
                               time.monotonic_ns() - ns0))
-        k += 1
-
-    if trace and trace[-1].step_kind == "coarse":
-        # the convergence guarantee is stated for runs ending on a
-        # gradient step; append one.  Its mirror step would go unused.
-        eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
-        t = _combination_weight(alpha_n, eta_n)
-        x = t * z + (1.0 - t) * y
-        r_x = t * r_z + (1.0 - t) * r_y
-        p, fgx = _prox_at(problem, x, L_f, r_x)
-        Dn_x = float(np.linalg.norm(x - p))
-        _check_bookkeeping(state, eta_n, alpha_n, t)
-        r_y = _certified_residual(problem, x, r_x, fgx, p, L_f, k)
-        y, F_y = p, _objective(problem, p, r_y)
-        counts["grad"] += 1
-        state.k, state.alpha, state.eta, state.t = state.k + 1, alpha_n, eta_n, t
-        state.q += 1
-        if F_y < best_F:
-            best_F, best_x, best_r = F_y, y, r_y
-        trace.append(TraceRow(k, "grad", F_y, Dn_x, eta_n, alpha_n, t, NAN,
-                              time.monotonic_ns() - ns0))
-        k += 1
 
     if converged:
-        return _finish(problem, x_stop, Dn_stop, state.k, True, counts, t0,
-                       trace, events, _objective(problem, x_stop, r_stop))
+        return _finish(problem, x, Dn, state.k, True, counts, t0, trace,
+                       events, _objective(problem, x, r_x), rejections)
+    if trace[-1].step_kind == "coarse":
+        # the convergence guarantee is stated for runs ending on a
+        # gradient step; append one.  Its mirror step would go unused.
+        k = state.k
+        eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
+        t = _combination_weight(alpha, eta)
+        x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
+        p, g = _prox_at(problem, x, L_f, r_x)
+        _check_bookkeeping(state, eta, alpha, t)
+        r_y, F_y = _gradient_step(problem, x, r_x, g, p, L_f, k)
+        counts["grad"] += 1
+        state.k += 1
+        if F_y < best_F:
+            best_F, best_x, best_r = F_y, p, r_y
+        trace.append(TraceRow(k, "grad", F_y, float(np.linalg.norm(x - p)),
+                              eta, alpha, t, NAN, time.monotonic_ns() - ns0))
     Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f, best_r)[0]))
     return _finish(problem, best_x, Dn, state.k, Dn < config.eps, counts, t0,
-                   trace, events, best_F)
+                   trace, events, best_F, rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +745,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 SOLVERS = ("ista", "fista", "agm", "magma")
 
 
-def run_solver(name: str, problem: CompositeProblem, x0,
+def run_solver(name: str, problem: L1LeastSquares, x0,
                config: SolverConfig, chain: RestrictionChain = None) -> Solution:
     """Run a solver by id; builds the restriction chain for magma if needed."""
     if name == "ista":

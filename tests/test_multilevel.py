@@ -7,11 +7,6 @@ from mgprox import (
     SmoothedView,
     build_chain,
     build_coarse_model,
-    coarse_grad,
-    coarse_lipschitz,
-    coarse_value,
-    prolong,
-    restrict,
 )
 from conftest import random_lasso
 
@@ -118,7 +113,7 @@ class TestBuildChain:
 class TestTransfer:
     def test_restrict_zero(self):
         chain = build_chain(8, 2)
-        assert np.array_equal(restrict(chain, np.zeros(8)), np.zeros(4))
+        assert np.array_equal(chain.restrict(np.zeros(8)), np.zeros(4))
 
     def test_adjoint_identity(self, rng):
         for levels, n in ((2, 8), (3, 16), (2, 9)):
@@ -126,30 +121,30 @@ class TestTransfer:
             for _ in range(20):
                 w = rng.standard_normal(n)
                 u = rng.standard_normal(chain.n_H)
-                assert abs(restrict(chain, w) @ u - w @ prolong(chain, u)) \
+                assert abs(chain.restrict(w) @ u - w @ chain.prolong(u)) \
                     <= 1e-12
 
     def test_bucket_adjoint_and_identity_block(self, rng):
         chain = build_chain(8, 2, bucket=True, m=5)
         w = rng.standard_normal(13)
         u = rng.standard_normal(9)
-        assert abs(restrict(chain, w) @ u - w @ prolong(chain, u)) <= 1e-12
+        assert abs(chain.restrict(w) @ u - w @ chain.prolong(u)) <= 1e-12
         # e-block passes through unchanged in both directions
-        assert np.array_equal(restrict(chain, w)[4:], w[8:])
-        assert np.array_equal(prolong(chain, u)[8:], u[4:])
+        assert np.array_equal(chain.restrict(w)[4:], w[8:])
+        assert np.array_equal(chain.prolong(u)[8:], u[4:])
 
     def test_prolongation_shares_restriction_array(self):
         # P = R^T structurally: one stored operator for both directions
         chain = build_chain(8, 2)
-        assert prolong(chain, np.eye(4)[0]) @ np.eye(8)[0] \
+        assert chain.prolong(np.eye(4)[0]) @ np.eye(8)[0] \
             == chain.R_x[0, 0]
 
     def test_dimension_mismatch(self):
         chain = build_chain(8, 2)
         with pytest.raises(ValueError):
-            restrict(chain, np.zeros(7))
+            chain.restrict(np.zeros(7))
         with pytest.raises(ValueError):
-            prolong(chain, np.zeros(5))
+            chain.prolong(np.zeros(5))
 
 
 class TestCoarseModel:
@@ -195,21 +190,21 @@ class TestCoarseModel:
         A_H = rng.standard_normal((4, 3))
         model = CoarseModel(A_H, np.zeros(4), lam=0.5, mu_H=0.2, bucket=True,
                             v_H=np.zeros(7), anchor=np.zeros(7), L=1.0)
-        assert coarse_value(model, np.zeros(7)) == pytest.approx(0.5 * 7 * 0.2)
+        assert model.value(np.zeros(7)) == pytest.approx(0.5 * 7 * 0.2)
         model_nb = CoarseModel(A_H, np.zeros(4), lam=0.5, mu_H=0.2,
                                bucket=False, v_H=np.zeros(3),
                                anchor=np.zeros(3), L=1.0)
-        assert coarse_value(model_nb, np.zeros(3)) == pytest.approx(0.5 * 3 * 0.2)
+        assert model_nb.value(np.zeros(3)) == pytest.approx(0.5 * 3 * 0.2)
 
     def test_finite_difference_gradient(self, rng):
         p = random_lasso(rng, m=6, n=8, bucket=True)
         chain = build_chain(8, 2, bucket=True, m=6)
         model = build_coarse_model(p, chain, rng.standard_normal(14), 1e-2)
         w = rng.standard_normal(model.dim)
-        g = coarse_grad(model, w)
+        g = model.grad(w)
         h = 1e-6
         fd = np.array([
-            (coarse_value(model, w + h * e) - coarse_value(model, w - h * e))
+            (model.value(w + h * e) - model.value(w - h * e))
             / (2 * h) for e in np.eye(model.dim)])
         assert np.max(np.abs(g - fd)) <= 1e-4 * (1 + np.max(np.abs(g)))
 
@@ -219,9 +214,9 @@ class TestCoarseModel:
         model = build_coarse_model(p, chain, rng.standard_normal(8), 1e-2)
         w = rng.standard_normal(model.dim)
         delta = rng.standard_normal(model.dim)
-        before = coarse_value(model, w)
+        before = model.value(w)
         model.v_H = model.v_H + delta
-        assert coarse_value(model, w) - before == pytest.approx(
+        assert model.value(w) - before == pytest.approx(
             float(delta @ w), rel=1e-12, abs=1e-12)
 
     def test_nonpositive_mu_rejected(self, rng):
@@ -238,14 +233,14 @@ class TestCoarseLipschitz:
         model = CoarseModel(np.eye(2), np.zeros(2), lam=1.0, mu_H=1.0,
                             bucket=False, v_H=np.zeros(2), anchor=np.zeros(2),
                             L=SAFETY * 1.0 + 1.0)
-        assert coarse_lipschitz(model) == pytest.approx(SAFETY + 1.0)
+        assert model.lipschitz() == pytest.approx(SAFETY + 1.0)
 
     def test_lam_zero_limit_is_spectral_part(self, rng):
         p = random_lasso(rng, m=6, n=8, lam=0.0)
         chain = build_chain(8, 2)
         model = build_coarse_model(p, chain, np.zeros(8), 1.0)
         A_H, spectral = chain.coarse_dictionary(p)
-        assert coarse_lipschitz(model) == pytest.approx(spectral)
+        assert model.lipschitz() == pytest.approx(spectral)
 
     def test_small_random_vs_svd(self, rng):
         p = random_lasso(rng, m=7, n=8, bucket=True)
@@ -256,7 +251,7 @@ class TestCoarseLipschitz:
         dense = np.hstack([A_H, np.eye(7)])
         smax2 = np.linalg.svd(dense, compute_uv=False)[0] ** 2
         expected = SAFETY * smax2 + p.lam / mu
-        assert coarse_lipschitz(model) == pytest.approx(expected, rel=1e-4)
+        assert model.lipschitz() == pytest.approx(expected, rel=1e-4)
 
     def test_upper_bounds_true_curvature(self, rng):
         # L_H must dominate the largest Hessian eigenvalue of the model
@@ -268,4 +263,4 @@ class TestCoarseLipschitz:
         w = rng.standard_normal(model.dim) * 0.1
         hess = A_H.T @ A_H + np.diag(
             p.lam * mu ** 2 / (mu ** 2 + w ** 2) ** 1.5)
-        assert coarse_lipschitz(model) >= np.linalg.eigvalsh(hess)[-1]
+        assert model.lipschitz() >= np.linalg.eigvalsh(hess)[-1]

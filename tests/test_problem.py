@@ -4,14 +4,11 @@ import pytest
 from mgprox import (
     L1LeastSquares,
     SmoothedView,
-    grad_f,
     gradient_mapping,
     lipschitz_estimate,
     power_iteration,
     prog,
     prox_step,
-    smoothed_grad,
-    smoothed_value,
     soft_threshold,
     fista,
     SolverConfig,
@@ -24,29 +21,29 @@ SAFETY = 1.01
 class TestGradF:
     def test_identity_dictionary(self):
         p = L1LeastSquares(np.eye(2), np.zeros(2), 0.1)
-        assert np.allclose(grad_f(p, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(p.f_grad(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_hand_multiply(self):
         p = L1LeastSquares(np.array([[1.0, 0.0], [0.0, 2.0]]),
                            np.array([1.0, 1.0]), 0.1)
-        assert np.allclose(grad_f(p, np.zeros(2)), [-1.0, -2.0])
+        assert np.allclose(p.f_grad(np.zeros(2)), [-1.0, -2.0])
 
     def test_bucket_blockwise(self):
         # r = 1*1 + 1 - 3 = -1, gradient blocks [A^T r, r]
         p = L1LeastSquares(np.eye(1), np.array([3.0]), 0.1, bucket=True)
-        assert np.allclose(grad_f(p, np.array([1.0, 1.0])), [-1.0, -1.0])
+        assert np.allclose(p.f_grad(np.array([1.0, 1.0])), [-1.0, -1.0])
 
     def test_bucket_matches_dense_augmentation(self, rng):
         p = random_lasso(rng, m=6, n=4, bucket=True)
         B = np.hstack([p.A, np.eye(6)])
         w = rng.standard_normal(10)
         dense = B.T @ (B @ w - p.b)
-        assert np.allclose(grad_f(p, w), dense, atol=1e-12)
+        assert np.allclose(p.f_grad(w), dense, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         p = one_d_lasso()
         with pytest.raises(ValueError):
-            grad_f(p, np.zeros(3))
+            p.f_grad(np.zeros(3))
 
 
 class TestProxStep:
@@ -134,12 +131,12 @@ class TestSmoothing:
         # g_mu(0) = lam * n * mu on top of f(0) = 0
         p = L1LeastSquares(np.zeros((1, 3)), np.zeros(1), 1.0)
         view = SmoothedView(p, 0.1)
-        assert smoothed_value(view, np.zeros(3)) == pytest.approx(0.3)
+        assert view.value(np.zeros(3)) == pytest.approx(0.3)
 
     def test_grad_zero_at_origin(self):
         p = L1LeastSquares(np.zeros((2, 4)), np.zeros(2), 0.7)
         view = SmoothedView(p, 0.05)
-        assert np.allclose(smoothed_grad(view, np.zeros(4)), 0.0)
+        assert np.allclose(view.grad(np.zeros(4)), 0.0)
 
     def test_sandwich_200_points(self, rng):
         for _ in range(200):
@@ -155,7 +152,7 @@ class TestSmoothing:
             p = random_lasso(rng)
             view = SmoothedView(p, float(rng.uniform(1e-3, 0.3)))
             x = rng.standard_normal(p.dim)
-            g = smoothed_grad(view, x)
+            g = view.grad(x)
             fd = np.array([
                 (view.value(x + h * e) - view.value(x - h * e)) / (2 * h)
                 for e in np.eye(p.dim)])
@@ -246,15 +243,6 @@ class TestLipschitzEstimate:
         assert est > 0
 
 
-class TestValueGradCaching:
-    def test_value_and_grad_consistent(self, rng):
-        p = random_lasso(rng, bucket=True)
-        x = rng.standard_normal(p.dim)
-        val, grad = p.f_value_grad(x)
-        assert val == pytest.approx(p.f_value(x), rel=1e-15)
-        assert np.allclose(grad, p.f_grad(x), atol=1e-15)
-
-
 class TestConstruction:
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -278,4 +266,4 @@ class TestConstruction:
     def test_bucket_effective_dimension(self):
         p = L1LeastSquares(np.ones((3, 2)), np.ones(3), 0.1, bucket=True)
         assert p.dim == 5
-        assert p.smoothing_beta2 == pytest.approx(0.1 * 5)
+        assert p.smoothing_beta == pytest.approx(0.1 * 5)

@@ -8,6 +8,7 @@ from mgprox import (
     L1LeastSquares,
     LineSearchError,
     MagmaState,
+    REJECTION_REASONS,
     SmoothedView,
     SolverConfig,
     agm,
@@ -56,6 +57,18 @@ class CountingLasso(L1LeastSquares):
     def apply_adjoint(self, r):
         self.calls["apply_adjoint"] += 1
         return super().apply_adjoint(r)
+
+
+def assert_telescoping(trace):
+    """The eta/alpha telescoping identity and t in (0, 1] on every row."""
+    prev = None
+    for row in trace:
+        if prev is not None:
+            resid = row.alpha ** 2 * row.eta - row.alpha \
+                + 1 / (4 * row.eta) - prev
+            assert abs(resid) <= 1e-9 * max(1.0, prev)
+            assert 0 < row.t <= 1.0
+        prev = row.alpha ** 2 * row.eta
 
 
 def bucket_instance(seed=3, m=120, n=64, lam=1e-4):
@@ -315,7 +328,7 @@ class TestMfista:
 
 class TestCoarseCondition:
     def _state(self, x, x_tilde=None, q=0):
-        return MagmaState(k=1, x=x, y=x, z=x, alpha=1.0, eta=1.0,
+        return MagmaState(k=1, x=x, alpha=1.0, eta=1.0,
                           x_tilde=x_tilde, q=q)
 
     def test_zero_gradient_false(self):
@@ -450,7 +463,7 @@ class TestUpdateEtaAlpha:
     def test_pure_gradient_reproduces_agm_sequence(self):
         L = 3.7
         cfg = SolverConfig()
-        state = MagmaState(k=0, x=None, y=None, z=None, alpha=0.0, eta=L)
+        state = MagmaState(k=0, x=None, alpha=0.0, eta=L)
         for k in range(40):
             eta, alpha = update_eta_alpha(state, "grad", None, L, None, cfg)
             assert alpha == pytest.approx((k + 2) / (2 * L), rel=1e-12)
@@ -459,7 +472,7 @@ class TestUpdateEtaAlpha:
     def test_telescoping_identity_mixed_branches(self, rng):
         L = 2.0
         cfg = SolverConfig(armijo_c=1e-4, kappa=0.8)
-        state = MagmaState(k=0, x=None, y=None, z=None, alpha=0.0, eta=L)
+        state = MagmaState(k=0, x=None, alpha=0.0, eta=L)
         for k in range(60):
             branch = "grad" if k == 0 or rng.uniform() < 0.6 else "coarse"
             eta, alpha = update_eta_alpha(
@@ -517,14 +530,7 @@ class TestMagma:
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
         cfg = SolverConfig(eps=1e-9, max_iters=200, kappa=0.7)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
-        prev = None
-        for row in sol.trace:
-            if prev is not None:
-                resid = row.alpha ** 2 * row.eta - row.alpha \
-                    + 1 / (4 * row.eta) - prev
-                assert abs(resid) <= 1e-9 * max(1.0, prev)
-                assert 0 < row.t <= 1.0
-            prev = row.alpha ** 2 * row.eta
+        assert_telescoping(sol.trace)
 
     def test_last_step_is_gradient(self):
         p = bucket_instance(seed=11)
@@ -606,7 +612,7 @@ class TestMagma:
             assert 0.5 * float(r @ r) + problem.g_value(x) \
                 == pytest.approx(problem.value(x), rel=1e-12)
 
-        spy("anchor", solvers._certified_residual, check_anchor)
+        spy("anchor", solvers._gradient_step, check_anchor)
         spy("coarse", solvers.build_coarse_model, check_coarse)
         spy("armijo", solvers.armijo_search, check_armijo)
         spy("objective", solvers._objective, check_objective)
@@ -616,6 +622,88 @@ class TestMagma:
         assert seen["anchor"] == sol.iterations - sol.step_counts["coarse"]
         assert seen["coarse"] >= seen["armijo"] >= sol.step_counts["coarse"]
         assert seen["objective"] >= sol.iterations + 1
+
+    def test_converged_run_takes_no_discarded_step(self, monkeypatch):
+        # this run converges at the anchor right after a coarse step and
+        # returns that anchor: no prox or mirror step follows it
+        spec = ExperimentSpec(m=400, n=256, rho=0.9, k_true=20,
+                              corruption=0.1, noise=1e-3, seed=2, lam=1e-6)
+        p, _, _ = gen_instance(spec)
+        chain = build_chain(p.n_x, 3, bucket=True, m=p.m)
+        mirror_steps = []
+        real = solvers.mirror_step
+        monkeypatch.setattr(solvers, "mirror_step",
+                            lambda *args: mirror_steps.append(1) or real(*args))
+        cfg = SolverConfig(eps=1e-6, max_iters=3000, kappa=0.8, levels=3,
+                           mu=1e-6)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.converged and sol.trace[-1].step_kind == "coarse"
+        assert len(mirror_steps) == sol.iterations == len(sol.trace)
+        assert sum(sol.step_counts.values()) == sol.iterations
+
+    @pytest.mark.parametrize(
+        "reason", ["entry_stationary", "no_decrease", "line_search_failed"])
+    def test_forced_rejection_reason(self, reason):
+        # each setting stops every coarse attempt at the same test
+        overrides = {"entry_stationary": {"coarse_tol": 1e6},
+                     "no_decrease": {"coarse_budget": 1},
+                     "line_search_failed": {"s0": 1e12,
+                                            "line_search_cap": 1}}[reason]
+        p = bucket_instance(seed=3)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, **overrides)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.step_counts["coarse"] == 0
+        assert sol.step_counts["fallback"] > 0
+        expected = dict.fromkeys(REJECTION_REASONS, 0)
+        expected[reason] = sol.step_counts["fallback"]
+        assert sol.rejections == expected
+
+    def test_rejections_sum_to_fallbacks(self):
+        # at mu = 1 this run loses the coarse condition at one re-formed
+        # anchor, and one Armijo step raises the true objective
+        p = bucket_instance(seed=3)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, mu=1.0)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert set(sol.rejections) == set(REJECTION_REASONS)
+        assert sum(sol.rejections.values()) == sol.step_counts["fallback"]
+        assert sol.rejections["condition_lost"] >= 1
+        assert sol.rejections["objective_rejected"] >= 1
+        assert sol.step_counts["coarse"] > 0
+
+    def test_horizon_schedule(self, monkeypatch):
+        # each coarse model gets mu = max(zeta / ((L_f + eta) alpha^2
+        # beta T), 1e-12) at the provisional (eta, alpha) of its iteration
+        p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6,
+                           mu_schedule="horizon", zeta=0.5)
+        provisional, mus = [], []
+        real_update = solvers.update_eta_alpha
+        real_build = solvers.build_coarse_model
+
+        def update(state, branch, *args):
+            out = real_update(state, branch, *args)
+            if branch == "grad":
+                provisional.append(out)
+            return out
+
+        def build(problem, chain, x, mu, **kwargs):
+            eta, alpha = provisional[-1]
+            expected = cfg.zeta / ((p.L_f + eta) * alpha ** 2
+                                   * p.smoothing_beta * cfg.max_iters)
+            mus.append((mu, max(expected, 1e-12)))
+            return real_build(problem, chain, x, mu, **kwargs)
+
+        monkeypatch.setattr(solvers, "update_eta_alpha", update)
+        monkeypatch.setattr(solvers, "build_coarse_model", build)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.converged and sol.step_counts["coarse"] > 0
+        assert len({mu for mu, _ in mus}) > 1 and min(mus)[0] > 1e-12
+        for mu, expected in mus:
+            assert mu == pytest.approx(expected, rel=1e-12)
+        assert_telescoping(sol.trace)
 
     def test_lipschitz_constant_certified(self):
         # f(x) = 0.5 (2x - 1)^2 has L = 4; with L_f forced to 1 the first
