@@ -16,7 +16,8 @@ from . import io as mgio
 from .harness import run_compare
 from .multilevel import build_chain
 from .problem import L1LeastSquares
-from .solvers import SOLVERS, InvariantViolation, SolverConfig, run_solver
+from .solvers import (SOLVERS, InvariantViolation, SolverConfig, _as_start,
+                      run_solver)
 
 __all__ = ["main"]
 
@@ -96,6 +97,7 @@ def _cmd_solve(args) -> int:
             x0 = np.random.default_rng(args.x0_seed).standard_normal(problem.dim)
         else:
             x0 = np.zeros(problem.dim)
+        x0 = _as_start(problem, x0)
         chain = None
         if args.solver == "magma":
             chain = build_chain(problem.n_x, config.levels,

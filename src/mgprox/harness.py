@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise ValueError("noise must be nonnegative")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(
+                f"lam must be finite and nonnegative, got {self.lam}")
         self.solvers = tuple(self.solvers)
         for s in self.solvers:
             if s not in SOLVERS:

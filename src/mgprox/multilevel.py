@@ -197,26 +197,23 @@ class CoarseModel:
 
 
 def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
-                       mu_fine: float, mu_H: float = None,
+                       mu_fine: float,
                        fine_grad: np.ndarray = None) -> CoarseModel:
     """Coarse model anchored at x_k with exact first-order coherence.
 
     v_H = R*grad(F_mu)(x_k) - (grad f_H + grad g_H)(R x_k), which makes
-    grad(F_H)(R x_k) equal to R*grad(F_mu)(x_k) by construction.  A_H and
+    grad(F_H)(R x_k) equal to R*grad(F_mu)(x_k) by construction; the
+    coarse l1 term is smoothed with the fine level's mu.  A_H and
     its spectral bound are cached on the chain; v_H is recomputed for
     every anchor.  Pass ``fine_grad`` when grad(F_mu)(x_k) is already
     available to avoid one fine-level pass.
     """
     if mu_fine <= 0:
         raise ValueError("mu_fine must be positive")
-    if mu_H is None:
-        mu_H = mu_fine
-    if mu_H <= 0:
-        raise ValueError("mu_H must be positive")
     A_H, spectral = chain.coarse_dictionary(problem)
-    L_H = spectral + problem.lam / mu_H
+    L_H = spectral + problem.lam / mu_fine
     anchor = chain.restrict(np.asarray(x_k, dtype=float))
-    model = CoarseModel(A_H, problem.b, problem.lam, mu_H, problem.bucket,
+    model = CoarseModel(A_H, problem.b, problem.lam, mu_fine, problem.bucket,
                         v_H=np.zeros(chain.coarse_dim), anchor=anchor, L=L_H)
     if fine_grad is None:
         fine_grad = SmoothedView(problem, mu_fine).grad(np.asarray(x_k, dtype=float))

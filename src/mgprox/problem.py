@@ -93,8 +93,8 @@ class L1LeastSquares:
         if b.shape != (A.shape[0],):
             raise ValueError(
                 f"b has length {b.shape}, expected ({A.shape[0]},)")
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative (got {lam})")
         for name, data in (("A", A), ("b", b)):
             if not np.all(np.isfinite(data)):
                 raise ValueError(

@@ -13,10 +13,9 @@ A run owns its state exclusively; several runs sharing one (immutable)
 problem may proceed concurrently.
 """
 
-import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,6 +96,10 @@ class SolverConfig:
     bt_growth: float = 2.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite (got {value})")
         checks = [
             (self.eps > 0, f"eps must be positive (got {self.eps})"),
             (self.max_iters >= 1, f"max_iters must be >= 1 (got {self.max_iters})"),
@@ -153,18 +156,19 @@ class CoarseEvent:
 class MagmaState:
     """Step-size bookkeeping and the inputs of the coarse condition.
 
-    x is the anchor the condition is tested at, x_tilde the anchor of the
-    last coarse attempt, q the gradient steps since then and s_prev the
-    last accepted coarse step size.
+    x_tilde is the anchor of the last coarse attempt, q the gradient steps
+    since then, s_prev the last accepted coarse step size and fails the
+    number of coarse attempts in a row that fell back, which widens the
+    condition's retry allowance.
     """
 
     k: int
-    x: np.ndarray
     alpha: float
     eta: float
     x_tilde: np.ndarray = None
     q: int = 0
     s_prev: float = NAN
+    fails: int = 0
 
 
 @dataclass
@@ -186,8 +190,6 @@ class CoarseSolveResult:
     x: np.ndarray
     iterations: int
     values: list       # F_H(x_{H,0}), F_H(x_{H,1}), ...
-    grad_norm: float
-    available: bool    # False when the start point was already stationary
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +201,9 @@ def _as_start(problem, x0):
     if x0.shape != (problem.dim,):
         raise ValueError(
             f"x0 has shape {x0.shape}, expected ({problem.dim},)")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 has {int(np.sum(~np.isfinite(x0)))} "
+                         f"non-finite entries (NaN or Inf)")
     return x0.copy()
 
 
@@ -370,7 +375,7 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     L_f = problem.L_f
     y = _as_start(problem, x0)
     z = y.copy()
-    state = MagmaState(k=0, x=y, alpha=0.0, eta=L_f)
+    state = MagmaState(k=0, alpha=0.0, eta=L_f)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
@@ -400,18 +405,20 @@ def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
     """Monotone accelerated gradient descent on a smooth objective.
 
     ``objective`` must provide value(x), grad(x) and lipschitz().  The
-    iterate sequence is nonincreasing in value; stops when the gradient
-    norm falls below ``tol`` or the budget runs out.  If the start point
-    is already stationary the result is flagged unavailable so callers
-    can fall back to a gradient step.
+    iterate sequence is nonincreasing in value (Beck & Teboulle's monotone
+    FISTA), so its first step already does as well as a gradient step
+    from x0 when lipschitz() bounds the curvature.  Stops when the
+    gradient norm falls below ``tol`` or the budget runs out; a start
+    point below ``tol`` returns at once with 0 iterations and
+    values == [F(x0)].  values[-1] < values[0] holds exactly when some
+    step lowered the value.
     """
     x0 = np.asarray(x0, dtype=float)
     L = objective.lipschitz()
     g0 = objective.grad(x0)
-    gn = float(np.linalg.norm(g0))
     F0 = objective.value(x0)
-    if gn < tol:
-        return CoarseSolveResult(x0, 0, [F0], gn, available=False)
+    if float(np.linalg.norm(g0)) < tol:
+        return CoarseSolveResult(x0, 0, [F0])
     x_prev, F_prev, g_prev = x0, F0, g0
     y = x0
     gy = g0
@@ -427,27 +434,27 @@ def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
             # the monotone test keeps x_prev, whose gradient is known
             x, Fx, gx = x_prev, F_prev, g_prev
         values.append(Fx)
-        gn = float(np.linalg.norm(gx))
-        if gn < tol or j == max_iters:
-            return CoarseSolveResult(x, j, values, gn, available=True)
+        if float(np.linalg.norm(gx)) < tol or j == max_iters:
+            return CoarseSolveResult(x, j, values)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         y = x + (t / t_next) * (zc - x) + ((t - 1.0) / t_next) * (x - x_prev)
         gy = objective.grad(y)
         x_prev, F_prev, g_prev, t = x, Fx, gx, t_next
-    return CoarseSolveResult(x_prev, max_iters, values, gn, available=True)
+    return CoarseSolveResult(x_prev, max_iters, values)
 
 
-def coarse_condition(state: MagmaState, grad_mu: np.ndarray,
+def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
                      chain: RestrictionChain, config: SolverConfig) -> bool:
-    """Decide whether the coarse direction is worth computing at state.x.
+    """Decide whether the coarse direction is worth computing at anchor x.
 
-    True iff ||R g|| > kappa ||g|| (strictly) and the iterate has either
-    moved theta-relatively away from the last coarse anchor or at least
-    K_d consecutive gradient steps have accumulated since then (the
-    anchor-retry allowance).  Without the retry gate, consecutive coarse
+    True iff ||R g|| > kappa ||g|| (strictly) and x has either moved
+    theta-relatively away from the last coarse anchor or at least
+    K_d * min(2^fails, 64) consecutive gradient steps have accumulated
+    since then (the anchor-retry allowance, doubled by each attempt in a
+    row that fell back).  Without the retry gate, consecutive coarse
     steps are never blocked (q resets to zero on each one) and the fine
     level is starved of prox steps near the optimum.  Before the first
-    coarse step the proximity clause counts as satisfied.
+    coarse attempt the proximity clause counts as satisfied.
     """
     gn = float(np.linalg.norm(grad_mu))
     rn = float(np.linalg.norm(chain.restrict(grad_mu)))
@@ -455,9 +462,9 @@ def coarse_condition(state: MagmaState, grad_mu: np.ndarray,
         return False
     if state.x_tilde is None:
         return True
-    moved = float(np.linalg.norm(state.x - state.x_tilde)) \
+    moved = float(np.linalg.norm(x - state.x_tilde)) \
         > config.theta * float(np.linalg.norm(state.x_tilde))
-    return moved or state.q >= config.K_d
+    return moved or state.q >= config.K_d * min(2 ** state.fails, 64)
 
 
 def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
@@ -559,8 +566,8 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
 
     Re-forms the anchor x = t z + (1-t) y with the coarse-branch eta,
     estimated from the previously accepted step size, and re-tests the
-    coarse condition there (``config`` may carry a widened K_d).  Then
-    solves the coherent coarse model with mfista, checks that the
+    coarse condition there.  Then solves the coherent coarse model with
+    mfista, requires it to improve on its start value, checks that the
     prolonged correction d descends on F_mu, finds an Armijo step s and
     requires y = x + s d to beat the incumbent objective F_y.
 
@@ -576,19 +583,17 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
     g = problem.apply_adjoint(r_x)
     grad_mu = g + view.g_grad(x)
-    state.x = x
     # by coherence the coarse entry gradient is R grad F_mu(x), so an
     # entry-stationary solve is skipped without building the model.
     if float(np.linalg.norm(chain.restrict(grad_mu))) < config.coarse_tol:
         return x, "entry_stationary"
-    if not coarse_condition(state, grad_mu, chain, config):
+    if not coarse_condition(state, x, grad_mu, chain, config):
         return x, "condition_lost"
     model = build_coarse_model(problem, chain, x, view.mu, fine_grad=grad_mu)
     res = mfista(model, model.anchor, config.coarse_tol, config.coarse_budget)
-    if not res.available:
-        # the test above, on another rounding of the same gradient
-        return x, "entry_stationary"
-    if not res.values[-1] < res.values[1]:
+    # a solve that never moved: a start stationary within rounding of
+    # coarse_tol, or an L_H that does not bound the coarse curvature
+    if not res.values[-1] < res.values[0]:
         return x, "no_decrease"
     d = chain.prolong(res.x - model.anchor)
     slope = float(d @ grad_mu)
@@ -633,9 +638,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     attempt re-forms it with the coarse-branch eta estimated from the
     previously accepted step size.  An attempt that stops takes the
     already-computed gradient step for that iteration (a "fallback");
-    Solution.rejections counts why, by the names in REJECTION_REASONS.
-    A run that has not converged and would end on a coarse step gets one
-    more gradient step, without its mirror step.
+    Solution.rejections counts why, by the names in REJECTION_REASONS,
+    and MagmaState.fails widens the retry allowance until an attempt
+    succeeds.  No attempt is made at the first or the last iteration, so
+    a run that stops on its budget makes at most max_iters iterations
+    and ends on a gradient step, as the convergence guarantee requires.
 
     Products: the residuals r_y = B y - b and r_z = B z - b are kept, each
     made once when y or z is formed, and since t + (1-t) = 1 every anchor
@@ -655,7 +662,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     z = y.copy()
     r_y = problem.residual(y)
     r_z = r_y
-    state = MagmaState(k=0, x=y, alpha=0.0, eta=L_f, s_prev=config.s0)
+    state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
@@ -664,8 +671,6 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
     F_y = _objective(problem, y, r_y)  # incumbent objective, updated every step
     best_F, best_x, best_r = F_y, y, r_y
-    converged = False
-    fail_streak = 0  # consecutive failed coarse attempts; backs off retries
     for k in range(config.max_iters):
         eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha, eta)
@@ -673,18 +678,15 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         p, g = _prox_at(problem, x, L_f, r_x)
         Dn = float(np.linalg.norm(x - p))
         if Dn < config.eps:
-            converged = True
-            break
+            return _finish(problem, x, Dn, k, True, counts, t0, trace,
+                           events, _objective(problem, x, r_x), rejections)
 
         kind = "grad"
-        if k >= 1 and not chain.is_identity:
+        if 0 < k < config.max_iters - 1 and not chain.is_identity:
             view = SmoothedView(problem, _smoothing(problem, config, eta, alpha))
-            state.x = x
-            gate = config if fail_streak == 0 else dataclasses.replace(
-                config, K_d=config.K_d * min(2 ** fail_streak, 64))
-            if coarse_condition(state, g + view.g_grad(x), chain, gate):
+            if coarse_condition(state, x, g + view.g_grad(x), chain, config):
                 x_c, step = _try_coarse_step(problem, chain, view, state,
-                                             y, r_y, z, r_z, F_y, gate, k)
+                                             y, r_y, z, r_z, F_y, config, k)
                 # remember the attempt's anchor, accepted or not; without
                 # this the moved-away clause re-fires every iteration and
                 # each failing attempt costs a coarse solve.
@@ -692,10 +694,10 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                 if isinstance(step, str):
                     kind = "fallback"
                     rejections[step] += 1
-                    fail_streak += 1
+                    state.fails += 1
                 else:
                     kind = "coarse"
-                    fail_streak = 0
+                    state.fails = 0
                     y, r_y, F_y, g, eta, alpha, t, s, event = step
                     events.append(event)
                     state.s_prev = s
@@ -715,25 +717,6 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         trace.append(TraceRow(k, kind, F_y, Dn, eta, alpha, t, s,
                               time.monotonic_ns() - ns0))
 
-    if converged:
-        return _finish(problem, x, Dn, state.k, True, counts, t0, trace,
-                       events, _objective(problem, x, r_x), rejections)
-    if trace[-1].step_kind == "coarse":
-        # the convergence guarantee is stated for runs ending on a
-        # gradient step; append one.  Its mirror step would go unused.
-        k = state.k
-        eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
-        t = _combination_weight(alpha, eta)
-        x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
-        p, g = _prox_at(problem, x, L_f, r_x)
-        _check_bookkeeping(state, eta, alpha, t)
-        r_y, F_y = _gradient_step(problem, x, r_x, g, p, L_f, k)
-        counts["grad"] += 1
-        state.k += 1
-        if F_y < best_F:
-            best_F, best_x, best_r = F_y, p, r_y
-        trace.append(TraceRow(k, "grad", F_y, float(np.linalg.norm(x - p)),
-                              eta, alpha, t, NAN, time.monotonic_ns() - ns0))
     Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f, best_r)[0]))
     return _finish(problem, best_x, Dn, state.k, Dn < config.eps, counts, t0,
                    trace, events, best_F, rejections)

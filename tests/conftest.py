@@ -19,5 +19,21 @@ def random_lasso(rng, m=None, n=None, lam=None, bucket=False):
     return L1LeastSquares(A, b, lam, bucket=bucket)
 
 
+class CountingLasso(L1LeastSquares):
+    """L1LeastSquares that counts its products with B and B^T."""
+
+    def __init__(self, *args, **kwargs):
+        self.calls = {"apply": 0, "apply_adjoint": 0}
+        super().__init__(*args, **kwargs)
+
+    def apply(self, x):
+        self.calls["apply"] += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, r):
+        self.calls["apply_adjoint"] += 1
+        return super().apply_adjoint(r)
+
+
 def one_d_lasso(a=1.0, b=2.0, lam=1.0):
     return L1LeastSquares(np.array([[a]]), np.array([b]), lam)

@@ -29,6 +29,7 @@ from mgprox import (
     soft_threshold,
     subgradient_residual,
 )
+from conftest import CountingLasso
 
 
 def report(criterion, name, detail=""):
@@ -271,32 +272,38 @@ def test_criterion_7_degenerate_reduction(degenerate_runs):
 
 
 def test_criterion_8_qualitative_speedup():
-    # informational: the ratio distribution is logged, not gated
+    """magma reaches eps in at most half of fista's fine products.
+
+    Desk-scale bucket instances of the benchmark's family (m=400, n=256,
+    ten seeds).  This gates the time-to-eps phase only: at lam=1e-6 the
+    ||D(x)|| < eps stop fires well before the optimum.  Only products with
+    B and B^T on the fine level are counted, not magma's coarse products
+    with A_H.  The benchmark-scale check (m=2000, n=1024) is in
+    tests/benchmark_scale.py, which runs only when named.
+    """
+    cfg_m = SolverConfig(eps=1e-6, max_iters=30000, kappa=0.8, levels=3,
+                         mu=1e-6)
+    cfg_f = SolverConfig(eps=1e-6, max_iters=30000)
     ratios = []
     for seed in range(10):
-        spec = ExperimentSpec(m=2000, n=1024, rho=0.9, k_true=20,
-                              corruption=0.1, noise=0.001, seed=seed,
+        spec = ExperimentSpec(m=400, n=256, rho=0.9, k_true=20,
+                              corruption=0.1, noise=1e-3, seed=seed,
                               lam=1e-6)
-        problem, _, _ = gen_instance(spec)
+        base, _, _ = gen_instance(spec)
+        problem = CountingLasso(base.A, base.b, base.lam, bucket=True)
+        chain = build_chain(problem.n_x, cfg_m.levels, bucket=True,
+                            m=problem.m)
         x0 = np.zeros(problem.dim)
-        chain = build_chain(problem.n_x, 6, bucket=True, m=problem.m)
-        cfg_m = SolverConfig(eps=1e-6, max_iters=30000, kappa=0.8, levels=6,
-                             mu=1e-6)
-        magma(problem, chain, x0, SolverConfig(eps=1e-2, max_iters=30000,
-                                               levels=6))  # warm-up
-        sol_m = magma(problem, chain, x0, cfg_m)
-        sol_f = fista(problem, x0, SolverConfig(eps=1e-6, max_iters=30000))
-        assert sol_f.converged and sol_m.converged
-        ratios.append(sol_f.elapsed_s / sol_m.elapsed_s)
-        print(f"  seed {seed}: fista {sol_f.elapsed_s:.2f}s "
-              f"({sol_f.iterations} it) / magma {sol_m.elapsed_s:.2f}s "
-              f"({sol_m.iterations} it, {sol_m.step_counts['coarse']} coarse) "
-              f"= {ratios[-1]:.2f}")
-    med = float(np.median(ratios))
-    print(f"  speedup distribution: {[round(r, 2) for r in sorted(ratios)]}")
-    print(f"  median fista/magma time ratio: {med:.2f} "
-          f"(informational target >= 1.0)")
-    report(8, "qualitative speedup", f"[median ratio {med:.2f}]")
+        products = {}
+        for name, run in (("fista", lambda: fista(problem, x0, cfg_f)),
+                          ("magma", lambda: magma(problem, chain, x0, cfg_m))):
+            problem.calls = dict.fromkeys(problem.calls, 0)
+            assert run().converged, f"{name} did not converge on seed {seed}"
+            products[name] = sum(problem.calls.values())
+        assert products["magma"] <= 0.5 * products["fista"], (seed, products)
+        ratios.append(products["fista"] / products["magma"])
+    report(8, "qualitative speedup",
+           f"[fista/magma fine products {min(ratios):.1f}-{max(ratios):.1f}]")
 
 
 def test_criterion_9_smoothing_suite():

@@ -86,6 +86,40 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "input error" in err and "b has 1 non-finite" in err
 
+    @pytest.mark.parametrize("x0, message", [
+        (np.zeros(5), "x0 has shape (5,), expected (6,)"),
+        (np.full(6, np.nan), "x0 has 6 non-finite"),
+    ])
+    def test_bad_start_exit_one(self, tiny_instance, tmp_path, capsys, x0,
+                                message):
+        # rejected before the run: no config line, no traceback, no solve
+        mpath, vpath = tiny_instance
+        x0_path = tmp_path / "x0.mlv"
+        write_vector(x0_path, x0)
+        code = run_cli(["solve", mpath, vpath, "--solver", "magma",
+                        "--x0", str(x0_path),
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err and message in captured.err
+        assert "resolved config" not in captured.out
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_bad_lambda_exit_one(self, tiny_instance, tmp_path, capsys, lam):
+        mpath, vpath = tiny_instance
+        code = run_cli(["solve", mpath, vpath, "--lambda", lam,
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "lam must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--eps", "--s0", "--mu"])
+    def test_infinite_parameter_exit_three(self, tiny_instance, capsys, flag):
+        mpath, vpath = tiny_instance
+        assert run_cli(["solve", mpath, vpath, flag, "inf"]) == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_budget_exhaustion_exit_two(self, tiny_instance, tmp_path):
         mpath, vpath = tiny_instance
         code = run_cli(["solve", mpath, vpath, "--lambda", "0.05",
@@ -161,6 +195,16 @@ class TestBench:
     def test_missing_spec_exit_one(self, tmp_path, capsys):
         assert run_cli(["bench", str(tmp_path / "nope.txt")]) == 1
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_lam_spec_exit_one(self, tmp_path, capsys, lam):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"m=40\nn=16\nlam={lam}\n")
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "lam must be finite" in err
+        assert not out.exists()
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"

@@ -224,8 +224,6 @@ class TestCoarseModel:
         chain = build_chain(8, 2)
         with pytest.raises(ValueError):
             build_coarse_model(p, chain, np.zeros(8), 0.0)
-        with pytest.raises(ValueError):
-            build_coarse_model(p, chain, np.zeros(8), 1e-2, mu_H=-1.0)
 
 
 class TestCoarseLipschitz:

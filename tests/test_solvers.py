@@ -9,6 +9,7 @@ from mgprox import (
     LineSearchError,
     MagmaState,
     REJECTION_REASONS,
+    RestrictionChain,
     SmoothedView,
     SolverConfig,
     agm,
@@ -24,7 +25,7 @@ from mgprox import (
     update_eta_alpha,
 )
 from mgprox import solvers
-from conftest import one_d_lasso, random_lasso
+from conftest import CountingLasso, one_d_lasso, random_lasso
 
 
 class QuadObjective:
@@ -41,22 +42,6 @@ class QuadObjective:
 
     def lipschitz(self):
         return float(np.linalg.eigvalsh(self.H)[-1])
-
-
-class CountingLasso(L1LeastSquares):
-    """L1LeastSquares that counts its products with B and B^T."""
-
-    def __init__(self, *args, **kwargs):
-        self.calls = {"apply": 0, "apply_adjoint": 0}
-        super().__init__(*args, **kwargs)
-
-    def apply(self, x):
-        self.calls["apply"] += 1
-        return super().apply(x)
-
-    def apply_adjoint(self, r):
-        self.calls["apply_adjoint"] += 1
-        return super().apply_adjoint(r)
 
 
 def assert_telescoping(trace):
@@ -87,6 +72,8 @@ class TestSolverConfig:
         dict(theta=-1.0), dict(K_d=0), dict(armijo_c=1.0), dict(tau=1.0),
         dict(s0=0.0), dict(mu=0.0), dict(zeta=0.0), dict(coarse_tol=0.0),
         dict(coarse_budget=0), dict(levels=0), dict(mu_schedule="bogus"),
+        dict(eps=math.inf), dict(s0=math.inf), dict(mu=math.inf),
+        dict(theta=math.inf), dict(bt_growth=math.inf),
     ])
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -271,7 +258,6 @@ class TestMfista:
         H = np.diag([1.0, 2.0])
         c = np.array([1.0, 2.0])
         res = mfista(QuadObjective(H, c), np.array([1.0, 1.0]), 1e-6, 100)
-        assert not res.available
         assert res.iterations == 0
 
     def test_monotone_decrease_every_iteration(self, rng):
@@ -327,24 +313,24 @@ class TestMfista:
 
 
 class TestCoarseCondition:
-    def _state(self, x, x_tilde=None, q=0):
-        return MagmaState(k=1, x=x, alpha=1.0, eta=1.0,
-                          x_tilde=x_tilde, q=q)
+    def _state(self, x_tilde=None, q=0, fails=0):
+        return MagmaState(k=1, alpha=1.0, eta=1.0, x_tilde=x_tilde, q=q,
+                          fails=fails)
 
     def test_zero_gradient_false(self):
         chain = build_chain(8, 2)
         cfg = SolverConfig(kappa=0.5)
-        state = self._state(np.zeros(8))
-        assert not coarse_condition(state, np.zeros(8), chain, cfg)
+        state = self._state()
+        assert not coarse_condition(state, np.zeros(8), np.zeros(8), chain, cfg)
 
     def test_kappa_above_operator_norm_forces_false(self, rng):
         chain = build_chain(8, 2)
         R_norm = np.linalg.svd(chain.R_x, compute_uv=False)[0]
         cfg = SolverConfig(kappa=min(1.0, R_norm + 1e-6))
-        state = self._state(np.zeros(8))
+        state = self._state()
         for _ in range(50):
             g = rng.standard_normal(8) * rng.uniform(0.1, 10)
-            assert not coarse_condition(state, g, chain, cfg)
+            assert not coarse_condition(state, np.zeros(8), g, chain, cfg)
 
     def test_prolonged_coarse_vector_fires(self, rng):
         # a gradient lying in range(R^T) keeps a computable norm fraction
@@ -354,14 +340,14 @@ class TestCoarseCondition:
         ratio = np.linalg.norm(chain.restrict(g)) / np.linalg.norm(g)
         assert ratio > 0.5
         cfg = SolverConfig(kappa=0.5)
-        assert coarse_condition(self._state(np.zeros(8)), g, chain, cfg)
+        assert coarse_condition(self._state(), np.zeros(8), g, chain, cfg)
 
     def test_first_call_skips_proximity_clause(self, rng):
         chain = build_chain(8, 2)
         cfg = SolverConfig(kappa=0.1, K_d=5)
         g = chain.prolong(rng.standard_normal(4))
-        state = self._state(np.zeros(8), x_tilde=None, q=10 ** 9)
-        assert coarse_condition(state, g, chain, cfg)
+        state = self._state(x_tilde=None, q=10 ** 9)
+        assert coarse_condition(state, np.zeros(8), g, chain, cfg)
 
     def test_proximity_blocks_until_retry_allowance(self, rng):
         chain = build_chain(8, 2)
@@ -369,10 +355,22 @@ class TestCoarseCondition:
         g = chain.prolong(rng.standard_normal(4))
         anchor = np.ones(8)
         near = anchor + 1e-3
-        assert not coarse_condition(self._state(near, anchor, q=0), g, chain, cfg)
-        assert coarse_condition(self._state(near, anchor, q=5), g, chain, cfg)
+        assert not coarse_condition(self._state(anchor, q=0), near, g, chain, cfg)
+        assert coarse_condition(self._state(anchor, q=5), near, g, chain, cfg)
         far = anchor * 3
-        assert coarse_condition(self._state(far, anchor, q=0), g, chain, cfg)
+        assert coarse_condition(self._state(anchor, q=0), far, g, chain, cfg)
+
+    def test_failed_attempts_widen_retry_allowance(self, rng):
+        # each failed attempt in a row doubles the allowance K_d, up to 64x
+        chain = build_chain(8, 2)
+        cfg = SolverConfig(kappa=0.1, K_d=5, theta=0.5)
+        g = chain.prolong(rng.standard_normal(4))
+        anchor = np.ones(8)
+        near = anchor + 1e-3
+        for fails, allowance in ((1, 10), (3, 40), (6, 320), (9, 320)):
+            for q, fires in ((allowance - 1, False), (allowance, True)):
+                state = self._state(anchor, q=q, fails=fails)
+                assert coarse_condition(state, near, g, chain, cfg) == fires
 
 
 class TestArmijo:
@@ -463,7 +461,7 @@ class TestUpdateEtaAlpha:
     def test_pure_gradient_reproduces_agm_sequence(self):
         L = 3.7
         cfg = SolverConfig()
-        state = MagmaState(k=0, x=None, alpha=0.0, eta=L)
+        state = MagmaState(k=0, alpha=0.0, eta=L)
         for k in range(40):
             eta, alpha = update_eta_alpha(state, "grad", None, L, None, cfg)
             assert alpha == pytest.approx((k + 2) / (2 * L), rel=1e-12)
@@ -472,7 +470,7 @@ class TestUpdateEtaAlpha:
     def test_telescoping_identity_mixed_branches(self, rng):
         L = 2.0
         cfg = SolverConfig(armijo_c=1e-4, kappa=0.8)
-        state = MagmaState(k=0, x=None, alpha=0.0, eta=L)
+        state = MagmaState(k=0, alpha=0.0, eta=L)
         for k in range(60):
             branch = "grad" if k == 0 or rng.uniform() < 0.6 else "coarse"
             eta, alpha = update_eta_alpha(
@@ -535,11 +533,15 @@ class TestMagma:
     def test_last_step_is_gradient(self):
         p = bucket_instance(seed=11)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
-        # small budget makes it likely the loop ends right after a burst
+        # small budget makes it likely the loop ends right after a burst;
+        # the budget bounds the iterations, and the last one is a plain
+        # gradient step
         for max_iters in (2, 3, 5, 40):
             cfg = SolverConfig(eps=1e-12, max_iters=max_iters, kappa=0.6)
             sol = magma(p, chain, np.zeros(p.dim), cfg)
-            assert sol.trace[-1].step_kind != "coarse"
+            assert not sol.converged
+            assert sol.iterations == len(sol.trace) <= max_iters
+            assert sol.trace[-1].step_kind == "grad"
 
     def test_converged_stop_reverified(self):
         p = bucket_instance(seed=13)
@@ -641,14 +643,36 @@ class TestMagma:
         assert len(mirror_steps) == sol.iterations == len(sol.trace)
         assert sum(sol.step_counts.values()) == sol.iterations
 
+    def test_single_step_coarse_solve_accepted(self):
+        # one mfista step from the anchor does at least as well as a
+        # gradient step there, which is all the descent bound needs
+        p = bucket_instance(seed=3)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, coarse_budget=1)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.step_counts["coarse"] > 0
+        assert all(ev.coarse_iters == 1 for ev in sol.coarse_events)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "reason", ["entry_stationary", "no_decrease", "line_search_failed"])
-    def test_forced_rejection_reason(self, reason):
-        # each setting stops every coarse attempt at the same test
+    def test_forced_rejection_reason(self, reason, monkeypatch):
+        # each setting stops every coarse attempt at the same test; a
+        # coarse Lipschitz bound at 1% of the spectral part makes every
+        # mfista step overshoot, so the monotone solve never moves
         overrides = {"entry_stationary": {"coarse_tol": 1e6},
-                     "no_decrease": {"coarse_budget": 1},
+                     "no_decrease": {"coarse_budget": 3},
                      "line_search_failed": {"s0": 1e12,
                                             "line_search_cap": 1}}[reason]
+        if reason == "no_decrease":
+            real = RestrictionChain.coarse_dictionary
+
+            def understated(self, problem):
+                A_H, spectral = real(self, problem)
+                return A_H, 0.01 * spectral
+
+            monkeypatch.setattr(RestrictionChain, "coarse_dictionary",
+                                understated)
         p = bucket_instance(seed=3)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
         cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, **overrides)
