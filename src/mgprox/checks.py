@@ -28,7 +28,7 @@ def _small_instances(count, rng, bucket=False):
     return out
 
 
-def check_coherence(config):
+def check_coherence():
     """grad F_H(R x) must equal R grad F_mu(x) at the anchor."""
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -49,7 +49,7 @@ def check_coherence(config):
     return ok, f"max coherence residual {worst:.3g}x tolerance"
 
 
-def check_guarantees(config):
+def check_guarantees():
     """Gradient-descent and mirror-descent guarantee inequalities."""
     rng = np.random.default_rng(12)
     worst = np.inf
@@ -74,7 +74,7 @@ def check_guarantees(config):
     return ok, f"min guarantee slack {worst:.3g}"
 
 
-def check_smoothing(config):
+def check_smoothing():
     """Sandwich bounds g <= g_mu <= g + lam*dim*mu and the fd gradient."""
     rng = np.random.default_rng(13)
     worst_low, worst_high, worst_fd = np.inf, np.inf, 0.0
@@ -96,7 +96,7 @@ def check_smoothing(config):
                 f"fd error {worst_fd:.2g}")
 
 
-def check_prox(config):
+def check_prox():
     """Shrinkage nonexpansiveness and the 1-D closed form."""
     rng = np.random.default_rng(14)
     ok = True
@@ -113,7 +113,7 @@ def check_prox(config):
     return ok, "shrinkage nonexpansive, 1-D fixed point exact"
 
 
-def check_descent(config):
+def check_descent():
     """Descent-direction inequality at every executed coarse step."""
     spec = ExperimentSpec(m=120, n=64, rho=0.9, k_true=4, corruption=0.2,
                           noise=0.01, seed=5)
@@ -133,7 +133,7 @@ def check_descent(config):
     return ok, f"{events} coarse steps, min descent margin {worst:.3g}"
 
 
-def check_bookkeeping(config):
+def check_bookkeeping():
     """Telescoping identity and t in (0, 1] from recorded traces."""
     spec = ExperimentSpec(m=80, n=48, rho=0.8, k_true=4, corruption=0.2,
                           noise=0.01, seed=6)
@@ -155,7 +155,7 @@ def check_bookkeeping(config):
     return ok, f"max telescoping residual {worst:.3g} over {len(sol.trace)} rows"
 
 
-def check_oracle(config):
+def check_oracle():
     """Cross-check the gradient-mapping stop against the subgradient oracle."""
     rng = np.random.default_rng(16)
     worst = 0.0
@@ -183,7 +183,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, config=None):
+def run_suites(names=None):
     """Run the named suites (all by default); returns {name: (ok, detail)}."""
     if names is None:
         names = list(SUITES)
@@ -192,5 +192,5 @@ def run_suites(names=None, config=None):
         raise ValueError(f"unknown suite(s) {unknown}; have {sorted(SUITES)}")
     results = {}
     for name in names:
-        results[name] = SUITES[name](config)
+        results[name] = SUITES[name]()
     return results

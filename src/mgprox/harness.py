@@ -9,6 +9,7 @@ fully reproducible from an ExperimentSpec and its seed.
 
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +55,10 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite (got {value})")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if not 0 <= self.rho < 1:
@@ -66,7 +71,7 @@ class ExperimentSpec:
             raise ValueError("noise must be nonnegative")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not 0 <= self.lam < np.inf:
+        if self.lam < 0:
             raise ValueError(
                 f"lam must be finite and nonnegative, got {self.lam}")
         self.solvers = tuple(self.solvers)

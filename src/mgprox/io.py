@@ -6,9 +6,17 @@ for matrices), then the payload as row-major little-endian float64.
 
 CSV matrices are one row per line with comma-separated values and '.' as
 the decimal separator; CSV vectors are one value per line (a single
-comma-separated line is also accepted).  Experiment spec files are
-line-oriented "key=value" with '#' comments; per-solver overrides use
-keys of the form "<solver>.<field>".
+comma-separated line is also accepted).
+
+Traces and run records are CSV files whose header is the field names of
+TraceRow or RunRecord (without RunRecord.trace), in declaration order;
+floats are written by repr, so they read back exactly, and bools as 0/1.
+Experiment spec files are line-oriented "key=value" with '#' comments.
+Their keys are the ExperimentSpec fields other than config and overrides,
+any SolverConfig field as a global default, and "<solver>.<field>" as a
+per-solver override.  Every value is converted by its field's annotated
+type, so the dataclasses are the one place a field is declared.  A
+malformed file raises FileFormatError with a byte offset or line number.
 """
 
 import csv
@@ -19,7 +27,7 @@ import struct
 import numpy as np
 
 from .harness import ExperimentSpec, RunRecord
-from .solvers import TraceRow
+from .solvers import SolverConfig, TraceRow
 
 __all__ = [
     "FileFormatError",
@@ -35,6 +43,7 @@ __all__ = [
     "read_records_csv",
     "parse_experiment_file",
     "write_experiment_file",
+    "experiment_lines",
 ]
 
 MAGIC_VECTOR = b"MLVEC1"
@@ -96,11 +105,11 @@ def _read_exact(fh, nbytes, path, what):
 
 
 def _read_payload(fh, nbytes, path, what):
-    """Read a header-announced payload; sizes the file cannot hold fail."""
+    """Read a header-announced payload; it must fill the rest of the file."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if nbytes > left:
+    if nbytes != left:
         raise FileFormatError(path, f"header claims {what} ({nbytes} bytes) "
-                              f"but only {left} bytes follow",
+                              f"but {left} bytes follow",
                               offset=len(MAGIC_VECTOR))
     return _read_exact(fh, nbytes, path, what)
 
@@ -174,102 +183,101 @@ def read_matrix(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Traces and run records.
+# Field values as text, traces and run records.
+
+_TRUTH = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _parse_value(kind, text, path, line, key):
+    """``text`` as a value of the annotated field type ``kind``."""
+    try:
+        if kind is bool:
+            return _TRUTH[text.strip().lower()]
+        if kind is tuple:
+            return tuple(s.strip() for s in text.split(",") if s.strip())
+        return kind(text)
+    except (KeyError, ValueError):
+        raise FileFormatError(path, f"bad value for {key}: {text!r}",
+                              line=line) from None
 
 
-def write_trace_csv(trace, path):
+def _csv_fields(cls):
+    return tuple(f for f in dataclasses.fields(cls) if f.name != "trace")
+
+
+TRACE_COLUMNS = tuple(f.name for f in _csv_fields(TraceRow))
+RECORD_COLUMNS = tuple(f.name for f in _csv_fields(RunRecord))
+
+
+def _write_rows(rows, cls, path):
+    fields = _csv_fields(cls)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for row in trace:
-            w.writerow([row.k, row.step_kind, _fmt(row.F), _fmt(row.D_norm),
-                        _fmt(row.eta), _fmt(row.alpha), _fmt(row.t),
-                        _fmt(row.s), row.elapsed_ns])
+        w.writerow(f.name for f in fields)
+        for row in rows:
+            w.writerow(int(v) if isinstance(v, bool) else v
+                       for v in (getattr(row, f.name) for f in fields))
 
 
-def read_trace_csv(path):
-    rows = []
+def _read_rows(cls, path):
+    fields = _csv_fields(cls)
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise FileFormatError(path, f"bad trace header: {header}", line=1)
-        for rec in reader:
-            rows.append(TraceRow(int(rec[0]), rec[1], float(rec[2]),
-                                 float(rec[3]), float(rec[4]), float(rec[5]),
-                                 float(rec[6]), float(rec[7]), int(rec[8])))
+        if header is None or tuple(header) != tuple(f.name for f in fields):
+            raise FileFormatError(path, f"bad {cls.__name__} header: "
+                                  f"{header}", line=1)
+        rows = []
+        for cells in reader:
+            if len(cells) != len(fields):
+                raise FileFormatError(path, f"row has {len(cells)} cells, "
+                                      f"expected {len(fields)}",
+                                      line=reader.line_num)
+            rows.append(cls(**{
+                f.name: _parse_value(f.type, cell, path, reader.line_num,
+                                     f.name)
+                for f, cell in zip(fields, cells)}))
     return rows
 
 
+def write_trace_csv(trace, path):
+    _write_rows(trace, TraceRow, path)
+
+
+def read_trace_csv(path):
+    return _read_rows(TraceRow, path)
+
+
 def write_records_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RECORD_COLUMNS)
-        for r in records:
-            w.writerow([r.spec_hash, r.solver, r.rep, int(r.converged),
-                        r.iterations, _fmt(r.objective), _fmt(r.grad_map_norm),
-                        _fmt(r.l1_norm), r.support_size, _fmt(r.time_s),
-                        r.error])
+    _write_rows(records, RunRecord, path)
 
 
 def read_records_csv(path):
-    records = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RECORD_COLUMNS:
-            raise FileFormatError(path, f"bad records header: {header}", line=1)
-        for rec in reader:
-            records.append(RunRecord(
-                spec_hash=rec[0], solver=rec[1], rep=int(rec[2]),
-                converged=bool(int(rec[3])), iterations=int(rec[4]),
-                objective=float(rec[5]), grad_map_norm=float(rec[6]),
-                l1_norm=float(rec[7]), support_size=int(rec[8]),
-                time_s=float(rec[9]), error=rec[10]))
-    return records
+    return _read_rows(RunRecord, path)
 
 
 # ---------------------------------------------------------------------------
 # Experiment spec files.
 
-_SPEC_INT = {"m", "n", "k_true", "seed", "reps"}
-_SPEC_FLOAT = {"rho", "corruption", "noise", "lam"}
-_CONFIG_INT = {"max_iters", "K_d", "coarse_budget", "levels",
-               "line_search_cap"}
-_CONFIG_FLOAT = {"eps", "kappa", "theta", "armijo_c", "tau", "s0", "mu",
-                 "zeta", "coarse_tol", "bt_init_L", "bt_growth"}
-_CONFIG_STR = {"mu_schedule"}
-_CONFIG_BOOL = {"backtracking"}
+_SPEC_FIELDS = tuple(f for f in dataclasses.fields(ExperimentSpec)
+                     if f.name not in ("config", "overrides"))
+_SPEC_TYPES = {f.name: f.type for f in _SPEC_FIELDS}
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
+# The solver list follows the scalar instance keys, as files always had it.
+_SPEC_FILE_ORDER = sorted(_SPEC_FIELDS, key=lambda f: f.type is tuple)
 
 
-def _convert_config_value(key, value, path, lineno):
-    try:
-        if key in _CONFIG_INT:
-            return int(value)
-        if key in _CONFIG_FLOAT:
-            return float(value)
-        if key in _CONFIG_BOOL:
-            return value.strip().lower() in ("1", "true", "yes")
-        if key in _CONFIG_STR:
-            return value.strip()
-    except ValueError:
-        raise FileFormatError(path, f"bad value for {key}: {value!r}",
-                              line=lineno) from None
-    raise FileFormatError(path, f"unknown key: {key!r}", line=lineno)
+def _text(value) -> str:
+    return ",".join(value) if isinstance(value, tuple) else str(value)
 
 
 def parse_experiment_file(path) -> ExperimentSpec:
     """Parse a key=value experiment spec.
 
-    Recognized instance keys: m, n, rho, k_true, corruption, noise, seed,
-    solvers, reps, lam, bucket.  Any SolverConfig field is accepted as a
-    global default, and "<solver>.<field>" as a per-solver override.
+    The keys are the ExperimentSpec fields other than config and
+    overrides (m and n are required), any SolverConfig field as a global
+    default, and "<solver>.<field>" as a per-solver override.
     """
     fields = {}
     config = {}
@@ -283,46 +291,38 @@ def parse_experiment_file(path) -> ExperimentSpec:
                 raise FileFormatError(path, f"expected key=value, got {line!r}",
                                       line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                if key in _SPEC_INT:
-                    fields[key] = int(value)
-                elif key in _SPEC_FLOAT:
-                    fields[key] = float(value)
-                elif key == "bucket":
-                    fields[key] = value.lower() in ("1", "true", "yes")
-                elif key == "solvers":
-                    fields[key] = tuple(s.strip() for s in value.split(",")
-                                        if s.strip())
-                elif "." in key:
-                    solver, sub = key.split(".", 1)
-                    overrides.setdefault(solver, {})[sub] = \
-                        _convert_config_value(sub, value, path, lineno)
-                else:
-                    config[key] = _convert_config_value(key, value, path, lineno)
-            except FileFormatError:
-                raise
-            except ValueError:
-                raise FileFormatError(path, f"bad value for {key}: {value!r}",
-                                      line=lineno) from None
-    for required in ("m", "n"):
-        if required not in fields:
-            raise FileFormatError(path, f"missing required key {required!r}",
+            if key in _SPEC_TYPES:
+                target, name, kind = fields, key, _SPEC_TYPES[key]
+            else:
+                solver, _, name = key.rpartition(".")
+                target = overrides.setdefault(solver, {}) if solver else config
+                kind = _CONFIG_TYPES.get(name)
+                if kind is None:
+                    raise FileFormatError(path, f"unknown key: {key!r}",
+                                          line=lineno)
+            target[name] = _parse_value(kind, value, path, lineno, key)
+    for f in _SPEC_FIELDS:
+        if f.default is dataclasses.MISSING and f.name not in fields:
+            raise FileFormatError(path, f"missing required key {f.name!r}",
                                   line=1)
     try:
         return ExperimentSpec(config=config, overrides=overrides, **fields)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise FileFormatError(path, str(exc), line=1) from None
+
+
+def experiment_lines(spec: ExperimentSpec) -> list:
+    """The key=value lines of ``spec``'s file: instance keys, the solver
+    list, then global config fields and per-solver overrides."""
+    lines = [f"{f.name}={_text(getattr(spec, f.name))}"
+             for f in _SPEC_FILE_ORDER]
+    lines += [f"{key}={value}" for key, value in spec.config.items()]
+    lines += [f"{solver}.{key}={value}"
+              for solver, kv in spec.overrides.items()
+              for key, value in kv.items()]
+    return lines
 
 
 def write_experiment_file(spec: ExperimentSpec, path):
     with open(path, "w") as fh:
-        d = dataclasses.asdict(spec)
-        for key in ("m", "n", "rho", "k_true", "corruption", "noise", "seed",
-                    "reps", "lam", "bucket"):
-            fh.write(f"{key}={d[key]}\n")
-        fh.write("solvers=" + ",".join(spec.solvers) + "\n")
-        for key, value in spec.config.items():
-            fh.write(f"{key}={value}\n")
-        for solver, kv in spec.overrides.items():
-            for key, value in kv.items():
-                fh.write(f"{solver}.{key}={value}\n")
+        fh.writelines(line + "\n" for line in experiment_lines(spec))

@@ -274,19 +274,22 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
-    L = config.bt_init_L if config.backtracking else problem.L_f
+    L_f = problem.L_f
+    L = config.bt_init_L if config.backtracking else L_f
     for k in range(config.max_iters):
         g = problem.apply_adjoint(r)
         f_x = 0.5 * float(r @ r) if config.backtracking else None
         xn, r, L = _prox_residual(problem, x, g, L, f_x, config.bt_growth)
-        Dn = float(np.linalg.norm(x - xn))
+        # D(x) is defined at L_f; a backtracked step at L != L_f is not it.
+        p = xn if L == L_f else problem.g_prox(x - g / L_f, 1.0 / L_f)
+        Dn = float(np.linalg.norm(x - p))
         if Dn < config.eps:
             return _finish(problem, x, Dn, k, True, {"grad": k}, t0, trace)
         x = xn
         trace.append(TraceRow(k, "grad", _objective(problem, x, r), Dn,
                               NAN, NAN, NAN, NAN, time.monotonic_ns() - ns0))
     g = problem.apply_adjoint(r)
-    Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L, 1.0 / L)))
+    Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L_f, 1.0 / L_f)))
     return _finish(problem, x, Dn, config.max_iters, Dn < config.eps,
                    {"grad": config.max_iters}, t0, trace)
 

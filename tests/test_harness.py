@@ -64,6 +64,13 @@ class TestGenInstance:
         forced = ExperimentSpec(m=10, n=5, corruption=0.3, bucket=False)
         assert not forced.bucket
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        ExperimentSpec) if f.type is float])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentSpec(m=10, n=5, **{name: value})
+
     def test_planted_support_recovered_in_easy_regime(self):
         # rho <= 0.5, k_true <= m/20, no noise: the planted support shows
         # up at threshold 1e-4 in at least 9 of 10 seeds

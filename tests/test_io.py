@@ -171,6 +171,26 @@ class TestTraceRecordsCsv:
         with pytest.raises(FileFormatError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("write, read, row", [
+        (write_trace_csv, read_trace_csv,
+         TraceRow(0, "grad", 1.5, 0.25, 1.0, 0.5, 1.0, float("nan"), 7)),
+        (write_records_csv, read_records_csv,
+         RunRecord("ab", "ista", 0, True, 3, 1.5, 1e-7, 2.0, 1, 0.5)),
+    ], ids=["trace", "records"])
+    @pytest.mark.parametrize("damage, message", [
+        (lambda cells: cells[:-2], "row has"),
+        (lambda cells: cells[:4] + ["bogus"] + cells[5:], "bad value for"),
+    ], ids=["short_row", "non_numeric"])
+    def test_malformed_row_reports_line(self, tmp_path, write, read, row,
+                                        damage, message):
+        path = tmp_path / "rows.csv"
+        write([row, row], path)
+        header, good, _ = path.read_text().split("\n", 2)
+        path.write_text("\n".join(
+            [header, good, ",".join(damage(good.split(","))), ""]))
+        with pytest.raises(FileFormatError, match=f"line 3: {message}"):
+            read(path)
+
 
 class TestExperimentFiles:
     def test_parse_minimal(self, tmp_path):

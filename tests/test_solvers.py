@@ -111,6 +111,22 @@ class TestIsta:
         assert not sol.converged
         assert sol.iterations == 3
 
+    def test_backtracking_stops_on_gradient_mapping_at_L_f(self):
+        # the stop and the budget exit report D(x) = x - prox_{L_f}(x), not
+        # the step at the backtracked L, which stops early when L < L_f
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p = L1LeastSquares(rng.standard_normal((30, 20)),
+                               rng.standard_normal(30), 0.1)
+            for max_iters in (5, 100000):
+                cfg = SolverConfig(eps=1e-6, max_iters=max_iters,
+                                   backtracking=True, bt_init_L=1e-2)
+                sol = ista(p, np.zeros(p.dim), cfg)
+                D = np.linalg.norm(gradient_mapping(p, sol.x))
+                assert sol.grad_map_norm == pytest.approx(D, rel=1e-9)
+                assert sol.converged == (max_iters > 5)
+                assert sol.converged == (D < cfg.eps)
+
 
 class TestFista:
     def test_momentum_matches_textbook_reference(self, rng):
