@@ -9,7 +9,6 @@ fully reproducible from an ExperimentSpec and its seed.
 
 import dataclasses
 import hashlib
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .multilevel import build_chain
 from .problem import L1LeastSquares
-from .solvers import SolverConfig, SOLVERS, run_solver
+from .solvers import SolverConfig, SOLVERS, _reject_non_finite, run_solver
 
 __all__ = [
     "ExperimentSpec",
@@ -38,6 +37,7 @@ class ExperimentSpec:
     ``bucket`` defaults to "corruption > 0": gross errors are what the
     bucket model is for.  ``overrides`` maps a solver id to SolverConfig
     field overrides for that solver only; ``config`` fields apply to all.
+    Both are validated as SolverConfig fields when the spec is built.
     """
 
     m: int
@@ -55,10 +55,7 @@ class ExperimentSpec:
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite (got {value})")
+        _reject_non_finite(self)
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if not 0 <= self.rho < 1:
@@ -80,6 +77,12 @@ class ExperimentSpec:
                 raise ValueError(f"unknown solver '{s}'; choose from {SOLVERS}")
         if self.bucket is None:
             self.bucket = self.corruption > 0
+        SolverConfig(**self.config)
+        for s in self.overrides:
+            if s not in SOLVERS:
+                raise ValueError(f"override for unknown solver '{s}'; "
+                                 f"choose from {SOLVERS}")
+            self.solver_config(s)
 
     def spec_hash(self) -> str:
         canon = repr(dataclasses.asdict(self))

@@ -15,7 +15,8 @@ Experiment spec files are line-oriented "key=value" with '#' comments.
 Their keys are the ExperimentSpec fields other than config and overrides,
 any SolverConfig field as a global default, and "<solver>.<field>" as a
 per-solver override.  Every value is converted by its field's annotated
-type, so the dataclasses are the one place a field is declared.  A
+type, so the dataclasses are the one place a field is declared; the
+solver settings are checked by SolverConfig when the spec is built.  A
 malformed file raises FileFormatError with a byte offset or line number.
 """
 
@@ -48,12 +49,6 @@ __all__ = [
 
 MAGIC_VECTOR = b"MLVEC1"
 MAGIC_MATRIX = b"MLMAT1"
-
-TRACE_COLUMNS = ("k", "step_kind", "F", "D_norm", "eta", "alpha", "t", "s",
-                 "elapsed_ns")
-RECORD_COLUMNS = ("spec_hash", "solver", "rep", "converged", "iterations",
-                  "objective", "grad_map_norm", "l1_norm", "support_size",
-                  "time_s", "error")
 
 
 class FileFormatError(ValueError):
@@ -206,10 +201,6 @@ def _csv_fields(cls):
     return tuple(f for f in dataclasses.fields(cls) if f.name != "trace")
 
 
-TRACE_COLUMNS = tuple(f.name for f in _csv_fields(TraceRow))
-RECORD_COLUMNS = tuple(f.name for f in _csv_fields(RunRecord))
-
-
 def _write_rows(rows, cls, path):
     fields = _csv_fields(cls)
     with open(path, "w", newline="") as fh:
@@ -222,22 +213,27 @@ def _write_rows(rows, cls, path):
 
 def _read_rows(cls, path):
     fields = _csv_fields(cls)
+    rows = []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != tuple(f.name for f in fields):
-            raise FileFormatError(path, f"bad {cls.__name__} header: "
-                                  f"{header}", line=1)
-        rows = []
-        for cells in reader:
-            if len(cells) != len(fields):
-                raise FileFormatError(path, f"row has {len(cells)} cells, "
-                                      f"expected {len(fields)}",
-                                      line=reader.line_num)
-            rows.append(cls(**{
-                f.name: _parse_value(f.type, cell, path, reader.line_num,
-                                     f.name)
-                for f, cell in zip(fields, cells)}))
+        try:
+            header = next(reader, None)
+            if header != [f.name for f in fields]:
+                raise FileFormatError(path, f"bad {cls.__name__} header: "
+                                      f"{header}", line=1)
+            for cells in reader:
+                if len(cells) != len(fields):
+                    raise FileFormatError(path, f"row has {len(cells)} cells,"
+                                          f" expected {len(fields)}",
+                                          line=reader.line_num)
+                rows.append(cls(**{
+                    f.name: _parse_value(f.type, cell, path, reader.line_num,
+                                         f.name)
+                    for f, cell in zip(fields, cells)}))
+        except csv.Error as exc:
+            # e.g. a NUL byte (before Python 3.11) or an oversized field
+            raise FileFormatError(path, str(exc), line=reader.line_num) \
+                from None
     return rows
 
 

@@ -60,6 +60,15 @@ class InvariantViolation(RuntimeError):
     """Raised when a live bookkeeping or descent invariant fails."""
 
 
+def _reject_non_finite(record):
+    """Raise ValueError naming the first float field of ``record`` that is
+    NaN or infinite."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite (got {value})")
+
+
 @dataclass
 class SolverConfig:
     """Validated solver parameters.
@@ -96,10 +105,7 @@ class SolverConfig:
     bt_growth: float = 2.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite (got {value})")
+        _reject_non_finite(self)
         checks = [
             (self.eps > 0, f"eps must be positive (got {self.eps})"),
             (self.max_iters >= 1, f"max_iters must be >= 1 (got {self.max_iters})"),

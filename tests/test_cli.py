@@ -208,6 +208,20 @@ class TestBench:
         assert "input error" in err and f"{key} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("kappa=2.0", "kappa must lie in"),
+        ("magma.eps=nan", "eps must be finite"),
+        ("wibble.kappa=0.5", "unknown solver 'wibble'"),
+    ], ids=["global", "override", "unknown_solver"])
+    def test_bad_config_spec_exit_one(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"m=40\nn=16\n{line}\n")
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and message in err
+        assert not out.exists()
+
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("m=40\nn=16\nwibble=1\n")

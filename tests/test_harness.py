@@ -71,6 +71,15 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ExperimentSpec(m=10, n=5, **{name: value})
 
+    @pytest.mark.parametrize("config, overrides, message", [
+        ({"kappa": 2.0}, {}, "kappa must lie in"),
+        ({}, {"magma": {"eps": float("nan")}}, "eps must be finite"),
+        ({}, {"wibble": {"kappa": 0.5}}, "unknown solver 'wibble'"),
+    ], ids=["global", "override", "unknown_solver"])
+    def test_bad_solver_config_rejected(self, config, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(m=10, n=5, config=config, overrides=overrides)
+
     def test_planted_support_recovered_in_easy_regime(self):
         # rho <= 0.5, k_true <= m/20, no noise: the planted support shows
         # up at threshold 1e-4 in at least 9 of 10 seeds
