@@ -184,7 +184,12 @@ SUITES = {
 
 
 def run_suites(names=None):
-    """Run the named suites (all by default); returns {name: (ok, detail)}."""
+    """Run the named suites (all by default); returns {name: (ok, detail)}.
+
+    A suite that raises fails with the exception's type and message as
+    its detail, and the remaining suites still run: the solvers' live
+    invariant checks raise InvariantViolation before a suite can report.
+    """
     if names is None:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -192,5 +197,8 @@ def run_suites(names=None):
         raise ValueError(f"unknown suite(s) {unknown}; have {sorted(SUITES)}")
     results = {}
     for name in names:
-        results[name] = SUITES[name]()
+        try:
+            results[name] = SUITES[name]()
+        except Exception as exc:
+            results[name] = (False, f"{type(exc).__name__}: {exc}")
     return results

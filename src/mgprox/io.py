@@ -4,9 +4,9 @@ Binary layout: magic bytes b"MLVEC1" or b"MLMAT1", then the dimensions as
 64-bit little-endian unsigned integers (one for vectors, rows then cols
 for matrices), then the payload as row-major little-endian float64.
 
-CSV matrices are one row per line with comma-separated values and '.' as
-the decimal separator; CSV vectors are one value per line (a single
-comma-separated line is also accepted).
+CSV matrices are UTF-8 text, one row per line with comma-separated values
+and '.' as the decimal separator; CSV vectors are one value per line (a
+single comma-separated line is also accepted).
 
 Traces and run records are CSV files whose header is the field names of
 TraceRow or RunRecord (without RunRecord.trace), in declaration order;
@@ -22,6 +22,7 @@ malformed file raises FileFormatError with a byte offset or line number.
 
 import csv
 import dataclasses
+import math
 import os
 import struct
 
@@ -117,64 +118,57 @@ def _parse_float(token, path, lineno):
             from None
 
 
+_ARRAYS = {1: (MAGIC_VECTOR, "vector"), 2: (MAGIC_MATRIX, "matrix")}
+
+
+def _read_array(path, ndim) -> np.ndarray:
+    """A vector (ndim 1) or matrix (ndim 2) from the binary format or CSV,
+    told apart by the magic bytes.  A CSV vector takes every value in
+    file order; a CSV matrix takes one row per line, all of one width."""
+    magic, kind = _ARRAYS[ndim]
+    with open(path, "rb") as fh:
+        head = fh.read(6)
+        if head == magic:
+            shape = struct.unpack(f"<{ndim}Q", _read_exact(
+                fh, 8 * ndim, path, "dimensions"))
+            data = _read_payload(fh, 8 * math.prod(shape), path,
+                                 f"{'x'.join(map(str, shape))} float64 values")
+            return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        other_magic, other_kind = _ARRAYS[3 - ndim]
+        if head == other_magic:
+            raise FileFormatError(path, f"{other_kind} file given where a "
+                                  f"{kind} was expected", offset=0)
+        text = head + fh.read()
+    try:
+        lines = text.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(path, "not UTF-8 text",
+                              line=text.count(b"\n", 0, exc.start) + 1) \
+            from None
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = [_parse_float(tok.strip(), path, lineno)
+               for tok in line.split(",") if tok.strip()]
+        if ndim == 2 and rows and len(row) != len(rows[0]):
+            raise FileFormatError(path, f"row has {len(row)} values, "
+                                  f"expected {len(rows[0])}", line=lineno)
+        rows.append(row)
+    if not any(rows):
+        raise FileFormatError(path, "no values found", line=1)
+    return np.array([v for row in rows for v in row] if ndim == 1 else rows)
+
+
 def read_vector(path) -> np.ndarray:
     """Read a vector from the binary format or CSV (detected by magic)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic == MAGIC_VECTOR:
-            (n,) = struct.unpack("<Q", _read_exact(fh, 8, path, "dimension"))
-            data = _read_payload(fh, 8 * n, path, f"{n} float64 values")
-            return np.frombuffer(data, dtype="<f8").copy()
-        if magic == MAGIC_MATRIX:
-            raise FileFormatError(path, "matrix file given where a vector "
-                                  "was expected", offset=0)
-    values = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            for token in line.split(","):
-                token = token.strip()
-                if token:
-                    values.append(_parse_float(token, path, lineno))
-    if not values:
-        raise FileFormatError(path, "no values found", line=1)
-    return np.array(values)
+    return _read_array(path, 1)
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from the binary format or CSV (detected by magic)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic == MAGIC_MATRIX:
-            rows, cols = struct.unpack(
-                "<QQ", _read_exact(fh, 16, path, "dimensions"))
-            data = _read_payload(fh, 8 * rows * cols, path,
-                                 f"{rows}x{cols} float64 values")
-            return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-        if magic == MAGIC_VECTOR:
-            raise FileFormatError(path, "vector file given where a matrix "
-                                  "was expected", offset=0)
-    rows = []
-    width = None
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            row = [_parse_float(tok.strip(), path, lineno)
-                   for tok in line.split(",") if tok.strip()]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FileFormatError(
-                    path, f"row has {len(row)} values, expected {width}",
-                    line=lineno)
-            rows.append(row)
-    if not rows:
-        raise FileFormatError(path, "no rows found", line=1)
-    return np.array(rows)
+    return _read_array(path, 2)
 
 
 # ---------------------------------------------------------------------------

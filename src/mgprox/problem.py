@@ -144,12 +144,6 @@ class L1LeastSquares:
             raise ValueError("prox step constant must be positive")
         return soft_threshold(v, t * self.lam)
 
-    def g_mu_value(self, x, mu) -> float:
-        return self.lam * float(np.sum(np.sqrt(mu * mu + x * x)))
-
-    def g_mu_grad(self, x, mu):
-        return self.lam * x / np.sqrt(mu * mu + x * x)
-
     def value(self, x) -> float:
         return self.f_value(x) + self.g_value(x)
 
@@ -169,10 +163,11 @@ class SmoothedView:
         self.mu = float(mu)
 
     def g_value(self, x) -> float:
-        return self.problem.g_mu_value(x, self.mu)
+        return self.problem.lam * float(
+            np.sum(np.sqrt(self.mu * self.mu + x * x)))
 
     def g_grad(self, x):
-        return self.problem.g_mu_grad(x, self.mu)
+        return self.problem.lam * x / np.sqrt(self.mu * self.mu + x * x)
 
     def value(self, x, r=None) -> float:
         """F_mu(x); given the residual r = B x - b of a least-squares
@@ -189,21 +184,26 @@ class SmoothedView:
 # The steps the guarantee lemmas are stated for.
 
 
-def prox_step(problem: L1LeastSquares, x: np.ndarray, L: float) -> np.ndarray:
-    """argmin_y L/2*||y - x||^2 + <grad f(x), y - x> + g(y)."""
+def prox_step(problem: L1LeastSquares, x: np.ndarray, L: float,
+              g: np.ndarray = None) -> np.ndarray:
+    """argmin_y L/2*||y - x||^2 + <grad f(x), y - x> + g(y).
+
+    A caller that already holds grad f(x) passes it as ``g``; otherwise
+    it is computed here, for one product with B and one with B^T.
+    """
     if L <= 0:
         raise ValueError("L must be positive")
     x = np.asarray(x, dtype=float)
-    return problem.g_prox(x - problem.f_grad(x) / L, 1.0 / L)
+    if g is None:
+        g = problem.f_grad(x)
+    return problem.g_prox(x - g / L, 1.0 / L)
 
 
 def prog(problem: L1LeastSquares, x: np.ndarray, L: float) -> float:
     """Decrease value of the prox subproblem at x; always >= 0."""
-    if L <= 0:
-        raise ValueError("L must be positive")
     x = np.asarray(x, dtype=float)
     gfx = problem.f_grad(x)
-    y = problem.g_prox(x - gfx / L, 1.0 / L)
+    y = prox_step(problem, x, L, gfx)
     d = y - x
     return -(0.5 * L * float(d @ d) + float(gfx @ d)
              + problem.g_value(y) - problem.g_value(x))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .multilevel import RestrictionChain, build_chain, build_coarse_model
-from .problem import L1LeastSquares, SmoothedView, mirror_step
+from .problem import L1LeastSquares, SmoothedView, mirror_step, prox_step
 
 __all__ = [
     "SolverConfig",
@@ -53,7 +53,7 @@ REJECTION_REASONS = ("entry_stationary", "condition_lost", "no_decrease",
 
 
 class LineSearchError(RuntimeError):
-    """Raised when the backtracking grid is exhausted without acceptance."""
+    """Raised when the line-search grid is exhausted without acceptance."""
 
 
 class InvariantViolation(RuntimeError):
@@ -83,6 +83,10 @@ class SolverConfig:
     iterations at benchmark scale); 0.5 keeps the coupling tight.
     kappa=1 is allowed as a degenerate setting that switches coarse
     steps off (the norm test is strict).
+
+    There is no step-size setting: every prox-gradient step and every
+    stopping test is taken at the problem's Lipschitz constant L_f, which
+    L1LeastSquares computes when it is built.
     """
 
     eps: float = 1e-6
@@ -100,9 +104,6 @@ class SolverConfig:
     coarse_budget: int = 100
     levels: int = 2
     line_search_cap: int = 100
-    backtracking: bool = False
-    bt_init_L: float = 1.0
-    bt_growth: float = 2.0
 
     def __post_init__(self):
         _reject_non_finite(self)
@@ -125,8 +126,6 @@ class SolverConfig:
             (self.levels >= 1, f"levels must be >= 1 (got {self.levels})"),
             (self.line_search_cap >= 1,
              f"line_search_cap must be >= 1 (got {self.line_search_cap})"),
-            (self.bt_init_L > 0, f"bt_init_L must be positive (got {self.bt_init_L})"),
-            (self.bt_growth > 1, f"bt_growth must exceed 1 (got {self.bt_growth})"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -213,35 +212,11 @@ def _as_start(problem, x0):
     return x0.copy()
 
 
-def _prox_at(problem, x, L, r=None):
-    """Prox step and the gradient used to take it (one f-gradient pass;
-    given the residual r = B x - b, one product with B^T only)."""
-    fgx = problem.f_grad(x) if r is None else problem.apply_adjoint(r)
-    return problem.g_prox(x - fgx / L, 1.0 / L), fgx
-
-
-def _prox_residual(problem, y, g_y, L, f_y, growth):
-    """Prox step x = prox_L(y) taken with the gradient ``g_y`` at y, and
-    its residual r = B x - b; returns (x, r, L) for one product with B.
-
-    With ``f_y`` None, L is kept.  Given ``f_y`` = f(y), L grows by
-    ``growth`` until the descent-lemma test
-    f(x) <= f(y) + <g_y, x - y> + L/2 ||x - y||^2 holds, which is
-    F(x) <= F(y) - Prog_L(y) with the g terms cancelled; each probe costs
-    one product with B.
-    """
-    if f_y is not None:
-        slack = 1e-12 * max(1.0, abs(f_y + problem.g_value(y)))
-    while True:
-        x = problem.g_prox(y - g_y / L, 1.0 / L)
-        r = problem.residual(x)
-        if f_y is None:
-            return x, r, L
-        d = x - y
-        if 0.5 * float(r @ r) <= f_y + float(g_y @ d) \
-                + 0.5 * L * float(d @ d) + slack:
-            return x, r, L
-        L *= growth
+def _prox_point(problem, x, g):
+    """The prox step p = prox_{L_f}(x), taken with g = grad f(x), and the
+    stopping measure ||D(x)|| = ||x - p||."""
+    p = prox_step(problem, x, problem.L_f, g)
+    return p, float(np.linalg.norm(x - p))
 
 
 def _objective(problem, x, r):
@@ -249,11 +224,11 @@ def _objective(problem, x, r):
     return 0.5 * float(r @ r) + problem.g_value(x)
 
 
-def _finish(problem, x, Dn, k, converged, counts, t0, trace, events=None,
-            objective=None, rejections=None):
+def _finish(x, objective, Dn, k, converged, counts, t0, trace, events=None,
+            rejections=None):
     return Solution(
         x=x,
-        objective=problem.value(x) if objective is None else objective,
+        objective=objective,
         grad_map_norm=Dn,
         iterations=k,
         converged=converged,
@@ -277,26 +252,20 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """
     x = _as_start(problem, x0)
     r = problem.residual(x)
+    F = _objective(problem, x, r)
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
-    L_f = problem.L_f
-    L = config.bt_init_L if config.backtracking else L_f
     for k in range(config.max_iters):
-        g = problem.apply_adjoint(r)
-        f_x = 0.5 * float(r @ r) if config.backtracking else None
-        xn, r, L = _prox_residual(problem, x, g, L, f_x, config.bt_growth)
-        # D(x) is defined at L_f; a backtracked step at L != L_f is not it.
-        p = xn if L == L_f else problem.g_prox(x - g / L_f, 1.0 / L_f)
-        Dn = float(np.linalg.norm(x - p))
+        p, Dn = _prox_point(problem, x, problem.apply_adjoint(r))
         if Dn < config.eps:
-            return _finish(problem, x, Dn, k, True, {"grad": k}, t0, trace)
-        x = xn
-        trace.append(TraceRow(k, "grad", _objective(problem, x, r), Dn,
-                              NAN, NAN, NAN, NAN, time.monotonic_ns() - ns0))
-    g = problem.apply_adjoint(r)
-    Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L_f, 1.0 / L_f)))
-    return _finish(problem, x, Dn, config.max_iters, Dn < config.eps,
+            return _finish(x, F, Dn, k, True, {"grad": k}, t0, trace)
+        x, r = p, problem.residual(p)
+        F = _objective(problem, x, r)
+        trace.append(TraceRow(k, "grad", F, Dn, NAN, NAN, NAN, NAN,
+                              time.monotonic_ns() - ns0))
+    _, Dn = _prox_point(problem, x, problem.apply_adjoint(r))
+    return _finish(x, F, Dn, config.max_iters, Dn < config.eps,
                    {"grad": config.max_iters}, t0, trace)
 
 
@@ -304,47 +273,43 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Accelerated proximal gradient with the t_{k+1} = (1+sqrt(1+4t_k^2))/2
     momentum sequence; stops on ||D(x_k)|| < eps at the main iterate.
 
-    Each iteration makes one product with B and one with B^T (backtracking
-    adds one B per rejected probe).  The residual r_x = B x - b and the
-    gradient g_x = B^T r_x of the main iterate give F(x) and the stopping
-    test, and since products are linear, the momentum point
-    y = x + beta (x - x_prev) has gradient g_x + beta (g_x - g_prev) and
-    residual r_x + beta (r_x - r_prev).  g_x is recomputed exactly every
+    Each iteration makes one product with B and one with B^T.  The
+    residual r_x = B x - b and the gradient g_x = B^T r_x of the main
+    iterate give F(x) and the stopping test, and since products are
+    linear, the momentum point y = x + beta (x - x_prev) has gradient
+    g_x + beta (g_x - g_prev).  g_x is recomputed exactly every
     iteration, so rounding does not build up.
     """
     x = _as_start(problem, x0)
     r = problem.residual(x)
     g = problem.apply_adjoint(r)
-    x_prev, r_prev, g_prev = x, r, g
-    y, r_y, g_y = x, r, g
+    x_prev, g_prev = x, g
+    y, g_y = x, g
     t = 1.0
     t0 = time.perf_counter()
     ns0 = time.monotonic_ns()
     trace = []
-    L = config.bt_init_L if config.backtracking else problem.L_f
     L_f = problem.L_f
-    best_F, best_x = _objective(problem, x, r), x
+    best_F, best_x, best_g = _objective(problem, x, r), x, g
     for k in range(config.max_iters):
-        f_y = 0.5 * float(r_y @ r_y) if config.backtracking else None
-        x, r, L = _prox_residual(problem, y, g_y, L, f_y, config.bt_growth)
+        x = prox_step(problem, y, L_f, g_y)
+        r = problem.residual(x)
         g = problem.apply_adjoint(r)
-        Dn = float(np.linalg.norm(x - problem.g_prox(x - g / L_f, 1.0 / L_f)))
+        _, Dn = _prox_point(problem, x, g)
         Fx = _objective(problem, x, r)
         trace.append(TraceRow(k, "grad", Fx, Dn, NAN, NAN, NAN, NAN,
                               time.monotonic_ns() - ns0))
         if Fx < best_F:
-            best_F, best_x = Fx, x
+            best_F, best_x, best_g = Fx, x, g
         if Dn < config.eps:
-            return _finish(problem, x, Dn, k + 1, True, {"grad": k + 1}, t0, trace)
+            return _finish(x, Fx, Dn, k + 1, True, {"grad": k + 1}, t0, trace)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
         g_y = g + beta * (g - g_prev)
-        if config.backtracking:
-            r_y = r + beta * (r - r_prev)
-        x_prev, r_prev, g_prev, t = x, r, g, t_next
-    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f)[0]))
-    return _finish(problem, best_x, Dn, config.max_iters, False,
+        x_prev, g_prev, t = x, g, t_next
+    _, Dn = _prox_point(problem, best_x, best_g)
+    return _finish(best_x, best_F, Dn, config.max_iters, False,
                    {"grad": config.max_iters}, t0, trace)
 
 
@@ -393,10 +358,12 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha_n, eta_n)
         x = t * z + (1.0 - t) * y
-        p, fgx = _prox_at(problem, x, L_f)
-        Dn = float(np.linalg.norm(x - p))
+        r = problem.residual(x)
+        fgx = problem.apply_adjoint(r)
+        p, Dn = _prox_point(problem, x, fgx)
         if Dn < config.eps:
-            return _finish(problem, x, Dn, k, True, {"grad": k}, t0, trace)
+            return _finish(x, _objective(problem, x, r), Dn, k, True,
+                           {"grad": k}, t0, trace)
         y = p
         z = mirror_step(problem, z, fgx, alpha_n)
         state.k, state.alpha, state.eta = k + 1, alpha_n, eta_n
@@ -405,8 +372,8 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
             best_F, best_x = Fy, y
         trace.append(TraceRow(k, "grad", Fy, Dn, eta_n, alpha_n, t, NAN,
                               time.monotonic_ns() - ns0))
-    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f)[0]))
-    return _finish(problem, best_x, Dn, config.max_iters, False,
+    _, Dn = _prox_point(problem, best_x, problem.f_grad(best_x))
+    return _finish(best_x, best_F, Dn, config.max_iters, False,
                    {"grad": config.max_iters}, t0, trace)
 
 
@@ -684,11 +651,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha, eta)
         x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
-        p, g = _prox_at(problem, x, L_f, r_x)
-        Dn = float(np.linalg.norm(x - p))
+        g = problem.apply_adjoint(r_x)
+        p, Dn = _prox_point(problem, x, g)
         if Dn < config.eps:
-            return _finish(problem, x, Dn, k, True, counts, t0, trace,
-                           events, _objective(problem, x, r_x), rejections)
+            return _finish(x, _objective(problem, x, r_x), Dn, k, True,
+                           counts, t0, trace, events, rejections)
 
         kind = "grad"
         if 0 < k < config.max_iters - 1 and not chain.is_identity:
@@ -726,9 +693,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         trace.append(TraceRow(k, kind, F_y, Dn, eta, alpha, t, s,
                               time.monotonic_ns() - ns0))
 
-    Dn = float(np.linalg.norm(best_x - _prox_at(problem, best_x, L_f, best_r)[0]))
-    return _finish(problem, best_x, Dn, state.k, Dn < config.eps, counts, t0,
-                   trace, events, best_F, rejections)
+    _, Dn = _prox_point(problem, best_x, problem.apply_adjoint(best_r))
+    return _finish(best_x, best_F, Dn, state.k, Dn < config.eps, counts, t0,
+                   trace, events, rejections)
 
 
 # ---------------------------------------------------------------------------

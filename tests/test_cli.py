@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgprox import InvariantViolation, checks
 from mgprox.cli import main
 from mgprox.io import (
     read_records_csv,
@@ -85,6 +86,17 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert "input error" in err and "b has 1 non-finite" in err
+
+    def test_non_utf8_csv_exit_one(self, tmp_path, capsys):
+        mpath, vpath = tmp_path / "A.mlm", tmp_path / "b.csv"
+        write_matrix(mpath, np.ones((2, 3)))
+        vpath.write_bytes(b"1.0\n\xff\xfe\n")
+        code = run_cli(["solve", str(mpath), str(vpath),
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "line 2: not UTF-8" in err
 
     @pytest.mark.parametrize("x0, message", [
         (np.zeros(5), "x0 has shape (5,), expected (6,)"),
@@ -238,6 +250,20 @@ class TestCheck:
         # the suites fix their own instances and configs
         assert run_cli(["check", "--kappa", "0.5"]) == 1
         assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+
+    def test_raising_suite_fails_exit_three(self, monkeypatch, capsys):
+        # a live invariant check inside a solver raises before the suite
+        # can report; the suite fails and the others still run
+        def suite():
+            raise InvariantViolation("telescoping identity violated")
+
+        monkeypatch.setitem(checks.SUITES, "descent", suite)
+        assert run_cli(["check"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL descent: InvariantViolation: telescoping identity " \
+            "violated" in out
+        assert "PASS prox" in out
+        assert "violated invariant suite(s): descent" in out
 
     def test_unknown_suite_exit_one(self):
         assert run_cli(["check", "--suite", "wibble"]) == 1

@@ -120,6 +120,13 @@ class TestCsvFormats:
         with pytest.raises(FileFormatError, match="line 2"):
             read_vector(path)
 
+    @pytest.mark.parametrize("read", [read_vector, read_matrix])
+    def test_non_utf8_reports_line(self, tmp_path, read):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"1.0\n\xff\xfe\n")
+        with pytest.raises(FileFormatError, match="line 2: not UTF-8"):
+            read(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("# only a comment\n")
