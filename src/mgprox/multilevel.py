@@ -14,7 +14,8 @@ import weakref
 
 import numpy as np
 
-from .problem import SmoothedView, power_iteration, LIPSCHITZ_SAFETY
+from .problem import (LIPSCHITZ_SAFETY, SmoothedView, _apply, _apply_adjoint,
+                      _check_dim, power_iteration)
 
 __all__ = [
     "RestrictionChain",
@@ -41,8 +42,6 @@ class RestrictionChain:
         self.n_H = R_x.shape[0]
         self.bucket = bucket
         self.m = m
-        self.level_dims = [n] + [self.n_H << k
-                                 for k in reversed(range(levels - 1))]
         self._model_cache = weakref.WeakKeyDictionary()
 
     @property
@@ -86,17 +85,10 @@ class RestrictionChain:
         if cached is not None:
             return cached
         A_H = problem.A @ self.R_x.T
-        n_xH = A_H.shape[1]
-        if problem.bucket:
-            def op(v):
-                r = A_H @ v[:n_xH] + v[n_xH:]
-                return np.concatenate([A_H.T @ r, r])
-            dim = n_xH + problem.m
-        else:
-            def op(v):
-                return A_H.T @ (A_H @ v)
-            dim = n_xH
-        est, _ = power_iteration(op, dim)
+        bucket = problem.bucket
+        est, _ = power_iteration(
+            lambda v: _apply_adjoint(A_H, _apply(A_H, v, bucket), bucket),
+            self.coarse_dim)
         spectral = LIPSCHITZ_SAFETY * est
         self._model_cache[problem] = (A_H, spectral)
         return A_H, spectral
@@ -139,60 +131,44 @@ def build_chain(n: int, levels: int, bucket: bool = False,
 
 
 class CoarseModel:
-    """Smoothed reduced model with linear coherence correction.
+    """The fine level's smoothed model on the coarse dictionary, plus a
+    linear coherence correction.
 
-    value(w_H)  = 0.5*||A_H x_H + e - b||^2
-                  + lam * sum_j sqrt(mu_H^2 + w_H_j^2) + <v_H, w_H>
-    (the "+ e" block only in bucket form).  The gradient of the smoothed
-    l1 part is lam*w_j/sqrt(mu_H^2 + w_j^2) entrywise.
+    value(w_H) = f_H(w_H) + g_mu(w_H) + <v_H, w_H>, where f_H is the fine
+    least-squares term with A replaced by A_H (B_H = [A_H, I] in bucket
+    form) and g_mu is ``view``'s smoothed penalty, with its lam and mu.
+    v_H = grad_H - grad(f_H + g_mu)(anchor), so grad(anchor) equals the
+    restricted fine gradient ``grad_H``.  lipschitz() returns ``L``.
     """
 
-    def __init__(self, A_H, b, lam, mu_H, bucket, v_H, anchor, L):
+    def __init__(self, view: SmoothedView, A_H, anchor, grad_H, L):
+        self.view = view
         self.A_H = A_H
-        self.b = b
-        self.lam = lam
-        self.mu_H = mu_H
-        self.bucket = bucket
-        self.n_xH = A_H.shape[1]
-        self.m = A_H.shape[0]
-        self.dim = self.n_xH + self.m if bucket else self.n_xH
-        self.v_H = v_H
+        self.b = view.problem.b
+        self.bucket = view.problem.bucket
         self.anchor = anchor
+        self.dim = anchor.shape[0]
         self.L = L
+        self.v_H = grad_H - self._uncorrected_grad(anchor)
 
-    def _residual(self, w):
-        if self.bucket:
-            return self.A_H @ w[:self.n_xH] + w[self.n_xH:] - self.b
-        return self.A_H @ w - self.b
-
-    def _smooth_pen_grad(self, w):
-        return self.lam * w / np.sqrt(self.mu_H ** 2 + w * w)
-
-    def base_grad(self, w):
-        """Gradient without the linear correction term."""
-        r = self._residual(w)
-        if self.bucket:
-            quad = np.concatenate([self.A_H.T @ r, r])
-        else:
-            quad = self.A_H.T @ r
-        return quad + self._smooth_pen_grad(w)
+    def _uncorrected_grad(self, w):
+        """grad(f_H + g_mu)(w), the gradient without the linear term."""
+        r = _apply(self.A_H, w, self.bucket) - self.b
+        return _apply_adjoint(self.A_H, r, self.bucket) + self.view.g_grad(w)
 
     def value(self, w) -> float:
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {w.shape}")
-        r = self._residual(w)
-        pen = self.lam * float(np.sum(np.sqrt(self.mu_H ** 2 + w * w)))
-        return 0.5 * float(r @ r) + pen + float(self.v_H @ w)
+        _check_dim(w, self.dim)
+        r = _apply(self.A_H, w, self.bucket) - self.b
+        return 0.5 * float(r @ r) + self.view.g_value(w) + float(self.v_H @ w)
 
     def grad(self, w):
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"expected vector of length {self.dim}, got {w.shape}")
-        return self.base_grad(w) + self.v_H
+        _check_dim(w, self.dim)
+        return self._uncorrected_grad(w) + self.v_H
 
     def lipschitz(self) -> float:
-        """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu_H."""
+        """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu."""
         return self.L
 
 
@@ -201,21 +177,16 @@ def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
                        fine_grad: np.ndarray = None) -> CoarseModel:
     """Coarse model anchored at x_k with exact first-order coherence.
 
-    v_H = R*grad(F_mu)(x_k) - (grad f_H + grad g_H)(R x_k), which makes
-    grad(F_H)(R x_k) equal to R*grad(F_mu)(x_k) by construction; the
-    coarse l1 term is smoothed with the fine level's mu.  A_H and
-    its spectral bound are cached on the chain; v_H is recomputed for
-    every anchor.  Pass ``fine_grad`` when grad(F_mu)(x_k) is already
-    available to avoid one fine-level pass.
+    The coarse l1 term is smoothed with the fine level's mu, and the
+    model's gradient at R x_k is R*grad(F_mu)(x_k).  A_H and its spectral
+    bound are cached on the chain; v_H is recomputed for every anchor.
+    Pass ``fine_grad`` when grad(F_mu)(x_k) is already available to avoid
+    one fine-level pass.
     """
-    if mu_fine <= 0:
-        raise ValueError("mu_fine must be positive")
+    view = SmoothedView(problem, mu_fine)
     A_H, spectral = chain.coarse_dictionary(problem)
-    L_H = spectral + problem.lam / mu_fine
-    anchor = chain.restrict(np.asarray(x_k, dtype=float))
-    model = CoarseModel(A_H, problem.b, problem.lam, mu_fine, problem.bucket,
-                        v_H=np.zeros(chain.coarse_dim), anchor=anchor, L=L_H)
+    x_k = np.asarray(x_k, dtype=float)
     if fine_grad is None:
-        fine_grad = SmoothedView(problem, mu_fine).grad(np.asarray(x_k, dtype=float))
-    model.v_H = chain.restrict(fine_grad) - model.base_grad(anchor)
-    return model
+        fine_grad = view.grad(x_k)
+    return CoarseModel(view, A_H, chain.restrict(x_k), chain.restrict(fine_grad),
+                       L=spectral + problem.lam / mu_fine)

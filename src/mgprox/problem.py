@@ -69,6 +69,26 @@ def _check_dim(x: np.ndarray, dim: int):
         raise ValueError(f"expected vector of length {dim}, got shape {x.shape}")
 
 
+def _check_step(name: str, value: float):
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive (got {value})")
+
+
+def _apply(A: np.ndarray, w: np.ndarray, bucket: bool) -> np.ndarray:
+    """A w, or B w = A w_x + w_e for B = [A, I] in bucket form."""
+    if bucket:
+        n = A.shape[1]
+        return A @ w[:n] + w[n:]
+    return A @ w
+
+
+def _apply_adjoint(A: np.ndarray, r: np.ndarray, bucket: bool) -> np.ndarray:
+    """A^T r, or B^T r = [A^T r, r] for B = [A, I] in bucket form."""
+    if bucket:
+        return np.concatenate([A.T @ r, r])
+    return A.T @ r
+
+
 class L1LeastSquares:
     """F(x) = f(x) + g(x) with f(x) = 0.5*||Ax - b||^2, g(x) = lam*||x||_1.
 
@@ -114,15 +134,11 @@ class L1LeastSquares:
     def apply(self, x):
         """A x, or B w = A x_part + e_part in bucket form."""
         _check_dim(x, self.dim)
-        if self.bucket:
-            return self.A @ x[:self.n_x] + x[self.n_x:]
-        return self.A @ x
+        return _apply(self.A, x, self.bucket)
 
     def apply_adjoint(self, r):
         """A^T r, or B^T r = [A^T r, r] in bucket form."""
-        if self.bucket:
-            return np.concatenate([self.A.T @ r, r])
-        return self.A.T @ r
+        return _apply_adjoint(self.A, r, self.bucket)
 
     def residual(self, x):
         return self.apply(x) - self.b
@@ -139,9 +155,8 @@ class L1LeastSquares:
         return self.lam * float(np.sum(np.abs(x)))
 
     def g_prox(self, v, t):
-        """argmin_y 0.5*||y - v||^2 + t*g(y) for t > 0."""
-        if t <= 0:
-            raise ValueError("prox step constant must be positive")
+        """argmin_y 0.5*||y - v||^2 + t*g(y) for finite t > 0."""
+        _check_step("prox step constant t", t)
         return soft_threshold(v, t * self.lam)
 
     def value(self, x) -> float:
@@ -157,8 +172,7 @@ class SmoothedView:
     """
 
     def __init__(self, problem: L1LeastSquares, mu: float):
-        if mu <= 0:
-            raise ValueError(f"smoothing level mu must be positive, got {mu}")
+        _check_step("smoothing level mu", mu)
         self.problem = problem
         self.mu = float(mu)
 
@@ -191,8 +205,7 @@ def prox_step(problem: L1LeastSquares, x: np.ndarray, L: float,
     A caller that already holds grad f(x) passes it as ``g``; otherwise
     it is computed here, for one product with B and one with B^T.
     """
-    if L <= 0:
-        raise ValueError("L must be positive")
+    _check_step("L", L)
     x = np.asarray(x, dtype=float)
     if g is None:
         g = problem.f_grad(x)
@@ -223,8 +236,7 @@ def mirror_step(problem: L1LeastSquares, z: np.ndarray, xi: np.ndarray,
     z - alpha*xi: with an l1 penalty the shrinkage
     T_(alpha*lam)(z - alpha*xi), with g == 0 the plain translation.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_step("alpha", alpha)
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if z.shape != xi.shape:

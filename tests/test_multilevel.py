@@ -62,7 +62,7 @@ class TestBuildChain:
     def test_four_levels_single_coarse_var(self):
         chain = build_chain(8, 4)
         assert chain.n_H == 1
-        assert chain.level_dims == [8, 4, 2, 1]
+        assert chain.R_x.shape == (1, 8)
 
     def test_too_deep_reports_max_depth(self):
         with pytest.raises(ValueError, match="maximum feasible depth is 4"):
@@ -98,12 +98,22 @@ class TestBuildChain:
         n_H = n // 2 ** (levels - 1)
         assert chain.R_x.shape == (n_H, n)
         assert chain.R_x.nbytes == 8 * n_H * n
-        assert chain.level_dims == [n >> k for k in range(levels)]
+        assert chain.n_H == n >> (levels - 1)
         for _ in range(5):
             w = rng.standard_normal(n)
             u = rng.standard_normal(n_H)
             lhs = chain.restrict(w) @ u
             assert abs(lhs - w @ chain.prolong(u)) <= 1e-12 * (1 + abs(lhs))
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_plain_operator_norm_below_default_kappa(self, n, levels):
+        # ||R g|| <= ||R_x||_2 ||g|| with ||R_x||_2 just under
+        # 2^(-(levels-1)/2), so on a plain problem the coarse condition
+        # ||R g|| > kappa ||g|| cannot hold at the default kappa = 0.8
+        norm = np.linalg.norm(build_chain(n, levels).R_x, 2)
+        limit = 2.0 ** (-(levels - 1) / 2)
+        assert limit - 1e-3 < norm <= limit
 
     def test_bucket_requires_m(self):
         with pytest.raises(ValueError):
@@ -186,15 +196,42 @@ class TestCoarseModel:
         assert np.allclose(A_H, expected, atol=1e-14)
 
     def test_value_at_origin(self, rng):
-        # w_H = 0, b = 0, v_H = 0: value reduces to lam * dim * mu_H
+        # w_H = 0, b = 0 and a zero restricted gradient at the origin give
+        # v_H = 0: value reduces to lam * dim * mu
         A_H = rng.standard_normal((4, 3))
-        model = CoarseModel(A_H, np.zeros(4), lam=0.5, mu_H=0.2, bucket=True,
-                            v_H=np.zeros(7), anchor=np.zeros(7), L=1.0)
-        assert model.value(np.zeros(7)) == pytest.approx(0.5 * 7 * 0.2)
-        model_nb = CoarseModel(A_H, np.zeros(4), lam=0.5, mu_H=0.2,
-                               bucket=False, v_H=np.zeros(3),
-                               anchor=np.zeros(3), L=1.0)
-        assert model_nb.value(np.zeros(3)) == pytest.approx(0.5 * 3 * 0.2)
+        for bucket, dim in ((True, 7), (False, 3)):
+            view = SmoothedView(
+                L1LeastSquares(A_H, np.zeros(4), 0.5, bucket=bucket), 0.2)
+            model = CoarseModel(view, A_H, np.zeros(dim), np.zeros(dim),
+                                L=1.0)
+            assert np.array_equal(model.v_H, np.zeros(dim))
+            assert model.value(np.zeros(dim)) == pytest.approx(
+                0.5 * dim * 0.2)
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_matches_dense_formula(self, rng, bucket):
+        # grad(anchor) is the grad_H passed in, and at random points value
+        # and grad match 0.5||B_H w - b||^2 + g_mu(w) + <v_H, w> with the
+        # dense B_H = [A_H, I] (bucket) or A_H
+        p = random_lasso(rng, m=9, n=16, bucket=bucket)
+        chain = build_chain(16, 3, bucket=bucket, m=p.m)
+        A_H, _ = chain.coarse_dictionary(p)
+        mu = 0.05
+        anchor = rng.standard_normal(chain.coarse_dim)
+        grad_H = rng.standard_normal(chain.coarse_dim)
+        model = CoarseModel(SmoothedView(p, mu), A_H, anchor, grad_H, L=1.0)
+        assert np.linalg.norm(model.grad(anchor) - grad_H) \
+            <= 1e-12 * np.linalg.norm(grad_H)
+        B_H = np.hstack([A_H, np.eye(p.m)]) if bucket else A_H
+        for _ in range(20):
+            w = rng.standard_normal(model.dim) * rng.uniform(0.1, 3)
+            r = B_H @ w - p.b
+            pen = np.sqrt(mu ** 2 + w ** 2)
+            value = 0.5 * r @ r + p.lam * np.sum(pen) + model.v_H @ w
+            grad = B_H.T @ r + p.lam * w / pen + model.v_H
+            assert model.value(w) == pytest.approx(value, rel=1e-12)
+            assert np.linalg.norm(model.grad(w) - grad) \
+                <= 1e-12 * np.linalg.norm(grad)
 
     def test_finite_difference_gradient(self, rng):
         p = random_lasso(rng, m=6, n=8, bucket=True)
@@ -228,8 +265,8 @@ class TestCoarseModel:
 
 class TestCoarseLipschitz:
     def test_identity_dictionary_value(self):
-        model = CoarseModel(np.eye(2), np.zeros(2), lam=1.0, mu_H=1.0,
-                            bucket=False, v_H=np.zeros(2), anchor=np.zeros(2),
+        view = SmoothedView(L1LeastSquares(np.eye(2), np.zeros(2), 1.0), 1.0)
+        model = CoarseModel(view, np.eye(2), np.zeros(2), np.zeros(2),
                             L=SAFETY * 1.0 + 1.0)
         assert model.lipschitz() == pytest.approx(SAFETY + 1.0)
 

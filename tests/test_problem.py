@@ -4,8 +4,11 @@ import pytest
 from mgprox import (
     L1LeastSquares,
     SmoothedView,
+    build_chain,
+    build_coarse_model,
     gradient_mapping,
     lipschitz_estimate,
+    mirror_step,
     power_iteration,
     prog,
     prox_step,
@@ -241,6 +244,26 @@ class TestLipschitzEstimate:
                                       max_iters=2)
         assert not ok
         assert est > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    "prox_step", "prog", "g_prox", "mirror_step", "SmoothedView",
+    "build_coarse_model"])
+def test_step_constant_must_be_finite_and_positive(entry, bad):
+    p = L1LeastSquares(np.eye(2), np.ones(2), 0.1)
+    x = np.zeros(2)
+    call = {
+        "prox_step": lambda: prox_step(p, x, bad),
+        "prog": lambda: prog(p, x, bad),
+        "g_prox": lambda: p.g_prox(x, bad),
+        "mirror_step": lambda: mirror_step(p, x, np.ones(2), bad),
+        "SmoothedView": lambda: SmoothedView(p, bad),
+        "build_coarse_model": lambda: build_coarse_model(
+            p, build_chain(2, 2), x, bad),
+    }[entry]
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        call()
 
 
 class TestConstruction:

@@ -777,3 +777,18 @@ class TestSolverAgreement:
                                                       rel=1e-12)
             else:
                 assert sol.objective == p.value(sol.x)
+
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_budget_exit_reports_stopping_test(self, name):
+        # agm's best iterate passes the stopping test only at the budget
+        # exit (||D|| = 9.43e-7 < eps); every solver must report it as
+        # converged there, as magma with levels=1, kappa=1 does
+        rng = np.random.default_rng(18)
+        p = L1LeastSquares(rng.standard_normal((20, 12)),
+                           rng.standard_normal(20), 0.1)
+        x0 = rng.standard_normal(12)
+        cfg = SolverConfig(eps=1e-6, max_iters=138, levels=1, kappa=1.0)
+        sol = run_solver(name, p, x0, cfg)
+        assert sol.converged == (sol.grad_map_norm < cfg.eps)
+        if name in ("agm", "magma"):
+            assert sol.iterations == 138 and sol.converged
