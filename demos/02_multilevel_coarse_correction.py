@@ -16,8 +16,10 @@ from mgprox import (
 )
 
 # --- the restriction stencil ------------------------------------------------
+# The chain stores only the composed stencil; restricting each unit vector
+# spells out the matrix it applies.
 print("full weighting on 8 points:")
-print(build_chain(8, 2).R_x)
+print(np.column_stack([build_chain(8, 2).restrict(e) for e in np.eye(8)]))
 
 chain = build_chain(8, 3)
 print("3-level composed operator maps 8 ->", chain.n_H)

@@ -28,18 +28,24 @@ __all__ = [
 class RestrictionChain:
     """Composed restriction across levels, acting on the x block.
 
-    The prolongation shares the same array (P = R^T structurally).  For a
-    fine x-dimension that is not divisible by 2^(levels-1) the stencils
-    act on the next padded size and the composed operator keeps its
-    first n columns; this is equivalent to zero-padding the x block.
+    Over levels - 1 halvings the full-weighting stencils compose into one
+    kernel of width 2f - 1 at stride f = 2^(levels-1): coarse entry i
+    weights fine entries i f - (f - 1) ... i f + (f - 1).  ``kernel``
+    holds it as two length-f halves, the columns [right, left] of an
+    (f, 2) array: ``right`` weights fine block i (entries i f ... i f +
+    f - 1) and ``left`` weights block i - 1 (its first weight is 0).  A
+    fine x-dimension that is not divisible by f is zero-padded to n_H f,
+    which equals running the stencils on the padded size and keeping the
+    first n columns of the composed operator.  Prolongation applies the
+    transpose of the same kernel (P = R^T).
     """
 
-    def __init__(self, n: int, levels: int, R_x: np.ndarray,
+    def __init__(self, n: int, levels: int, kernel: np.ndarray,
                  bucket: bool = False, m: int = 0):
         self.n = n
         self.levels = levels
-        self.R_x = R_x
-        self.n_H = R_x.shape[0]
+        self.kernel = kernel
+        self.n_H = -(-n // kernel.shape[0])
         self.bucket = bucket
         self.m = m
         self._model_cache = weakref.WeakKeyDictionary()
@@ -56,6 +62,31 @@ class RestrictionChain:
     def is_identity(self) -> bool:
         return self.levels == 1
 
+    def _restrict_x(self, M: np.ndarray) -> np.ndarray:
+        """R_x applied along the last axis of M: a vector, or the rows of A.
+
+        The full blocks are a reshaped view of M, so A is never copied; a
+        partial last block is weighted on its own.  One pass over M gives
+        both halves of every block.
+        """
+        f = self.kernel.shape[0]
+        q = self.n // f
+        lead = M.shape[:-1]
+        halves = M[..., :q * f].reshape(lead + (q, f)) @ self.kernel
+        out = np.empty(lead + (self.n_H,))
+        out[..., :q] = halves[..., 0]
+        if q < self.n_H:
+            out[..., q] = M[..., q * f:] @ self.kernel[:self.n - q * f, 0]
+        out[..., 1:] += halves[..., :self.n_H - 1, 1]
+        return out
+
+    def _prolong_x(self, u: np.ndarray) -> np.ndarray:
+        """R_x^T u: fine block i is right * u_i + left * u_{i+1}."""
+        coeffs = np.zeros((self.n_H, 2))
+        coeffs[:, 0] = u
+        coeffs[:-1, 1] = u[1:]
+        return (coeffs @ self.kernel.T).reshape(-1)[:self.n]
+
     def restrict(self, w: np.ndarray) -> np.ndarray:
         """Transfer a fine vector to the coarse level."""
         w = np.asarray(w, dtype=float)
@@ -63,8 +94,8 @@ class RestrictionChain:
             raise ValueError(
                 f"expected fine vector of length {self.fine_dim}, got {w.shape}")
         if self.bucket:
-            return np.concatenate([self.R_x @ w[:self.n], w[self.n:]])
-        return self.R_x @ w
+            return np.concatenate([self._restrict_x(w[:self.n]), w[self.n:]])
+        return self._restrict_x(w)
 
     def prolong(self, u: np.ndarray) -> np.ndarray:
         """Transfer a coarse vector back to the fine level (P = R^T)."""
@@ -73,8 +104,8 @@ class RestrictionChain:
             raise ValueError(
                 f"expected coarse vector of length {self.coarse_dim}, got {u.shape}")
         if self.bucket:
-            return np.concatenate([self.R_x.T @ u[:self.n_H], u[self.n_H:]])
-        return self.R_x.T @ u
+            return np.concatenate([self._prolong_x(u[:self.n_H]), u[self.n_H:]])
+        return self._prolong_x(u)
 
     def coarse_dictionary(self, problem):
         """A_H = A R_x^T and the safe spectral bound of the coarse system.
@@ -84,7 +115,7 @@ class RestrictionChain:
         cached = self._model_cache.get(problem)
         if cached is not None:
             return cached
-        A_H = problem.A @ self.R_x.T
+        A_H = self._restrict_x(problem.A)
         bucket = problem.bucket
         est, _ = power_iteration(
             lambda v: _apply_adjoint(A_H, _apply(A_H, v, bucket), bucket),
@@ -92,6 +123,16 @@ class RestrictionChain:
         spectral = LIPSCHITZ_SAFETY * est
         self._model_cache[problem] = (A_H, spectral)
         return A_H, spectral
+
+    def coarse_system(self, problem, mu: float):
+        """(A_H, L_H): the coarse dictionary, and the Lipschitz bound of the
+        coarse model at smoothing ``mu``, the spectral bound plus lam/mu.
+
+        The one place L_H is formed: the coarse-branch eta and the model
+        that mfista solves take the same constant.
+        """
+        A_H, spectral = self.coarse_dictionary(problem)
+        return A_H, spectral + problem.lam / mu
 
 
 def build_chain(n: int, levels: int, bucket: bool = False,
@@ -101,8 +142,9 @@ def build_chain(n: int, levels: int, bucket: bool = False,
     levels = 1 yields the degenerate identity chain (R = I on the x block),
     used to switch the multilevel machinery off.
 
-    R_x^T is the coarse identity prolonged one level at a time, in
-    O(n * n_H) time and memory; every entry is an exact dyadic rational.
+    The kernel is one interior coarse unit vector prolonged level by
+    level, in O(2^levels) time and memory whatever n is; every weight is
+    an exact dyadic rational.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -116,18 +158,17 @@ def build_chain(n: int, levels: int, bucket: bool = False,
             f"n={n} is too small for {levels} levels; "
             f"maximum feasible depth is {max_depth}")
     factor = 2 ** (levels - 1)
-    n_H = (n + factor - 1) // factor
-    P = np.eye(n_H)
+    # unit vector at coarse index 1 of 3; after levels - 1 prolongations
+    # its support is fine entries 1 ... 2 factor - 1, centred on factor
+    k = np.array([0.0, 1.0, 0.0])
     for _ in range(levels - 1):
-        Q = np.zeros((2 * P.shape[0], n_H))
-        Q[0::2] = 0.5 * P
-        Q[1::2] = 0.25 * P
-        Q[1:-1:2] += 0.25 * P[1:]
-        P = Q
-    # C order, as the dense build stored R_x: the restrict/prolong products
-    # then sum in the same order and magma's iterates stay bitwise equal.
-    return RestrictionChain(n, levels, np.ascontiguousarray(P[:n].T),
-                            bucket=bucket, m=m)
+        fine = np.zeros(2 * k.size)
+        fine[0::2] = 0.5 * k
+        fine[1::2] = 0.25 * k
+        fine[1:-1:2] += 0.25 * k[1:]
+        k = fine
+    kernel = np.column_stack([k[factor:2 * factor], k[:factor]])
+    return RestrictionChain(n, levels, kernel, bucket=bucket, m=m)
 
 
 class CoarseModel:
@@ -184,9 +225,9 @@ def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
     one fine-level pass.
     """
     view = SmoothedView(problem, mu_fine)
-    A_H, spectral = chain.coarse_dictionary(problem)
+    A_H, L_H = chain.coarse_system(problem, mu_fine)
     x_k = np.asarray(x_k, dtype=float)
     if fine_grad is None:
         fine_grad = view.grad(x_k)
-    return CoarseModel(view, A_H, chain.restrict(x_k), chain.restrict(fine_grad),
-                       L=spectral + problem.lam / mu_fine)
+    return CoarseModel(view, A_H, chain.restrict(x_k),
+                       chain.restrict(fine_grad), L_H)

@@ -557,8 +557,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     attempt stopped, one of REJECTION_REASONS, or the accepted step
     (y, B y - b, F(y), grad f(x), eta, alpha, t, s, its CoarseEvent).
     """
-    _, spectral = chain.coarse_dictionary(problem)
-    L_H = spectral + problem.lam / view.mu
+    _, L_H = chain.coarse_system(problem, view.mu)
     eta, alpha = update_eta_alpha(state, "coarse", state.s_prev,
                                   problem.L_f, L_H, config)
     t = _combination_weight(alpha, eta)

@@ -35,5 +35,29 @@ class CountingLasso(L1LeastSquares):
         return super().apply_adjoint(r)
 
 
+def dense_restriction(chain):
+    """The chain's R_x as a dense n_H x n array, one restricted unit vector
+    per column."""
+    R = np.empty((chain.n_H, chain.n))
+    e = np.zeros(chain.fine_dim)
+    for j in range(chain.n):
+        e[j] = 1.0
+        R[:, j] = chain.restrict(e)[:chain.n_H]
+        e[j] = 0.0
+    return R
+
+
+def dense_prolongation(chain):
+    """The chain's R_x^T as a dense n x n_H array, one prolonged unit
+    vector per column."""
+    P = np.empty((chain.n, chain.n_H))
+    e = np.zeros(chain.coarse_dim)
+    for i in range(chain.n_H):
+        e[i] = 1.0
+        P[:, i] = chain.prolong(e)[:chain.n]
+        e[i] = 0.0
+    return P
+
+
 def one_d_lasso(a=1.0, b=2.0, lam=1.0):
     return L1LeastSquares(np.array([[a]]), np.array([b]), lam)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mgprox import (
     build_chain,
     build_coarse_model,
 )
-from conftest import random_lasso
+from conftest import dense_prolongation, dense_restriction, random_lasso
 
 SAFETY = 1.01
 
@@ -27,14 +29,18 @@ def _full_weighting(n):
 
 
 def _dense_chain(n, levels):
-    """Reference chain: dense stencil products on a padded identity."""
+    """Reference chain: dense stencil products on the padded size.
+
+    The product is formed from the coarse end, so its cost stays near
+    n_H n^2 flops; every entry is an exact dyadic rational in any order.
+    """
     factor = 2 ** (levels - 1)
-    n_pad = ((n + factor - 1) // factor) * factor
-    R = np.eye(n_pad)
-    size = n_pad
+    n_H = (n + factor - 1) // factor
+    R = np.eye(n_H)
+    size = n_H
     for _ in range(levels - 1):
-        R = _full_weighting(size) @ R
-        size //= 2
+        size *= 2
+        R = R @ _full_weighting(size)
     return R[:, :n]
 
 
@@ -46,23 +52,24 @@ class TestFullWeighting:
             [0, 0, 0, 1, 2, 1, 0, 0],
             [0, 0, 0, 0, 0, 1, 2, 1],
         ])
-        assert np.array_equal(build_chain(8, 2).R_x, expected)
+        assert np.array_equal(dense_restriction(build_chain(8, 2)), expected)
 
     def test_row_action_on_ones(self):
-        assert np.allclose(build_chain(8, 2).R_x @ np.ones(8),
+        assert np.allclose(build_chain(8, 2).restrict(np.ones(8)),
                            [0.75, 1, 1, 1])
 
 
 class TestBuildChain:
     def test_two_levels_shape(self):
         chain = build_chain(8, 2)
-        assert chain.R_x.shape == (4, 8)
-        assert np.array_equal(chain.R_x, _full_weighting(8))
+        R = dense_restriction(chain)
+        assert R.shape == (4, 8)
+        assert np.array_equal(R, _full_weighting(8))
 
     def test_four_levels_single_coarse_var(self):
         chain = build_chain(8, 4)
         assert chain.n_H == 1
-        assert chain.R_x.shape == (1, 8)
+        assert dense_restriction(chain).shape == (1, 8)
 
     def test_too_deep_reports_max_depth(self):
         with pytest.raises(ValueError, match="maximum feasible depth is 4"):
@@ -71,33 +78,67 @@ class TestBuildChain:
     def test_levels_one_is_identity(self):
         chain = build_chain(5, 1)
         assert chain.is_identity
-        assert np.array_equal(chain.R_x, np.eye(5))
+        assert np.array_equal(dense_restriction(chain), np.eye(5))
 
     def test_padding_keeps_stencil_valid(self):
         # n = 9 pads to 10 for one halving; columns beyond n are dropped
         chain = build_chain(9, 2)
-        assert chain.R_x.shape == (5, 9)
-        assert np.array_equal(chain.R_x, _full_weighting(10)[:, :9])
+        R = dense_restriction(chain)
+        assert R.shape == (5, 9)
+        assert np.array_equal(R, _full_weighting(10)[:, :9])
 
     def test_composed_is_product_of_stencils(self):
         chain = build_chain(16, 3)
-        assert np.array_equal(chain.R_x,
+        assert np.array_equal(dense_restriction(chain),
                               _full_weighting(8) @ _full_weighting(16))
 
     @pytest.mark.parametrize("n, levels", [
-        (10, 2), (256, 3), (1000, 4), (1023, 10)])
+        (10, 2), (256, 3), (1000, 4), (1023, 10), (4096, 6)])
     def test_matches_dense_stencil_product_bitwise(self, n, levels):
+        # restricting and prolonging unit vectors both give the product
         chain = build_chain(n, levels)
-        assert np.array_equal(chain.R_x, _dense_chain(n, levels))
-        assert chain.R_x.flags["C_CONTIGUOUS"]
+        R = _dense_chain(n, levels)
+        assert np.array_equal(dense_restriction(chain), R)
+        assert np.array_equal(dense_prolongation(chain), R.T)
+
+    @pytest.mark.parametrize("n, levels, bucket", [
+        (256, 3, False), (1000, 4, False), (1023, 10, False),
+        (4096, 6, False), (37, 3, True), (1024, 6, True)])
+    def test_matches_dense_stencil_products_on_random_data(
+            self, rng, n, levels, bucket):
+        # the kernel sums in another order than a dense product, so
+        # general inputs agree to rounding
+        m = 7
+        chain = build_chain(n, levels, bucket=bucket, m=m)
+        R = _dense_chain(n, levels)
+        p = random_lasso(rng, m=m, n=n, bucket=bucket)
+        A_H, _ = chain.coarse_dictionary(p)
+        expected = p.A @ R.T
+        assert np.linalg.norm(A_H - expected) \
+            <= 1e-14 * np.linalg.norm(expected)
+        for _ in range(5):
+            w = rng.standard_normal(chain.fine_dim)
+            u = rng.standard_normal(chain.coarse_dim)
+            Rw, Pu = R @ w[:n], R.T @ u[:chain.n_H]
+            if bucket:
+                Rw, Pu = np.concatenate([Rw, w[n:]]), np.concatenate(
+                    [Pu, u[chain.n_H:]])
+            assert np.linalg.norm(chain.restrict(w) - Rw) \
+                <= 1e-14 * np.linalg.norm(Rw)
+            assert np.linalg.norm(chain.prolong(u) - Pu) \
+                <= 1e-14 * np.linalg.norm(Pu)
 
     def test_large_chain_is_linear_in_n(self, rng):
-        # the dense construction would need a 2 GB identity at this size
+        # a dense R_x would take 16 MB at this size; the kernel takes 2 KB
         n, levels = 2 ** 14, 8
-        chain = build_chain(n, levels)
+        tracemalloc.start()
+        try:
+            chain = build_chain(n, levels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         n_H = n // 2 ** (levels - 1)
-        assert chain.R_x.shape == (n_H, n)
-        assert chain.R_x.nbytes == 8 * n_H * n
         assert chain.n_H == n >> (levels - 1)
         for _ in range(5):
             w = rng.standard_normal(n)
@@ -111,7 +152,7 @@ class TestBuildChain:
         # ||R g|| <= ||R_x||_2 ||g|| with ||R_x||_2 just under
         # 2^(-(levels-1)/2), so on a plain problem the coarse condition
         # ||R g|| > kappa ||g|| cannot hold at the default kappa = 0.8
-        norm = np.linalg.norm(build_chain(n, levels).R_x, 2)
+        norm = np.linalg.norm(dense_restriction(build_chain(n, levels)), 2)
         limit = 2.0 ** (-(levels - 1) / 2)
         assert limit - 1e-3 < norm <= limit
 
@@ -144,10 +185,11 @@ class TestTransfer:
         assert np.array_equal(chain.prolong(u)[8:], u[4:])
 
     def test_prolongation_shares_restriction_array(self):
-        # P = R^T structurally: one stored operator for both directions
-        chain = build_chain(8, 2)
-        assert chain.prolong(np.eye(4)[0]) @ np.eye(8)[0] \
-            == chain.R_x[0, 0]
+        # P = R^T structurally: one stored kernel for both directions
+        for n, levels in ((8, 2), (9, 2), (37, 3), (64, 4)):
+            chain = build_chain(n, levels)
+            assert np.array_equal(dense_prolongation(chain),
+                                  dense_restriction(chain).T)
 
     def test_dimension_mismatch(self):
         chain = build_chain(8, 2)
@@ -191,8 +233,9 @@ class TestCoarseModel:
         p = random_lasso(rng, m=5, n=8)
         chain = build_chain(8, 2)
         A_H, _ = chain.coarse_dictionary(p)
+        R = dense_restriction(chain)
         expected = np.column_stack(
-            [p.A @ chain.R_x.T[:, j] for j in range(chain.n_H)])
+            [p.A @ R[j] for j in range(chain.n_H)])
         assert np.allclose(A_H, expected, atol=1e-14)
 
     def test_value_at_origin(self, rng):

@@ -26,7 +26,8 @@ from mgprox import (
     update_eta_alpha,
 )
 from mgprox import solvers
-from conftest import CountingLasso, one_d_lasso, random_lasso
+from conftest import (CountingLasso, dense_restriction, one_d_lasso,
+                      random_lasso)
 
 
 class QuadObjective:
@@ -309,7 +310,8 @@ class TestCoarseCondition:
 
     def test_kappa_above_operator_norm_forces_false(self, rng):
         chain = build_chain(8, 2)
-        R_norm = np.linalg.svd(chain.R_x, compute_uv=False)[0]
+        R_norm = np.linalg.svd(dense_restriction(chain),
+                               compute_uv=False)[0]
         cfg = SolverConfig(kappa=min(1.0, R_norm + 1e-6))
         state = self._state()
         for _ in range(50):
@@ -712,6 +714,31 @@ class TestMagma:
         for mu, expected in mus:
             assert mu == pytest.approx(expected, rel=1e-12)
         assert_telescoping(sol.trace)
+
+    def test_event_L_H_is_the_solved_models_lipschitz(self, monkeypatch):
+        # the coarse-branch eta and mfista's step take one L_H; on the
+        # horizon schedule it changes from one coarse attempt to the next
+        p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6,
+                           mu_schedule="horizon", zeta=0.5)
+        solved, event_models = [], []
+        real_mfista, real_event = solvers.mfista, solvers.CoarseEvent
+
+        def mfista(model, *args):
+            solved.append(model.lipschitz())
+            return real_mfista(model, *args)
+
+        def event(*args):
+            event_models.append(solved[-1])
+            return real_event(*args)
+
+        monkeypatch.setattr(solvers, "mfista", mfista)
+        monkeypatch.setattr(solvers, "CoarseEvent", event)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.step_counts["coarse"] > 0
+        assert len(set(solved)) > 1
+        assert [ev.L_H for ev in sol.coarse_events] == event_models
 
     def test_lipschitz_constant_certified(self):
         # f(x) = 0.5 (2x - 1)^2 has L = 4; with L_f forced to 1 the first
