@@ -180,33 +180,52 @@ class CoarseModel:
     form) and g_mu is ``view``'s smoothed penalty, with its lam and mu.
     v_H = grad_H - grad(f_H + g_mu)(anchor), so grad(anchor) equals the
     restricted fine gradient ``grad_H``.  lipschitz() returns ``L``.
+
+    lift(w) holds the part of value and grad that is affine in w, for one
+    product with B_H and one with B_H^T; value(w, a) and grad(w, a) take
+    it as ``a`` and make no product.  Since lift is affine, the lift of an
+    affine combination of points (weights summing to 1) is the same
+    combination of their lifts, which is how mfista recycles it.
     """
 
     def __init__(self, view: SmoothedView, A_H, anchor, grad_H, L):
         self.view = view
         self.A_H = A_H
         self.b = view.problem.b
+        self.m = self.b.shape[0]
         self.bucket = view.problem.bucket
         self.anchor = anchor
         self.dim = anchor.shape[0]
         self.L = L
-        self.v_H = grad_H - self._uncorrected_grad(anchor)
+        r = _apply(A_H, anchor, self.bucket) - self.b
+        self.v_H = grad_H - (_apply_adjoint(A_H, r, self.bucket)
+                             + view.g_grad(anchor))
 
-    def _uncorrected_grad(self, w):
-        """grad(f_H + g_mu)(w), the gradient without the linear term."""
-        r = _apply(self.A_H, w, self.bucket) - self.b
-        return _apply_adjoint(self.A_H, r, self.bucket) + self.view.g_grad(w)
-
-    def value(self, w) -> float:
+    def lift(self, w) -> np.ndarray:
+        """[r, B_H^T r + v_H] with r = B_H w - b, stacked in one vector of
+        length m + dim."""
         w = np.asarray(w, dtype=float)
         _check_dim(w, self.dim)
         r = _apply(self.A_H, w, self.bucket) - self.b
+        return np.concatenate(
+            [r, _apply_adjoint(self.A_H, r, self.bucket) + self.v_H])
+
+    def value(self, w, a=None) -> float:
+        """The value at w; ``a`` = lift(w) if the caller holds it."""
+        w = np.asarray(w, dtype=float)
+        _check_dim(w, self.dim)
+        if a is None:
+            a = self.lift(w)
+        r = a[:self.m]
         return 0.5 * float(r @ r) + self.view.g_value(w) + float(self.v_H @ w)
 
-    def grad(self, w):
+    def grad(self, w, a=None):
+        """The gradient at w; ``a`` = lift(w) if the caller holds it."""
         w = np.asarray(w, dtype=float)
         _check_dim(w, self.dim)
-        return self._uncorrected_grad(w) + self.v_H
+        if a is None:
+            a = self.lift(w)
+        return a[self.m:] + self.view.g_grad(w)
 
     def lipschitz(self) -> float:
         """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu."""
@@ -215,19 +234,18 @@ class CoarseModel:
 
 def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
                        mu_fine: float,
-                       fine_grad: np.ndarray = None) -> CoarseModel:
+                       grad_H: np.ndarray = None) -> CoarseModel:
     """Coarse model anchored at x_k with exact first-order coherence.
 
     The coarse l1 term is smoothed with the fine level's mu, and the
     model's gradient at R x_k is R*grad(F_mu)(x_k).  A_H and its spectral
     bound are cached on the chain; v_H is recomputed for every anchor.
-    Pass ``fine_grad`` when grad(F_mu)(x_k) is already available to avoid
-    one fine-level pass.
+    Pass ``grad_H`` = R*grad(F_mu)(x_k) when it is already available to
+    avoid one fine-level pass and one restriction.
     """
     view = SmoothedView(problem, mu_fine)
     A_H, L_H = chain.coarse_system(problem, mu_fine)
     x_k = np.asarray(x_k, dtype=float)
-    if fine_grad is None:
-        fine_grad = view.grad(x_k)
-    return CoarseModel(view, A_H, chain.restrict(x_k),
-                       chain.restrict(fine_grad), L_H)
+    if grad_H is None:
+        grad_H = chain.restrict(view.grad(x_k))
+    return CoarseModel(view, A_H, chain.restrict(x_k), grad_H, L_H)

@@ -30,8 +30,11 @@ LIPSCHITZ_SAFETY = 1.01
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Entrywise shrinkage T_t(v)_i = (|v_i| - t)_+ * sgn(v_i)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """Entrywise shrinkage T_t(v)_i = (|v_i| - t)_+ * sgn(v_i), written as
+    v minus its clip to [-t, t]: three array operations instead of five,
+    and the same values, NaN and +-inf included (a zero may differ in
+    sign)."""
+    return v - np.minimum(np.maximum(v, -t), t)
 
 
 def power_iteration(op, dim: int, rel_tol: float = 1e-6, max_iters: int = 5000,
@@ -152,7 +155,7 @@ class L1LeastSquares:
         return self.apply_adjoint(self.residual(x))
 
     def g_value(self, x) -> float:
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * float(np.abs(x).sum())
 
     def g_prox(self, v, t):
         """argmin_y 0.5*||y - v||^2 + t*g(y) for finite t > 0."""
@@ -178,7 +181,7 @@ class SmoothedView:
 
     def g_value(self, x) -> float:
         return self.problem.lam * float(
-            np.sum(np.sqrt(self.mu * self.mu + x * x)))
+            np.sqrt(self.mu * self.mu + x * x).sum())
 
     def g_grad(self, x):
         return self.problem.lam * x / np.sqrt(self.mu * self.mu + x * x)

@@ -218,11 +218,18 @@ def _as_start(problem, x0):
     return x0.copy()
 
 
+def _norm(v) -> float:
+    """||v||_2 of a 1-D float vector: the value np.linalg.norm returns,
+    bit for bit, without its Python-level overhead, which at the coarse
+    level's sizes costs about as much as the dot product."""
+    return math.sqrt(float(v @ v))
+
+
 def _prox_point(problem, x, g):
     """The prox step p = prox_{L_f}(x), taken with g = grad f(x), and the
     stopping measure ||D(x)|| = ||x - p||."""
     p = prox_step(problem, x, problem.L_f, g)
-    return p, float(np.linalg.norm(x - p))
+    return p, _norm(x - p)
 
 
 def _objective(problem, x, r):
@@ -386,47 +393,76 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
 def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
     """Monotone accelerated gradient descent on a smooth objective.
 
-    ``objective`` must provide value(x), grad(x) and lipschitz().  The
-    iterate sequence is nonincreasing in value (Beck & Teboulle's monotone
-    FISTA), so its first step already does as well as a gradient step
-    from x0 when lipschitz() bounds the curvature.  Stops when the
-    gradient norm falls below ``tol`` or the budget runs out; a start
-    point below ``tol`` returns at once with 0 iterations and
+    ``objective`` must provide lift(x), value(x, a), grad(x, a) and
+    lipschitz(), where a = lift(x) is the part of value and grad that is
+    affine in x (CoarseModel.lift); value and grad take it and make no
+    product.  The iterate sequence is nonincreasing in value (Beck &
+    Teboulle's monotone FISTA), so its first step already does as well as
+    a gradient step from x0 when lipschitz() bounds the curvature.  Stops
+    when the gradient norm falls below ``tol`` or the budget runs out; a
+    start point below ``tol`` returns at once with 0 iterations and
     values == [F(x0)].  values[-1] < values[0] holds exactly when some
     step lowered the value.
+
+    Products: lift is called once at x0 and once per iteration, at the
+    gradient step z = y - grad(y)/L, so a CoarseModel makes one product
+    with B_H and one with B_H^T per iteration.  The momentum point y is an
+    affine combination of iterates, and its lift the same combination of
+    their lifts.
     """
     x0 = np.asarray(x0, dtype=float)
     L = objective.lipschitz()
-    g0 = objective.grad(x0)
-    F0 = objective.value(x0)
-    if float(np.linalg.norm(g0)) < tol:
+    a0 = objective.lift(x0)
+    g0 = objective.grad(x0, a0)
+    F0 = objective.value(x0, a0)
+    if _norm(g0) < tol:
         return CoarseSolveResult(x0, 0, [F0])
-    x_prev, F_prev, g_prev = x0, F0, g0
-    y = x0
-    gy = g0
+    x_prev, a_prev, F_prev, g_prev = x0, a0, F0, g0
+    y, a_y, g_y = x0, a0, g0
     t = 1.0
     values = [F0]
     for j in range(1, max_iters + 1):
-        zc = y - gy / L
-        Fz = objective.value(zc)
-        if Fz <= F_prev:
-            x, Fx = zc, Fz
-            gx = objective.grad(x)
+        zc = y - g_y / L
+        a_z = objective.lift(zc)
+        Fz = objective.value(zc, a_z)
+        accepted = Fz <= F_prev
+        if accepted:
+            x, a_x, Fx, gx = zc, a_z, Fz, objective.grad(zc, a_z)
         else:
             # the monotone test keeps x_prev, whose gradient is known
-            x, Fx, gx = x_prev, F_prev, g_prev
+            x, a_x, Fx, gx = x_prev, a_prev, F_prev, g_prev
         values.append(Fx)
-        if float(np.linalg.norm(gx)) < tol or j == max_iters:
+        if _norm(gx) < tol or j == max_iters:
             return CoarseSolveResult(x, j, values)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x + (t / t_next) * (zc - x) + ((t - 1.0) / t_next) * (x - x_prev)
-        gy = objective.grad(y)
-        x_prev, F_prev, g_prev, t = x, Fx, gx, t_next
+        # y = x + (t/t_next) (zc - x) + ((t-1)/t_next) (x - x_prev), where
+        # zc == x after an accepted step and x == x_prev after a rejected one
+        if accepted:
+            c = (t - 1.0) / t_next
+            y, a_y = x + c * (x - x_prev), a_x + c * (a_x - a_prev)
+        else:
+            c = t / t_next
+            y, a_y = x + c * (zc - x), a_x + c * (a_z - a_x)
+        g_y = objective.grad(y, a_y)
+        x_prev, a_prev, F_prev, g_prev, t = x, a_x, Fx, gx, t_next
     return CoarseSolveResult(x_prev, max_iters, values)
 
 
+def _proximity_clause(state: MagmaState, x: np.ndarray,
+                      config: SolverConfig) -> bool:
+    """The cheap half of the coarse condition: x has moved
+    theta-relatively away from the last coarse anchor, or at least
+    K_d * min(2^fails, 64) gradient steps have accumulated since then.
+    True before the first coarse attempt."""
+    if state.x_tilde is None:
+        return True
+    moved = _norm(x - state.x_tilde) > config.theta * _norm(state.x_tilde)
+    return moved or state.q >= config.K_d * min(2 ** state.fails, 64)
+
+
 def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
-                     chain: RestrictionChain, config: SolverConfig) -> bool:
+                     chain: RestrictionChain, config: SolverConfig,
+                     grad_H: np.ndarray = None) -> bool:
     """Decide whether the coarse direction is worth computing at anchor x.
 
     True iff ||R g|| > kappa ||g|| (strictly) and x has either moved
@@ -436,17 +472,15 @@ def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
     row that fell back).  Without the retry gate, consecutive coarse
     steps are never blocked (q resets to zero on each one) and the fine
     level is starved of prox steps near the optimum.  Before the first
-    coarse attempt the proximity clause counts as satisfied.
+    coarse attempt the proximity clause counts as satisfied.  The
+    proximity clause is tested first, and R g is formed only when it
+    holds; a caller that holds R g passes it as ``grad_H``.
     """
-    gn = float(np.linalg.norm(grad_mu))
-    rn = float(np.linalg.norm(chain.restrict(grad_mu)))
-    if not rn > config.kappa * gn:
+    if not _proximity_clause(state, x, config):
         return False
-    if state.x_tilde is None:
-        return True
-    moved = float(np.linalg.norm(x - state.x_tilde)) \
-        > config.theta * float(np.linalg.norm(state.x_tilde))
-    return moved or state.q >= config.K_d * min(2 ** state.fails, 64)
+    if grad_H is None:
+        grad_H = chain.restrict(grad_mu)
+    return _norm(grad_H) > config.kappa * _norm(grad_mu)
 
 
 def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
@@ -566,11 +600,12 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     grad_mu = g + view.g_grad(x)
     # by coherence the coarse entry gradient is R grad F_mu(x), so an
     # entry-stationary solve is skipped without building the model.
-    if float(np.linalg.norm(chain.restrict(grad_mu))) < config.coarse_tol:
+    grad_H = chain.restrict(grad_mu)
+    if _norm(grad_H) < config.coarse_tol:
         return x, "entry_stationary"
-    if not coarse_condition(state, x, grad_mu, chain, config):
+    if not coarse_condition(state, x, grad_mu, chain, config, grad_H):
         return x, "condition_lost"
-    model = build_coarse_model(problem, chain, x, view.mu, fine_grad=grad_mu)
+    model = build_coarse_model(problem, chain, x, view.mu, grad_H=grad_H)
     res = mfista(model, model.anchor, config.coarse_tol, config.coarse_budget)
     # a solve that never moved: a start stationary within rounding of
     # coarse_tol, or an L_H that does not bound the coarse curvature
@@ -634,6 +669,14 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     accepted y and its incumbent test their residuals, so an accepted
     coarse step makes no product for r_y.  Each gradient step checks the
     descent lemma for L_f.
+
+    The coarse condition's proximity clause needs no product and no
+    smoothed gradient, so it is tested first; only an iteration that
+    passes it forms grad F_mu(x) and R grad F_mu(x).  A coarse attempt
+    restricts its anchor's smoothed gradient once, for the entry test,
+    the coarse condition and the model, and its mfista solve makes one
+    A_H and one A_H^T product per inner iteration, plus one pair at its
+    start.
     """
     if chain.fine_dim != problem.dim:
         raise ValueError(
@@ -663,7 +706,8 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                            counts, t0, trace, events, rejections)
 
         kind = "grad"
-        if 0 < k < config.max_iters - 1 and not chain.is_identity:
+        if 0 < k < config.max_iters - 1 and not chain.is_identity \
+                and _proximity_clause(state, x, config):
             view = SmoothedView(problem, _smoothing(problem, config, eta, alpha))
             if coarse_condition(state, x, g + view.g_grad(x), chain, config):
                 x_c, step = _try_coarse_step(problem, chain, view, state,

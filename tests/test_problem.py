@@ -56,6 +56,20 @@ class TestProxStep:
         out = prox_step(p, np.array([2.0, -0.5, 0.0]), 1.0)
         assert np.allclose(out, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("t", [1e-6, 0.0, 1.0, 5e-324])
+    def test_soft_threshold_matches_sign_abs_formula(self, rng, t):
+        # the clip form agrees with sgn(v) (|v| - t)_+ entry for entry,
+        # NaN and +-inf included; == does not see the sign of a zero
+        tiny = np.finfo(float).smallest_subnormal
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, t, -t,
+                          np.nextafter(t, np.inf), np.nextafter(-t, -np.inf),
+                          tiny, -tiny, 1e-310, -1e-310, 3 * tiny])
+        v = np.concatenate([edges, rng.standard_normal(500) * t,
+                            rng.standard_normal(500) * 10.0 ** rng.uniform(
+                                -320, 300, 500)])
+        expected = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        np.testing.assert_array_equal(soft_threshold(v, t), expected)
+
     def test_smooth_case_is_gradient_step(self, rng):
         p = random_lasso(rng, lam=0.0)
         x = rng.standard_normal(p.dim)

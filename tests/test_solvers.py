@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mgprox import (
+    CoarseModel,
     ExperimentSpec,
     L1LeastSquares,
     LineSearchError,
@@ -15,6 +16,7 @@ from mgprox import (
     agm,
     armijo_search,
     build_chain,
+    build_coarse_model,
     coarse_condition,
     fista,
     gen_instance,
@@ -31,16 +33,21 @@ from conftest import (CountingLasso, dense_restriction, one_d_lasso,
 
 
 class QuadObjective:
-    """Smooth test objective 0.5 x^T H x - c^T x for mfista."""
+    """Smooth test objective 0.5 x^T H x - c^T x for mfista; its lift is
+    the gradient H x - c, which is affine in x."""
 
     def __init__(self, H, c):
         self.H, self.c = H, c
 
-    def value(self, x):
-        return 0.5 * float(x @ self.H @ x) - float(self.c @ x)
-
-    def grad(self, x):
+    def lift(self, x):
         return self.H @ x - self.c
+
+    def value(self, x, a=None):
+        a = self.lift(x) if a is None else a
+        return 0.5 * float(x @ (a - self.c))
+
+    def grad(self, x, a=None):
+        return self.lift(x) if a is None else a
 
     def lipschitz(self):
         return float(np.linalg.eigvalsh(self.H)[-1])
@@ -264,28 +271,103 @@ class TestMfista:
             - float(g0 @ g0) / (2 * obj.lipschitz()) + 1e-12
 
     def test_rejection_reuses_known_gradient(self, rng):
-        # a rejected step keeps x_prev, whose gradient is already known:
-        # one grad at the start, one per accepted step and one per
-        # momentum point
+        # one lift per iteration, at the trial point, and one at the start;
+        # every value and grad takes a lift.  A rejected step keeps x_prev,
+        # whose gradient is already known: one grad at the start, one per
+        # accepted step and one per momentum point
         H = np.diag(np.logspace(0, 4, 8))
         obj = QuadObjective(H, rng.standard_normal(8))
-        trial_values, grads = [], []
-        real_value, real_grad = obj.value, obj.grad
+        trial_values, grads, lifts = [], [], []
+        real_value, real_grad, real_lift = obj.value, obj.grad, obj.lift
 
-        def value(x):
-            trial_values.append(real_value(x))
+        def lift(x):
+            lifts.append(x)
+            return real_lift(x)
+
+        def value(x, a):
+            trial_values.append(real_value(x, a))
             return trial_values[-1]
 
-        def grad(x):
+        def grad(x, a):
             grads.append(x)
-            return real_grad(x)
+            return real_grad(x, a)
 
-        obj.value, obj.grad = value, grad
+        obj.lift, obj.value, obj.grad = lift, value, grad
         res = mfista(obj, rng.standard_normal(8) * 3, 1e-12, 300)
         rejected = sum(trial_values[j] > res.values[j - 1]
                        for j in range(1, len(res.values)))
         assert rejected > 10
+        assert len(lifts) == len(trial_values) == res.iterations + 1
         assert len(grads) == 2 * res.iterations - rejected
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_recycled_lift_matches_fresh_evaluation(self, bucket, levels):
+        # every momentum point's lift is a combination of earlier lifts;
+        # wherever mfista takes a gradient, over the full default budget,
+        # value and grad from the lift it holds match a fresh lift, and
+        # lift runs once per iteration plus once at the start.  As for the
+        # fine level's recycled B^T r, the gradient error is measured
+        # against the product it recycles, B_H^T r: the gradient itself
+        # is that product minus nearly all of v_H and the penalty term, so
+        # a fresh evaluation is no more exact than ~1e-16 of B_H^T r either
+        spec = ExperimentSpec(m=120, n=64, rho=0.9, k_true=4,
+                              corruption=0.2 if bucket else 0.0, noise=0.01,
+                              seed=5, lam=1e-4, bucket=bucket)
+        p, _, _ = gen_instance(spec)
+        chain = build_chain(p.n_x, levels, bucket=bucket, m=p.m)
+        cfg = SolverConfig()
+        x = fista(p, np.zeros(p.dim), SolverConfig(max_iters=20)).x
+        model = build_coarse_model(p, chain, x, cfg.mu)
+        real_lift, real_value, real_grad = model.lift, model.value, model.grad
+        lifts, checked = [], []
+
+        def lift(w):
+            lifts.append(w)
+            return real_lift(w)
+
+        def grad(w, a):
+            fresh = real_lift(w)
+            assert real_value(w, a) == pytest.approx(real_value(w, fresh),
+                                                     rel=1e-12)
+            g, g_fresh = real_grad(w, a), real_grad(w, fresh)
+            product = fresh[model.m:] - model.v_H
+            assert np.linalg.norm(g - g_fresh) \
+                <= 1e-12 * np.linalg.norm(product)
+            checked.append(w)
+            return g
+
+        model.lift, model.grad = lift, grad
+        res = mfista(model, model.anchor, 0.0, cfg.coarse_budget)
+        assert res.iterations == cfg.coarse_budget
+        assert res.values[-1] < res.values[0]
+        assert len(lifts) == res.iterations + 1
+        # the start, every accepted step and every momentum point
+        assert len(checked) > res.iterations
+
+    def test_one_lift_per_iteration_in_magma(self, monkeypatch):
+        # one product with B_H and one with B_H^T per mfista iteration,
+        # plus one pair at the start of each coarse solve
+        p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        chain = build_chain(p.n_x, 3, bucket=True, m=p.m)
+        lifts, iterations = [], []
+        real_lift, real_mfista = CoarseModel.lift, solvers.mfista
+
+        def lift(model, w):
+            lifts.append(w)
+            return real_lift(model, w)
+
+        def mfista(*args):
+            res = real_mfista(*args)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(CoarseModel, "lift", lift)
+        monkeypatch.setattr(solvers, "mfista", mfista)
+        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6, levels=3)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert sol.step_counts["coarse"] > 0 and sum(iterations) > 50
+        assert len(lifts) == sum(it + 1 for it in iterations)
 
     def test_reaches_same_minimizer_as_gradient_descent(self):
         H = np.array([[3.0]])
@@ -588,8 +670,9 @@ class TestMagma:
             assert close(r_x, problem.residual(x))
             assert close(g, problem.f_grad(x))
 
-        def check_coarse(problem, chain, x, mu, fine_grad):
-            assert close(fine_grad, SmoothedView(problem, mu).grad(x))
+        def check_coarse(problem, chain, x, mu, grad_H):
+            assert close(grad_H,
+                         chain.restrict(SmoothedView(problem, mu).grad(x)))
 
         def check_armijo(view, x, d, config, r_x, Bd, **kwargs):
             assert close(r_x, view.problem.residual(x))
@@ -668,6 +751,50 @@ class TestMagma:
         expected = dict.fromkeys(REJECTION_REASONS, 0)
         expected[reason] = sol.step_counts["fallback"]
         assert sol.rejections == expected
+
+    def test_proximity_clause_first_changes_no_decision(self, monkeypatch):
+        # magma tests the proximity clause before it forms the smoothed
+        # gradient; a run forced through the full coarse condition at every
+        # iteration takes the same steps and ends on the same point.  This
+        # run has accepted coarse steps and two kinds of fallback.
+        p = bucket_instance(seed=3)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, mu=1.0)
+        real_clause, real_condition = (solvers._proximity_clause,
+                                       solvers.coarse_condition)
+        inside, conditions = [], []
+
+        def clause(state, x, config):
+            # only coarse_condition sees the real clause
+            return real_clause(state, x, config) if inside else True
+
+        def condition(*args, **kwargs):
+            conditions.append(1)
+            inside.append(1)
+            try:
+                return real_condition(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(solvers, "coarse_condition", condition)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        plain_conditions = len(conditions)
+        conditions.clear()
+        monkeypatch.setattr(solvers, "_proximity_clause", clause)
+        forced = magma(p, chain, np.zeros(p.dim), cfg)
+        attempts = sol.step_counts["coarse"] + sol.step_counts["fallback"]
+        assert sol.step_counts["coarse"] > 0
+        assert sol.rejections["condition_lost"] >= 1
+        assert sol.rejections["objective_rejected"] >= 1
+        # every iteration but the first and the last, and every attempt
+        assert len(conditions) == cfg.max_iters - 2 + attempts
+        assert plain_conditions < len(conditions)
+        assert forced.iterations == sol.iterations
+        assert forced.step_counts == sol.step_counts
+        assert forced.rejections == sol.rejections
+        assert forced.coarse_events == sol.coarse_events
+        assert forced.objective == sol.objective
+        assert np.array_equal(forced.x, sol.x)
 
     def test_rejections_sum_to_fallbacks(self):
         # at mu = 1 this run loses the coarse condition at one re-formed
