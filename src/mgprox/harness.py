@@ -190,7 +190,6 @@ def run_compare(spec: ExperimentSpec) -> list:
     x0s = _starting_points(spec, problem.dim)
     h = spec.spec_hash()
     records = []
-    warm_cfg = SolverConfig(max_iters=3)
     for solver in spec.solvers:
         config = spec.solver_config(solver)
         chain = None
@@ -198,9 +197,10 @@ def run_compare(spec: ExperimentSpec) -> list:
             chain = build_chain(problem.n_x, config.levels,
                                 bucket=problem.bucket, m=problem.m)
         try:
-            run_solver(solver, problem, x0s[0], warm_cfg, chain=chain)
+            run_solver(solver, problem, x0s[0],
+                       dataclasses.replace(config, max_iters=3), chain=chain)
         except Exception:
-            pass  # warm-up only, discarded
+            pass  # warm-up only, discarded; the timed runs record failures
         for rep, x0 in enumerate(x0s):
             t0 = time.monotonic()
             try:

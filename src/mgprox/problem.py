@@ -162,8 +162,12 @@ class L1LeastSquares:
         _check_step("prox step constant t", t)
         return soft_threshold(v, t * self.lam)
 
-    def value(self, x) -> float:
-        return self.f_value(x) + self.g_value(x)
+    def value(self, x, r=None) -> float:
+        """F(x); given the residual r = B x - b, f(x) = 0.5 ||r||^2 is
+        taken from it with no product."""
+        if r is None:
+            r = self.residual(x)
+        return 0.5 * float(r @ r) + self.g_value(x)
 
 
 class SmoothedView:

@@ -5,9 +5,11 @@ used on smoothed coarse models; magma couples gradient and mirror steps
 and replaces some gradient steps with coarse correction steps obtained
 from a first-order-coherent reduced model.
 
-All solvers stop on the gradient-mapping norm ||D(x_k)||_2 < eps, where
-D(x) = x - prox(x), and emit a per-iteration trace with the columns
-(k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).
+All solvers share one stopping test, ||D(x_k)||_2 < eps with
+D(x) = x - prox_{L_f}(x), and emit a per-iteration trace with the columns
+(k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).  A solve ends at
+the first point that passes the test, or after max_iters iterations at
+its lowest-F iterate (ista: its last), tested once more.
 
 A run owns its state exclusively; several runs sharing one (immutable)
 problem may proceed concurrently.
@@ -225,32 +227,46 @@ def _norm(v) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _prox_point(problem, x, g):
-    """The prox step p = prox_{L_f}(x), taken with g = grad f(x), and the
-    stopping measure ||D(x)|| = ||x - p||."""
-    p = prox_step(problem, x, problem.L_f, g)
-    return p, _norm(x - p)
+class _SolveRecord:
+    """The stopping test, trace, clock and exits of one solve.
 
+    Made at the start point (x0, B x0 - b, F(x0)), it holds the lowest-F
+    point passed to ``keep``; a solve ends through ``end`` at the point it
+    returns, or through ``budget_exit`` at that kept point.
+    """
 
-def _objective(problem, x, r):
-    """F(x) from the residual r = B x - b, with no product."""
-    return 0.5 * float(r @ r) + problem.g_value(x)
+    def __init__(self, problem, config, x, r, F):
+        self.problem, self.config = problem, config
+        self.start_ns = time.perf_counter_ns()
+        self.trace = []
+        self.kept = (x, r, F)
 
+    def stop_test(self, x, g):
+        """The prox step p = prox_{L_f}(x), taken with g = grad f(x), and
+        the stopping measure ||D(x)|| = ||x - p||."""
+        p = prox_step(self.problem, x, self.problem.L_f, g)
+        return p, _norm(x - p)
 
-def _finish(x, objective, Dn, k, converged, counts, t0, trace, events=None,
-            rejections=None):
-    return Solution(
-        x=x,
-        objective=objective,
-        grad_map_norm=Dn,
-        iterations=k,
-        converged=converged,
-        step_counts=dict(counts),
-        elapsed_s=time.perf_counter() - t0,
-        trace=trace,
-        coarse_events=events or [],
-        rejections=dict(rejections or {}),
-    )
+    def log(self, k, kind, F, Dn, eta=NAN, alpha=NAN, t=NAN, s=NAN):
+        self.trace.append(TraceRow(k, kind, F, Dn, eta, alpha, t, s,
+                                   time.perf_counter_ns() - self.start_ns))
+
+    def keep(self, x, r, F):
+        if F < self.kept[2]:
+            self.kept = (x, r, F)
+
+    def end(self, x, F, Dn, k, counts, events=(), rejections=()):
+        elapsed_s = (time.perf_counter_ns() - self.start_ns) / 1e9
+        return Solution(x, F, Dn, k, Dn < self.config.eps, dict(counts),
+                        elapsed_s, self.trace, list(events), dict(rejections))
+
+    def budget_exit(self, counts, events=(), rejections=()):
+        """End after max_iters iterations at the kept point, which is
+        tested with one product with B^T."""
+        x, r, F = self.kept
+        _, Dn = self.stop_test(x, self.problem.apply_adjoint(r))
+        return self.end(x, F, Dn, self.config.max_iters, counts, events,
+                        rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +281,17 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """
     x = _as_start(problem, x0)
     r = problem.residual(x)
-    F = _objective(problem, x, r)
-    t0 = time.perf_counter()
-    ns0 = time.monotonic_ns()
-    trace = []
+    F = problem.value(x, r)
+    run = _SolveRecord(problem, config, x, r, F)
     for k in range(config.max_iters):
-        p, Dn = _prox_point(problem, x, problem.apply_adjoint(r))
+        p, Dn = run.stop_test(x, problem.apply_adjoint(r))
         if Dn < config.eps:
-            return _finish(x, F, Dn, k, True, {"grad": k}, t0, trace)
+            return run.end(x, F, Dn, k, {"grad": k})
         x, r = p, problem.residual(p)
-        F = _objective(problem, x, r)
-        trace.append(TraceRow(k, "grad", F, Dn, NAN, NAN, NAN, NAN,
-                              time.monotonic_ns() - ns0))
-    _, Dn = _prox_point(problem, x, problem.apply_adjoint(r))
-    return _finish(x, F, Dn, config.max_iters, Dn < config.eps,
-                   {"grad": config.max_iters}, t0, trace)
+        F = problem.value(x, r)
+        run.log(k, "grad", F, Dn)
+    _, Dn = run.stop_test(x, problem.apply_adjoint(r))
+    return run.end(x, F, Dn, config.max_iters, {"grad": config.max_iters})
 
 
 def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
@@ -291,7 +303,8 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     iterate give F(x) and the stopping test, and since products are
     linear, the momentum point y = x + beta (x - x_prev) has gradient
     g_x + beta (g_x - g_prev).  g_x is recomputed exactly every
-    iteration, so rounding does not build up.
+    iteration, so rounding does not build up.  A budget exit tests the
+    lowest-F iterate, kept with its residual, for one more B^T.
     """
     x = _as_start(problem, x0)
     r = problem.residual(x)
@@ -299,31 +312,24 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     x_prev, g_prev = x, g
     y, g_y = x, g
     t = 1.0
-    t0 = time.perf_counter()
-    ns0 = time.monotonic_ns()
-    trace = []
     L_f = problem.L_f
-    best_F, best_x, best_g = _objective(problem, x, r), x, g
+    run = _SolveRecord(problem, config, x, r, problem.value(x, r))
     for k in range(config.max_iters):
         x = prox_step(problem, y, L_f, g_y)
         r = problem.residual(x)
         g = problem.apply_adjoint(r)
-        _, Dn = _prox_point(problem, x, g)
-        Fx = _objective(problem, x, r)
-        trace.append(TraceRow(k, "grad", Fx, Dn, NAN, NAN, NAN, NAN,
-                              time.monotonic_ns() - ns0))
-        if Fx < best_F:
-            best_F, best_x, best_g = Fx, x, g
+        _, Dn = run.stop_test(x, g)
+        Fx = problem.value(x, r)
+        run.log(k, "grad", Fx, Dn)
+        run.keep(x, r, Fx)
         if Dn < config.eps:
-            return _finish(x, Fx, Dn, k + 1, True, {"grad": k + 1}, t0, trace)
+            return run.end(x, Fx, Dn, k + 1, {"grad": k + 1})
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
         g_y = g + beta * (g - g_prev)
         x_prev, g_prev, t = x, g, t_next
-    _, Dn = _prox_point(problem, best_x, best_g)
-    return _finish(best_x, best_F, Dn, config.max_iters, Dn < config.eps,
-                   {"grad": config.max_iters}, t0, trace)
+    return run.budget_exit({"grad": config.max_iters})
 
 
 def update_eta_alpha(state, branch: str, s_k, L_f: float, L_H,
@@ -363,31 +369,25 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     y = _as_start(problem, x0)
     z = y.copy()
     state = MagmaState(k=0, alpha=0.0, eta=L_f)
-    t0 = time.perf_counter()
-    ns0 = time.monotonic_ns()
-    trace = []
-    best_F, best_x = problem.value(y), y
+    r_y = problem.residual(y)
+    run = _SolveRecord(problem, config, y, r_y, problem.value(y, r_y))
     for k in range(config.max_iters):
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha_n, eta_n)
         x = t * z + (1.0 - t) * y
         r = problem.residual(x)
         fgx = problem.apply_adjoint(r)
-        p, Dn = _prox_point(problem, x, fgx)
+        p, Dn = run.stop_test(x, fgx)
         if Dn < config.eps:
-            return _finish(x, _objective(problem, x, r), Dn, k, True,
-                           {"grad": k}, t0, trace)
+            return run.end(x, problem.value(x, r), Dn, k, {"grad": k})
         y = p
         z = mirror_step(problem, z, fgx, alpha_n)
         state.k, state.alpha, state.eta = k + 1, alpha_n, eta_n
-        Fy = problem.value(y)
-        if Fy < best_F:
-            best_F, best_x = Fy, y
-        trace.append(TraceRow(k, "grad", Fy, Dn, eta_n, alpha_n, t, NAN,
-                              time.monotonic_ns() - ns0))
-    _, Dn = _prox_point(problem, best_x, problem.f_grad(best_x))
-    return _finish(best_x, best_F, Dn, config.max_iters, Dn < config.eps,
-                   {"grad": config.max_iters}, t0, trace)
+        r_y = problem.residual(y)
+        Fy = problem.value(y, r_y)
+        run.keep(y, r_y, Fy)
+        run.log(k, "grad", Fy, Dn, eta_n, alpha_n, t)
+    return run.budget_exit({"grad": config.max_iters})
 
 
 def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
@@ -562,7 +562,7 @@ def _gradient_step(problem, x, r_x, g, p, L_f, k):
         raise InvariantViolation(
             f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
-    return r_p, _objective(problem, p, r_p)
+    return r_p, problem.value(p, r_p)
 
 
 def _smoothing(problem, config, eta, alpha):
@@ -629,7 +629,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     # up to beta*mu, which keeps undoing late-stage convergence.  Require
     # the coarse step to beat the incumbent y.
     y_new, r_new = x + s * d, r_x + s * Bd
-    F_new = _objective(problem, y_new, r_new)
+    F_new = problem.value(y_new, r_new)
     if F_new > F_y:
         return x, "objective_rejected"
     eta, alpha = update_eta_alpha(state, "coarse", s, problem.L_f, L_H, config)
@@ -681,29 +681,29 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     if chain.fine_dim != problem.dim:
         raise ValueError(
             f"chain acts on dimension {chain.fine_dim}, problem has {problem.dim}")
+    if chain.levels != config.levels:
+        raise ValueError(
+            f"chain has {chain.levels} levels, config.levels is {config.levels}")
     L_f = problem.L_f
     y = _as_start(problem, x0)
     z = y.copy()
     r_y = problem.residual(y)
     r_z = r_y
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
-    t0 = time.perf_counter()
-    ns0 = time.monotonic_ns()
-    trace = []
     events = []
     counts = {"grad": 0, "coarse": 0, "fallback": 0}
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
-    F_y = _objective(problem, y, r_y)  # incumbent objective, updated every step
-    best_F, best_x, best_r = F_y, y, r_y
+    F_y = problem.value(y, r_y)  # incumbent objective, updated every step
+    run = _SolveRecord(problem, config, y, r_y, F_y)
     for k in range(config.max_iters):
         eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha, eta)
         x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
         g = problem.apply_adjoint(r_x)
-        p, Dn = _prox_point(problem, x, g)
+        p, Dn = run.stop_test(x, g)
         if Dn < config.eps:
-            return _finish(x, _objective(problem, x, r_x), Dn, k, True,
-                           counts, t0, trace, events, rejections)
+            return run.end(x, problem.value(x, r_x), Dn, k, counts, events,
+                           rejections)
 
         kind = "grad"
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
@@ -737,14 +737,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         r_z = problem.residual(z)
         counts[kind] += 1
         state.k, state.alpha, state.eta = k + 1, alpha, eta
-        if F_y < best_F:
-            best_F, best_x, best_r = F_y, y, r_y
-        trace.append(TraceRow(k, kind, F_y, Dn, eta, alpha, t, s,
-                              time.monotonic_ns() - ns0))
-
-    _, Dn = _prox_point(problem, best_x, problem.apply_adjoint(best_r))
-    return _finish(best_x, best_F, Dn, state.k, Dn < config.eps, counts, t0,
-                   trace, events, rejections)
+        run.keep(y, r_y, F_y)
+        run.log(k, kind, F_y, Dn, eta, alpha, t, s)
+    return run.budget_exit(counts, events, rejections)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ and scaled-down behavior instead.  Shared solver runs live in module
 fixtures so the bookkeeping criterion can audit every trace produced.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -248,13 +249,13 @@ def test_criterion_6_oracle_equivalence():
     bvec = np.array([2.0, -1.0])
     two_d = L1LeastSquares(np.diag(a), bvec, 0.3)
     x_star_2 = soft_threshold(a * bvec, 0.3) / a ** 2
-    chain2 = build_chain(2, 2)
-    for problem, x_star, chain in ((one_d, x_star_1, build_chain(1, 1)),
-                                   (two_d, x_star_2, chain2)):
+    for problem, x_star, levels in ((one_d, x_star_1, 1), (two_d, x_star_2, 2)):
         for solver in (ista, fista, agm):
             sol = solver(problem, np.zeros(problem.dim), tight)
             assert np.max(np.abs(sol.x - x_star)) <= 1e-8
-        sol = magma(problem, chain, np.zeros(problem.dim), tight)
+        chain = build_chain(problem.n_x, levels)
+        sol = magma(problem, chain, np.zeros(problem.dim),
+                    dataclasses.replace(tight, levels=levels))
         assert np.max(np.abs(sol.x - x_star)) <= 1e-8
     report(6, "oracle equivalence", f"[{checked} converged runs, closed forms]")
 

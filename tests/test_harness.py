@@ -227,6 +227,27 @@ class TestRunCompare:
         assert [r.error for r in read_records_csv(path)] == \
             [r.error for r in records]
 
+    def test_warm_up_runs_solver_config(self, monkeypatch):
+        # the discarded warm-up solve runs each solver's own config cut to
+        # three iterations, so magma's levels reach it and it raises nothing
+        real = harness.run_solver
+        seen = []
+
+        def spy(name, problem, x0, config, chain=None):
+            seen.append((name, config))
+            return real(name, problem, x0, config, chain=chain)
+
+        monkeypatch.setattr(harness, "run_solver", spy)
+        spec = self._spec(solvers=("fista", "magma"), reps=1, overrides={
+            "magma": dict(kappa=0.7, levels=3, mu=1e-5)})
+        records = run_compare(spec)
+        assert all(r.error == "" for r in records)
+        warm_ups = [seen[0], seen[2]]
+        assert [name for name, _ in warm_ups] == ["fista", "magma"]
+        for name, config in warm_ups:
+            assert config == dataclasses.replace(spec.solver_config(name),
+                                                 max_iters=3)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             self._spec(solvers=("newton",))

@@ -143,6 +143,25 @@ class TestGradientMapping:
                            atol=1e-15)
 
 
+class TestValue:
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_residual_given_is_bitwise(self, rng, bucket):
+        # F(x) from a residual the caller holds is the F(x) that forms it,
+        # and is f(x) + g(x)
+        for _ in range(50):
+            p = random_lasso(rng, bucket=bucket)
+            x = rng.standard_normal(p.dim) * rng.uniform(0.1, 3)
+            F = p.value(x)
+            assert p.value(x, p.residual(x)) == F
+            assert F == p.f_value(x) + p.g_value(x)
+
+    def test_residual_given_makes_no_product(self, monkeypatch):
+        p = random_lasso(np.random.default_rng(2), m=6, n=4)
+        x, r = np.ones(4), p.residual(np.ones(4))
+        monkeypatch.setattr(p, "apply", None)
+        assert p.value(x, r) == 0.5 * float(r @ r) + p.g_value(x)
+
+
 class TestSmoothing:
     def test_value_at_origin(self):
         # g_mu(0) = lam * n * mu on top of f(0) = 0

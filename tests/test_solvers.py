@@ -678,15 +678,20 @@ class TestMagma:
             assert close(r_x, view.problem.residual(x))
             assert close(Bd, view.problem.apply(d))
 
-        def check_objective(problem, x, r):
-            assert close(r, problem.residual(x))
-            assert 0.5 * float(r @ r) + problem.g_value(x) \
-                == pytest.approx(problem.value(x), rel=1e-12)
+        real_value = L1LeastSquares.value
+
+        def value(problem, x, r=None):
+            if r is not None:
+                assert close(r, problem.residual(x))
+                assert real_value(problem, x, r) \
+                    == pytest.approx(real_value(problem, x), rel=1e-12)
+                seen["objective"] += 1
+            return real_value(problem, x, r)
 
         spy("anchor", solvers._gradient_step, check_anchor)
         spy("coarse", solvers.build_coarse_model, check_coarse)
         spy("armijo", solvers.armijo_search, check_armijo)
-        spy("objective", solvers._objective, check_objective)
+        monkeypatch.setattr(L1LeastSquares, "value", value)
         cfg = SolverConfig(eps=1e-9, max_iters=600, kappa=0.7, levels=2)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.step_counts["coarse"] > 0
@@ -884,6 +889,16 @@ class TestMagma:
         with pytest.raises(ValueError):
             magma(p, chain, np.zeros(p.dim), SolverConfig())
 
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_level_mismatch_rejected(self, rng, levels):
+        # the chain's level count must be the one the config asks for
+        p = random_lasso(rng, m=10, n=8)
+        chain = build_chain(8, levels)
+        with pytest.raises(ValueError, match=f"chain has {levels} levels"):
+            magma(p, chain, np.zeros(p.dim), SolverConfig(levels=2))
+        assert magma(p, chain, np.zeros(p.dim),
+                     SolverConfig(levels=levels, max_iters=3)).iterations >= 1
+
 
 class TestSolverAgreement:
     def test_all_solvers_reach_same_objective(self):
@@ -946,3 +961,55 @@ class TestSolverAgreement:
         assert sol.converged == (sol.grad_map_norm < cfg.eps)
         if name in ("agm", "magma"):
             assert sol.iterations == 138 and sol.converged
+
+
+class TestSolveEnd:
+    """Every solver stops and reports through the same test and exits."""
+
+    def _bucket(self):
+        spec = ExperimentSpec(m=60, n=40, rho=0.7, k_true=3, corruption=0.15,
+                              noise=0.01, seed=0, lam=1e-3)
+        base, _, _ = gen_instance(spec)
+        return CountingLasso(base.A, base.b, base.lam, bucket=True)
+
+    @pytest.mark.parametrize("name", ["fista", "agm", "magma"])
+    def test_budget_exit_returns_lowest_point(self, name, monkeypatch):
+        # at 24 iterations each solver's last iterate is above its best,
+        # so the exit must go back to the kept point; it tests that point
+        # with one product with B^T and no product with B
+        p = self._bucket()
+        cfg = SolverConfig(eps=1e-12, max_iters=24, kappa=0.7)
+        at_last_row = {}
+        real_log = solvers._SolveRecord.log
+
+        def log(run, *args, **kwargs):
+            real_log(run, *args, **kwargs)
+            at_last_row.update(p.calls)
+
+        monkeypatch.setattr(solvers._SolveRecord, "log", log)
+        x0 = np.zeros(p.dim)
+        sol = run_solver(name, p, x0, cfg)
+        after = dict(p.calls)
+        F = [row.F for row in sol.trace]
+        assert not sol.converged and sol.iterations == len(F) == 24
+        assert F[-1] > min(F) < p.value(x0)
+        assert sol.objective == min(F)
+        assert p.value(sol.x) == pytest.approx(sol.objective, rel=1e-12)
+        assert after["apply_adjoint"] - at_last_row["apply_adjoint"] == 1
+        assert after["apply"] == at_last_row["apply"]
+        if name == "magma":
+            assert sol.step_counts["coarse"] > 0
+
+    @pytest.mark.parametrize("max_iters", [30, 40000])
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_trace_clock(self, name, max_iters):
+        # one clock times the trace and the solve: elapsed_ns never
+        # decreases, and the last row comes before the end of the solve
+        p = self._bucket()
+        cfg = SolverConfig(eps=1e-6, max_iters=max_iters, kappa=0.7)
+        sol = run_solver(name, p, np.zeros(p.dim), cfg)
+        assert sol.converged == (max_iters > 30)
+        ns = [row.elapsed_ns for row in sol.trace]
+        assert all(isinstance(v, int) for v in ns)
+        assert all(a <= b for a, b in zip(ns, ns[1:]))
+        assert 0 <= ns[-1] <= sol.elapsed_s * 1e9
