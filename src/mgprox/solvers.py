@@ -9,7 +9,10 @@ All solvers share one stopping test, ||D(x_k)||_2 < eps with
 D(x) = x - prox_{L_f}(x), and emit a per-iteration trace with the columns
 (k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).  A solve ends at
 the first point that passes the test, or after max_iters iterations at
-its lowest-F iterate (ista: its last), tested once more.
+its lowest-F iterate (ista: its last), tested once more.  Its Solution
+reports the duality gap of that point (L1LeastSquares.duality_gap), an
+upper bound on F - F* formed from the residual and gradient the exit
+already holds.
 
 A run owns its state exclusively; several runs sharing one (immutable)
 problem may proceed concurrently.
@@ -196,6 +199,7 @@ class Solution:
     trace: list
     coarse_events: list = field(default_factory=list)
     rejections: dict = field(default_factory=dict)  # reason -> fallbacks
+    gap: float = NAN  # duality gap at x, >= objective - F* up to rounding
 
 
 @dataclass
@@ -255,18 +259,24 @@ class _SolveRecord:
         if F < self.kept[2]:
             self.kept = (x, r, F)
 
-    def end(self, x, F, Dn, k, counts, events=(), rejections=()):
+    def end(self, x, r, g, F, Dn, k, counts, events=(), rejections=()):
+        """The Solution at x, given its residual r = B x - b, gradient
+        g = B^T r, objective F and stopping measure Dn; its duality gap
+        is formed from r and g with no product."""
+        gap = self.problem.duality_gap(F, r, g)
         elapsed_s = (time.perf_counter_ns() - self.start_ns) / 1e9
         return Solution(x, F, Dn, k, Dn < self.config.eps, dict(counts),
-                        elapsed_s, self.trace, list(events), dict(rejections))
+                        elapsed_s, self.trace, list(events), dict(rejections),
+                        gap)
 
     def budget_exit(self, counts, events=(), rejections=()):
         """End after max_iters iterations at the kept point, which is
         tested with one product with B^T."""
         x, r, F = self.kept
-        _, Dn = self.stop_test(x, self.problem.apply_adjoint(r))
-        return self.end(x, F, Dn, self.config.max_iters, counts, events,
-                        rejections)
+        g = self.problem.apply_adjoint(r)
+        _, Dn = self.stop_test(x, g)
+        return self.end(x, r, g, F, Dn, self.config.max_iters, counts,
+                        events, rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -276,39 +286,42 @@ class _SolveRecord:
 def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Proximal gradient iteration x_{k+1} = prox(x_k); monotone in F.
 
-    One product with B and one with B^T per iteration: the residual of
-    each new iterate gives both its objective and the next gradient.
+    One product with B and one with B^T per iteration, made in one pass
+    over A (``residuals_and_gradient``): the residual of each new iterate
+    gives its objective, and its gradient the next prox step.
     """
     x = _as_start(problem, x0)
-    r = problem.residual(x)
+    r, g = problem.residuals_and_gradient(x)
     F = problem.value(x, r)
     run = _SolveRecord(problem, config, x, r, F)
     for k in range(config.max_iters):
-        p, Dn = run.stop_test(x, problem.apply_adjoint(r))
+        p, Dn = run.stop_test(x, g)
         if Dn < config.eps:
-            return run.end(x, F, Dn, k, {"grad": k})
-        x, r = p, problem.residual(p)
+            return run.end(x, r, g, F, Dn, k, {"grad": k})
+        x = p
+        r, g = problem.residuals_and_gradient(x)
         F = problem.value(x, r)
         run.log(k, "grad", F, Dn)
-    _, Dn = run.stop_test(x, problem.apply_adjoint(r))
-    return run.end(x, F, Dn, config.max_iters, {"grad": config.max_iters})
+    _, Dn = run.stop_test(x, g)
+    return run.end(x, r, g, F, Dn, config.max_iters,
+                   {"grad": config.max_iters})
 
 
 def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Accelerated proximal gradient with the t_{k+1} = (1+sqrt(1+4t_k^2))/2
     momentum sequence; stops on ||D(x_k)|| < eps at the main iterate.
 
-    Each iteration makes one product with B and one with B^T.  The
-    residual r_x = B x - b and the gradient g_x = B^T r_x of the main
-    iterate give F(x) and the stopping test, and since products are
-    linear, the momentum point y = x + beta (x - x_prev) has gradient
+    Each iteration makes one product with B and one with B^T, in one
+    pass over A (``residuals_and_gradient``).  The residual
+    r_x = B x - b and the gradient g_x = B^T r_x of the main iterate give
+    F(x) and the stopping test, and since products are linear, the
+    momentum point y = x + beta (x - x_prev) has gradient
     g_x + beta (g_x - g_prev).  g_x is recomputed exactly every
     iteration, so rounding does not build up.  A budget exit tests the
     lowest-F iterate, kept with its residual, for one more B^T.
     """
     x = _as_start(problem, x0)
-    r = problem.residual(x)
-    g = problem.apply_adjoint(r)
+    r, g = problem.residuals_and_gradient(x)
     x_prev, g_prev = x, g
     y, g_y = x, g
     t = 1.0
@@ -316,14 +329,13 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     run = _SolveRecord(problem, config, x, r, problem.value(x, r))
     for k in range(config.max_iters):
         x = prox_step(problem, y, L_f, g_y)
-        r = problem.residual(x)
-        g = problem.apply_adjoint(r)
+        r, g = problem.residuals_and_gradient(x)
         _, Dn = run.stop_test(x, g)
         Fx = problem.value(x, r)
         run.log(k, "grad", Fx, Dn)
         run.keep(x, r, Fx)
         if Dn < config.eps:
-            return run.end(x, Fx, Dn, k + 1, {"grad": k + 1})
+            return run.end(x, r, g, Fx, Dn, k + 1, {"grad": k + 1})
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
@@ -364,6 +376,10 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
 
     x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k),
     z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}).
+
+    Each iteration makes two products with B and one with B^T: the
+    residual and gradient of x_k in one pass over A
+    (``residuals_and_gradient``), and the residual of y_{k+1} for F.
     """
     L_f = problem.L_f
     y = _as_start(problem, x0)
@@ -375,11 +391,11 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha_n, eta_n)
         x = t * z + (1.0 - t) * y
-        r = problem.residual(x)
-        fgx = problem.apply_adjoint(r)
+        r, fgx = problem.residuals_and_gradient(x)
         p, Dn = run.stop_test(x, fgx)
         if Dn < config.eps:
-            return run.end(x, problem.value(x, r), Dn, k, {"grad": k})
+            return run.end(x, r, fgx, problem.value(x, r), Dn, k,
+                           {"grad": k})
         y = p
         z = mirror_step(problem, z, fgx, alpha_n)
         state.k, state.alpha, state.eta = k + 1, alpha_n, eta_n
@@ -544,16 +560,15 @@ def _check_bookkeeping(state, eta_n, alpha_n, t):
         raise InvariantViolation(f"t_k out of (0, 1] at k={state.k}: {t}")
 
 
-def _gradient_step(problem, x, r_x, g, p, L_f, k):
-    """Take the prox step y = p of the anchor x, formed with g = B^T r_x.
+def _gradient_step(problem, x, r_x, g, p, r_p, L_f, k):
+    """Take the prox step y = p of the anchor x, formed with g = B^T r_x,
+    and return F(p) from its residual r_p = B p - b.
 
-    Returns the residual B p - b and the objective F(p), for one product
-    with B.  Also certifies L_f along this step: the descent lemma
+    Also certifies L_f along this step: the descent lemma
     f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2, which the guarantee
-    lemmas assume, costs three dot products here; a violation raises
-    InvariantViolation naming L_f.
+    lemmas assume, costs three dot products here and no product; a
+    violation raises InvariantViolation naming L_f.
     """
-    r_p = problem.residual(p)
     d = p - x
     f_x = 0.5 * float(r_x @ r_x)
     f_p = 0.5 * float(r_p @ r_p)
@@ -562,7 +577,7 @@ def _gradient_step(problem, x, r_x, g, p, L_f, k):
         raise InvariantViolation(
             f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
-    return r_p, problem.value(p, r_p)
+    return problem.value(p, r_p)
 
 
 def _smoothing(problem, config, eta, alpha):
@@ -664,11 +679,18 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     made once when y or z is formed, and since t + (1-t) = 1 every anchor
     x = t z + (1-t) y has the residual t r_z + (1-t) r_y.  A gradient
     iteration makes two products with B (r_y and r_z) and one with B^T
-    (grad f(x)); a coarse attempt adds one B^T at its re-formed anchor,
-    and its line search one B (B d), which gives every probe, the
-    accepted y and its incumbent test their residuals, so an accepted
-    coarse step makes no product for r_y.  Each gradient step checks the
-    descent lemma for L_f.
+    (grad f(x)), and reads A once for all three: the bookkeeping already
+    gives the next iteration's gradient-branch weight, so one pass over A
+    (``residuals_and_gradient``) at the end of the iteration forms r_y,
+    r_z, the next anchor's residual and its gradient.  After an accepted
+    coarse step, and at the last iteration, r_y and r_z are formed by
+    separate products and the next anchor's gradient at the top of the
+    loop, so a run stopped by its budget forms no anchor it does not
+    use.  A coarse attempt adds one B^T at its re-formed anchor, and its
+    line search one B (B d), which gives every probe, the accepted y and
+    its incumbent test their residuals, so an accepted coarse step makes
+    no product for r_y.  Each gradient step checks the descent lemma for
+    L_f.
 
     The coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that
@@ -689,6 +711,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     z = y.copy()
     r_y = problem.residual(y)
     r_z = r_y
+    g = None  # grad f at the next anchor, once a pass over A has formed it
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
     events = []
     counts = {"grad": 0, "coarse": 0, "fallback": 0}
@@ -698,12 +721,14 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     for k in range(config.max_iters):
         eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
         t = _combination_weight(alpha, eta)
-        x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
-        g = problem.apply_adjoint(r_x)
+        x = t * z + (1.0 - t) * y
+        if g is None:
+            r_x = t * r_z + (1.0 - t) * r_y
+            g = problem.apply_adjoint(r_x)
         p, Dn = run.stop_test(x, g)
         if Dn < config.eps:
-            return run.end(x, problem.value(x, r_x), Dn, k, counts, events,
-                           rejections)
+            return run.end(x, r_x, g, problem.value(x, r_x), Dn, k, counts,
+                           events, rejections)
 
         kind = "grad"
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
@@ -729,14 +754,24 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 
         if k >= 1:
             _check_bookkeeping(state, eta, alpha, t)
-        if kind != "coarse":
-            r_y, F_y = _gradient_step(problem, x, r_x, g, p, L_f, k)
-            y, s = p, NAN
-            state.q += 1
         z = mirror_step(problem, z, g, alpha)
-        r_z = problem.residual(z)
         counts[kind] += 1
         state.k, state.alpha, state.eta = k + 1, alpha, eta
+        if kind == "coarse":
+            r_z, g = problem.residual(z), None
+        else:
+            if k < config.max_iters - 1:
+                eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f,
+                                                  None, config)
+                r_p, r_z, r_next, g_next = problem.residuals_and_gradient(
+                    p, z, _combination_weight(alpha_n, eta_n))
+            else:
+                r_p, r_z = problem.residual(p), problem.residual(z)
+                r_next = g_next = None
+            F_y = _gradient_step(problem, x, r_x, g, p, r_p, L_f, k)
+            y, r_y, s = p, r_p, NAN
+            r_x, g = r_next, g_next
+            state.q += 1
         run.keep(y, r_y, F_y)
         run.log(k, kind, F_y, Dn, eta, alpha, t, s)
     return run.budget_exit(counts, events, rejections)

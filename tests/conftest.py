@@ -20,7 +20,8 @@ def random_lasso(rng, m=None, n=None, lam=None, bucket=False):
 
 
 class CountingLasso(L1LeastSquares):
-    """L1LeastSquares that counts its products with B and B^T."""
+    """L1LeastSquares that counts its products with B and B^T, including
+    those of the one-pass ``residuals_and_gradient``."""
 
     def __init__(self, *args, **kwargs):
         self.calls = {"apply": 0, "apply_adjoint": 0}
@@ -33,6 +34,12 @@ class CountingLasso(L1LeastSquares):
     def apply_adjoint(self, r):
         self.calls["apply_adjoint"] += 1
         return super().apply_adjoint(r)
+
+    def residuals_and_gradient(self, y, z=None, t=1.0):
+        # one pass over A: one product with B per point, one with B^T
+        self.calls["apply"] += 1 if z is None else 2
+        self.calls["apply_adjoint"] += 1
+        return super().residuals_and_gradient(y, z, t)
 
 
 def dense_restriction(chain):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mgprox import problem as problem_module
 from mgprox import (
     L1LeastSquares,
     SmoothedView,
@@ -160,6 +163,101 @@ class TestValue:
         x, r = np.ones(4), p.residual(np.ones(4))
         monkeypatch.setattr(p, "apply", None)
         assert p.value(x, r) == 0.5 * float(r @ r) + p.g_value(x)
+
+
+class TestResidualsAndGradient:
+    """The one-pass residuals and gradient against separate products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 9), bucket=st.booleans(),
+           two=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           t=st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True)),
+           rows=st.one_of(st.none(), st.integers(0, 12)))
+    def test_matches_separate_products(self, m, n, bucket, two, seed, t,
+                                       rows):
+        # rows None keeps the default block size, which holds all of A
+        # here; otherwise the block size is that of `rows` rows of A (0:
+        # less than one row), which splits most A into several blocks, the
+        # last often shorter than the others
+        rng = np.random.default_rng(seed)
+        p = L1LeastSquares(rng.standard_normal((m, n)),
+                           rng.standard_normal(m), 0.1, bucket=bucket)
+        y = rng.standard_normal(p.dim)
+        z = rng.standard_normal(p.dim) if two else None
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(problem_module, "PASS_BLOCK_BYTES",
+                           max(rows * 8 * n, 8 * n - 1))
+            out = p.residuals_and_gradient(y, z, t)
+        if two:
+            r_y, r_z, r_x, g = out
+            assert np.array_equal(r_z, p.residual(z))
+            assert np.array_equal(r_x, t * r_z + (1.0 - t) * r_y)
+        else:
+            r_y, g = out
+            r_x = r_y
+        assert np.array_equal(r_y, p.residual(y))
+        ref = p.apply_adjoint(r_x)
+        if rows is None:
+            assert np.array_equal(g, ref)
+        else:
+            # blocks change only the order of summation: each entry of
+            # B^T r_x is within 1e-13 of the size of the terms it sums
+            scale = np.abs(p.A).T @ np.abs(r_x)
+            if bucket:
+                scale = np.concatenate([scale, np.abs(r_x)])
+            assert np.all(np.abs(g - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [9, 13, 16, 17])
+    def test_blocks_of_four_rows(self, m, monkeypatch):
+        # a block smaller than a row still takes 4 rows, and a last block
+        # of one row joins the block before it
+        seen = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, *args, **kwargs:
+                            seen.append(len(a)) or real(a, *args, **kwargs))
+        monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
+        p = L1LeastSquares(np.ones((m, 3)), np.ones(m), 0.1)
+        p.residuals_and_gradient(np.ones(3))
+        assert seen == {9: [4, 5], 13: [4, 4, 5], 16: [4, 4, 4, 4],
+                        17: [4, 4, 4, 5]}[m]
+
+    def test_rejects_wrong_length(self):
+        p = random_lasso(np.random.default_rng(1), m=5, n=3)
+        with pytest.raises(ValueError, match="length 3"):
+            p.residuals_and_gradient(np.ones(3), np.ones(4))
+
+
+class TestDualityGap:
+    def test_zero_at_closed_form_minimizer(self):
+        # A = I: x* = T_lam(b), and theta = B x* - b is dual optimal
+        b = np.array([3.0, -0.5, 0.2, -2.0])
+        p = L1LeastSquares(np.eye(4), b, 1.0)
+        x = soft_threshold(b, 1.0)
+        r = p.residual(x)
+        assert p.duality_gap(p.value(x, r), r, p.apply_adjoint(r)) \
+            == pytest.approx(0.0, abs=1e-15)
+
+    def test_infeasible_residual_is_scaled(self):
+        # at x = 0, ||B^T r||_inf = 3 > lam = 1, so theta = r/3
+        b = np.array([3.0, -0.5])
+        p = L1LeastSquares(np.eye(2), b, 1.0)
+        x = np.zeros(2)
+        r = p.residual(x)
+        theta = r / 3.0
+        expected = p.value(x) + theta @ b + 0.5 * theta @ theta
+        assert p.duality_gap(p.value(x), r, p.apply_adjoint(r)) \
+            == pytest.approx(expected, rel=1e-15)
+
+    def test_zero_gradient_without_penalty(self):
+        # lam = 0 and g = 0: theta = r, gap = F + <r, b> + ||r||^2/2 = 0
+        # for the least-squares solution
+        p = L1LeastSquares(np.eye(2), np.array([1.0, 2.0]), 0.0)
+        x = np.array([1.0, 2.0])
+        r = p.residual(x)
+        assert p.duality_gap(p.value(x, r), r, p.apply_adjoint(r)) == 0.0
 
 
 class TestSmoothing:

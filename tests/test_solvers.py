@@ -666,9 +666,10 @@ class TestMagma:
                 return real(*args, **kwargs)
             monkeypatch.setattr(solvers, real.__name__, wrapper)
 
-        def check_anchor(problem, x, r_x, g, p_x, L_f, k):
+        def check_anchor(problem, x, r_x, g, p_x, r_p, L_f, k):
             assert close(r_x, problem.residual(x))
             assert close(g, problem.f_grad(x))
+            assert close(r_p, problem.residual(p_x))
 
         def check_coarse(problem, chain, x, mu, grad_H):
             assert close(grad_H,
@@ -1013,3 +1014,46 @@ class TestSolveEnd:
         assert all(isinstance(v, int) for v in ns)
         assert all(a <= b for a, b in zip(ns, ns[1:]))
         assert 0 <= ns[-1] <= sol.elapsed_s * 1e9
+
+
+class TestDualityGap:
+    """Solution.gap bounds the objective error of the returned point."""
+
+    @pytest.mark.parametrize("max_iters", [30, 40000])
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_nonnegative(self, name, bucket, max_iters):
+        if bucket:
+            p = bucket_instance(seed=5, m=60, n=32, lam=0.05)
+        else:
+            p = random_lasso(np.random.default_rng(9), m=30, n=16, lam=0.2)
+        cfg = SolverConfig(eps=1e-6, max_iters=max_iters, kappa=0.7)
+        sol = run_solver(name, p, np.zeros(p.dim), cfg)
+        assert sol.converged == (max_iters > 30)
+        assert sol.gap >= -1e-12 * max(1.0, sol.objective)
+
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_vanishes_at_a_tight_stop(self, name):
+        p = random_lasso(np.random.default_rng(4), m=20, n=12, lam=0.3)
+        cfg = SolverConfig(eps=1e-12, max_iters=200000, levels=1,
+                           kappa=1.0)
+        sol = run_solver(name, p, np.zeros(p.dim), cfg)
+        assert sol.converged
+        assert abs(sol.gap) <= 1e-10 * sol.objective
+
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_bounds_error_on_closed_form_instance(self, name):
+        # A = diag(d): the minimizer is T_lam(d b) / d^2 entrywise, and
+        # every budget-stopped run must report a gap >= F - F*
+        d = np.linspace(0.2, 1.0, 8)
+        b = np.array([2.0, -1.5, 0.3, 4.0, -0.1, 1.2, -3.0, 0.6])
+        lam = 0.5
+        p = L1LeastSquares(np.diag(d), b, lam)
+        x_star = np.sign(d * b) * np.maximum(np.abs(d * b) - lam, 0) / d ** 2
+        F_star = p.value(x_star)
+        for max_iters in (1, 2, 5, 10, 20):
+            cfg = SolverConfig(eps=1e-14, max_iters=max_iters)
+            sol = run_solver(name, p, np.zeros(8), cfg)
+            assert sol.gap >= sol.objective - F_star - 1e-12 * F_star
+            if max_iters == 1:
+                assert sol.objective - F_star > 1e-3
