@@ -108,7 +108,8 @@ class RestrictionChain:
         return self._prolong_x(u)
 
     def coarse_dictionary(self, problem):
-        """A_H = A R_x^T and the safe spectral bound of the coarse system.
+        """A_H = A R_x^T and the spectral estimate of the coarse system
+        (power iteration x1.01, not a certified bound).
 
         Cached per problem; A_H does not depend on the anchor point.
         """
@@ -125,8 +126,9 @@ class RestrictionChain:
         return A_H, spectral
 
     def coarse_system(self, problem, mu: float):
-        """(A_H, L_H): the coarse dictionary, and the Lipschitz bound of the
-        coarse model at smoothing ``mu``, the spectral bound plus lam/mu.
+        """(A_H, L_H): the coarse dictionary, and the Lipschitz estimate of
+        the coarse model at smoothing ``mu``, the spectral estimate plus
+        lam/mu.
 
         The one place L_H is formed: the coarse-branch eta and the model
         that mfista solves take the same constant.
@@ -228,7 +230,7 @@ class CoarseModel:
         return a[self.m:] + self.view.g_grad(w)
 
     def lipschitz(self) -> float:
-        """Safe Lipschitz bound: spectral part (x1.01) plus lam/mu."""
+        """The Lipschitz estimate L: spectral estimate plus lam/mu."""
         return self.L
 
 
@@ -239,7 +241,7 @@ def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
 
     The coarse l1 term is smoothed with the fine level's mu, and the
     model's gradient at R x_k is R*grad(F_mu)(x_k).  A_H and its spectral
-    bound are cached on the chain; v_H is recomputed for every anchor.
+    estimate are cached on the chain; v_H is recomputed for every anchor.
     Pass ``grad_H`` = R*grad(F_mu)(x_k) when it is already available to
     avoid one fine-level pass and one restriction.
     """

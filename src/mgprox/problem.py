@@ -23,9 +23,8 @@ __all__ = [
     "lipschitz_estimate",
 ]
 
-# Safety factor applied on top of the power-iteration estimate: power
-# iteration approaches the spectral norm from below, the guarantee lemmas
-# need a true upper bound.
+# Factor applied on top of the power-iteration estimate, which approaches
+# the spectral norm from below; the product is still not a certified bound.
 LIPSCHITZ_SAFETY = 1.01
 
 # Rows of A per block of ``L1LeastSquares.residuals_and_gradient`` hold
@@ -117,8 +116,9 @@ class L1LeastSquares:
                  bucket: bool = False):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-D array")
+        if A.ndim != 2 or min(A.shape) < 1:
+            raise ValueError(f"A must be a 2-D array with at least one row "
+                             f"and one column (got shape {A.shape})")
         if b.shape != (A.shape[0],):
             raise ValueError(
                 f"b has length {b.shape}, expected ({A.shape[0]},)")
@@ -138,6 +138,9 @@ class L1LeastSquares:
         # g <= g_mu <= g + smoothing_beta * mu for the l1 smoothing
         self.smoothing_beta = self.lam * self.dim
         self.L_f = lipschitz_estimate(self)
+        if self.L_f == 0:
+            raise ValueError("A is zero, so f is constant and its Lipschitz "
+                             "constant L_f is 0: no solver can take a step")
 
     # -- operator products ------------------------------------------------
     def apply(self, x):
@@ -257,12 +260,15 @@ class SmoothedView:
         self.problem = problem
         self.mu = float(mu)
 
+    def _root(self, x):
+        """sqrt(mu^2 + x_j^2) entrywise."""
+        return np.sqrt(self.mu * self.mu + x * x)
+
     def g_value(self, x) -> float:
-        return self.problem.lam * float(
-            np.sqrt(self.mu * self.mu + x * x).sum())
+        return self.problem.lam * float(self._root(x).sum())
 
     def g_grad(self, x):
-        return self.problem.lam * x / np.sqrt(self.mu * self.mu + x * x)
+        return self.problem.lam * x / self._root(x)
 
     def value(self, x, r=None) -> float:
         """F_mu(x); given the residual r = B x - b of a least-squares
@@ -326,9 +332,11 @@ def mirror_step(problem: L1LeastSquares, z: np.ndarray, xi: np.ndarray,
 
 
 def lipschitz_estimate(problem: L1LeastSquares) -> float:
-    """Safe upper bound on ||A^T A||_2 (bucket: ||B^T B||_2).
+    """Estimate of ||A^T A||_2 (bucket: ||B^T B||_2), not a certified bound.
 
-    Power iteration to relative tolerance 1e-6, inflated by 1.01.
+    Power iteration to relative tolerance 1e-6, which approaches the norm
+    from below, inflated by 1.01.  magma and agm test it by the descent
+    lemma at every gradient step; ista and fista do not.
     """
     est, _ = power_iteration(
         lambda v: problem.apply_adjoint(problem.apply(v)), problem.dim)

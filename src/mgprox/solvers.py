@@ -1,9 +1,10 @@
 """First-order solvers for composite problems.
 
-ista / fista / agm run on the fine level; mfista is the monotone solver
+ista and fista run on the fine level; mfista is the monotone solver
 used on smoothed coarse models; magma couples gradient and mirror steps
 and replaces some gradient steps with coarse correction steps obtained
-from a first-order-coherent reduced model.
+from a first-order-coherent reduced model.  agm, the coupled scheme
+without coarse steps, is magma on the one-level (identity) chain.
 
 All solvers share one stopping test, ||D(x_k)||_2 < eps with
 D(x) = x - prox_{L_f}(x), and emit a per-iteration trace with the columns
@@ -20,7 +21,7 @@ problem may proceed concurrently.
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -371,41 +372,6 @@ def _combination_weight(alpha, eta):
     return min(1.0 / (alpha * eta), 1.0)
 
 
-def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
-    """Coupled gradient/mirror scheme with alpha_{k+1} = (k+2)/(2 L_f).
-
-    x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k),
-    z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}).
-
-    Each iteration makes two products with B and one with B^T: the
-    residual and gradient of x_k in one pass over A
-    (``residuals_and_gradient``), and the residual of y_{k+1} for F.
-    """
-    L_f = problem.L_f
-    y = _as_start(problem, x0)
-    z = y.copy()
-    state = MagmaState(k=0, alpha=0.0, eta=L_f)
-    r_y = problem.residual(y)
-    run = _SolveRecord(problem, config, y, r_y, problem.value(y, r_y))
-    for k in range(config.max_iters):
-        eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
-        t = _combination_weight(alpha_n, eta_n)
-        x = t * z + (1.0 - t) * y
-        r, fgx = problem.residuals_and_gradient(x)
-        p, Dn = run.stop_test(x, fgx)
-        if Dn < config.eps:
-            return run.end(x, r, fgx, problem.value(x, r), Dn, k,
-                           {"grad": k})
-        y = p
-        z = mirror_step(problem, z, fgx, alpha_n)
-        state.k, state.alpha, state.eta = k + 1, alpha_n, eta_n
-        r_y = problem.residual(y)
-        Fy = problem.value(y, r_y)
-        run.keep(y, r_y, Fy)
-        run.log(k, "grad", Fy, Dn, eta_n, alpha_n, t)
-    return run.budget_exit({"grad": config.max_iters})
-
-
 def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
     """Monotone accelerated gradient descent on a smooth objective.
 
@@ -674,6 +640,8 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     succeeds.  No attempt is made at the first or the last iteration, so
     a run that stops on its budget makes at most max_iters iterations
     and ends on a gradient step, as the convergence guarantee requires.
+    On the identity chain (levels = 1) no attempt is made at all, and
+    magma is agm.
 
     Products: the residuals r_y = B y - b and r_z = B z - b are kept, each
     made once when y or z is formed, and since t + (1-t) = 1 every anchor
@@ -775,6 +743,20 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         run.keep(y, r_y, F_y)
         run.log(k, kind, F_y, Dn, eta, alpha, t, s)
     return run.budget_exit(counts, events, rejections)
+
+
+def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
+    """Coupled gradient/mirror scheme with alpha_{k+1} = (k+2)/(2 L_f).
+
+    x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k),
+    z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}).
+
+    This is magma on the identity chain, whatever config.levels says,
+    with magma's products (one pass over A per iteration), exits, live
+    checks and step_counts keys.
+    """
+    chain = build_chain(problem.n_x, 1, bucket=problem.bucket, m=problem.m)
+    return magma(problem, chain, x0, replace(config, levels=1))
 
 
 # ---------------------------------------------------------------------------

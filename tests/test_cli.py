@@ -98,6 +98,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "input error" in err and "line 2: not UTF-8" in err
 
+    def test_zero_dictionary_exit_one(self, tmp_path, capsys):
+        # L_f = 0 is rejected when the problem is built, before any solver
+        # divides by it (an exception escaping main fails here)
+        mpath, vpath = tmp_path / "A.mlm", tmp_path / "b.mlv"
+        write_matrix(mpath, np.zeros((4, 3)))
+        write_vector(vpath, np.ones(4))
+        code = run_cli(["solve", str(mpath), str(vpath),
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: A is zero")
+        assert "Traceback" not in captured.err
+        assert "resolved config" not in captured.out
+
     @pytest.mark.parametrize("x0, message", [
         (np.zeros(5), "x0 has shape (5,), expected (6,)"),
         (np.full(6, np.nan), "x0 has 6 non-finite"),

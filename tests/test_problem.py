@@ -54,8 +54,8 @@ class TestGradF:
 
 class TestProxStep:
     def test_soft_threshold_by_one(self):
-        # zero dictionary makes grad f vanish, so prox is plain shrinkage
-        p = L1LeastSquares(np.zeros((1, 3)), np.zeros(1), 1.0)
+        # b = A x makes grad f vanish at x, so prox is plain shrinkage
+        p = L1LeastSquares(np.ones((1, 3)), np.array([1.5]), 1.0)
         out = prox_step(p, np.array([2.0, -0.5, 0.0]), 1.0)
         assert np.allclose(out, [1.0, 0.0, 0.0])
 
@@ -262,13 +262,14 @@ class TestDualityGap:
 
 class TestSmoothing:
     def test_value_at_origin(self):
-        # g_mu(0) = lam * n * mu on top of f(0) = 0
-        p = L1LeastSquares(np.zeros((1, 3)), np.zeros(1), 1.0)
+        # g_mu(0) = lam * n * mu on top of f(0) = 0, since b = 0
+        p = L1LeastSquares(np.ones((1, 3)), np.zeros(1), 1.0)
         view = SmoothedView(p, 0.1)
         assert view.value(np.zeros(3)) == pytest.approx(0.3)
 
     def test_grad_zero_at_origin(self):
-        p = L1LeastSquares(np.zeros((2, 4)), np.zeros(2), 0.7)
+        # grad f(0) = -A^T b = 0, since b = 0
+        p = L1LeastSquares(np.ones((2, 4)), np.zeros(2), 0.7)
         view = SmoothedView(p, 0.05)
         assert np.allclose(view.grad(np.zeros(4)), 0.0)
 
@@ -416,6 +417,19 @@ class TestConstruction:
         b[2] = bad
         with pytest.raises(ValueError, match="^b has 1 non-finite"):
             L1LeastSquares(np.ones((3, 2)), b, 0.1, bucket=True)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3)])
+    def test_empty_dictionary_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one row and one column"):
+            L1LeastSquares(np.zeros(shape), np.zeros(shape[0]), 0.1)
+
+    def test_zero_dictionary_rejected(self):
+        # f is constant, so L_f = 0 and no prox step 1/L_f exists
+        with pytest.raises(ValueError, match="L_f is 0"):
+            L1LeastSquares(np.zeros((4, 3)), np.ones(4), 0.1)
+        # the identity block of B = [A, I] keeps L_f at 1
+        p = L1LeastSquares(np.zeros((4, 3)), np.ones(4), 0.1, bucket=True)
+        assert p.L_f == pytest.approx(SAFETY, rel=1e-6)
 
     def test_bucket_effective_dimension(self):
         p = L1LeastSquares(np.ones((3, 2)), np.ones(3), 0.1, bucket=True)

@@ -244,6 +244,34 @@ class TestAgm:
         assert sol.converged
         assert np.allclose(sol.x, [2.0], atol=1e-8)
 
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_reads_A_once_per_iteration(self, rng, bucket, monkeypatch):
+        # agm is magma on the identity chain: after the start residual and
+        # the first anchor's gradient, each iteration makes its two
+        # products with B and one with B^T in one two-point pass, and no
+        # separate residual
+        p = CountingLasso(rng.standard_normal((40, 10)),
+                          rng.standard_normal(40), 0.5, bucket=bucket)
+        passes, residuals = [], []
+        real_pass, real_residual = p.residuals_and_gradient, p.residual
+
+        def two_point_pass(y, z=None, t=1.0):
+            passes.append(z is not None)
+            return real_pass(y, z, t)
+
+        def residual(x):
+            residuals.append(1)
+            return real_residual(x)
+
+        monkeypatch.setattr(p, "residuals_and_gradient", two_point_pass)
+        monkeypatch.setattr(p, "residual", residual)
+        p.calls = {"apply": 0, "apply_adjoint": 0}
+        sol = agm(p, np.zeros(p.dim), SolverConfig(eps=1e-6, max_iters=20000))
+        assert sol.converged and sol.iterations > 50
+        k = sol.iterations
+        assert passes == [True] * k and len(residuals) == 1
+        assert p.calls == {"apply": 2 * k + 1, "apply_adjoint": k + 1}
+
 
 class TestMfista:
     def test_stationary_start_unavailable(self):
@@ -924,10 +952,10 @@ class TestSolverAgreement:
     @pytest.mark.parametrize("bucket", [False, True])
     def test_objective_is_value_of_returned_point(self, bucket, max_iters):
         # every exit reports the objective it already holds for the point
-        # it returns.  ista, fista and agm form that point's residual with
-        # a product, as F(x) does, so the two agree exactly; magma takes
-        # the residuals of its anchors and coarse steps from combinations
-        # of earlier products.
+        # it returns.  ista and fista form that point's residual with a
+        # product, as F(x) does, so the two agree exactly; magma, and agm,
+        # which is magma on the identity chain, take the residuals of their
+        # anchors and coarse steps from combinations of earlier products.
         if bucket:
             spec = ExperimentSpec(m=60, n=40, rho=0.7, k_true=3,
                                   corruption=0.15, noise=0.01, seed=0,
@@ -942,7 +970,7 @@ class TestSolverAgreement:
         for name in solvers.SOLVERS:
             sol = run_solver(name, p, x0, cfg)
             assert sol.converged == (max_iters > 40)
-            if name == "magma":
+            if name in ("agm", "magma"):
                 assert sol.objective == pytest.approx(p.value(sol.x),
                                                       rel=1e-12)
             else:
