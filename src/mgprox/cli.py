@@ -1,4 +1,4 @@
-"""Command-line front end: solve one instance, run benchmarks, run checks.
+"""Command-line front end: solve one instance or run a benchmark spec.
 
 Exit codes: 0 ok, 1 input error, 2 solver stopped on budget without
 converging, 3 invariant or config-validation failure.  Every run prints
@@ -11,7 +11,6 @@ import sys
 
 import numpy as np
 
-from . import checks as checks_mod
 from . import io as mgio
 from .harness import run_compare
 from .multilevel import build_chain
@@ -107,13 +106,19 @@ def _cmd_solve(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    if str(args.output).endswith(".mlv"):
-        mgio.write_vector(args.output, sol.x)
-    else:
-        with open(args.output, "w") as fh:
-            for value in sol.x:
-                fh.write(repr(float(value)) + "\n")
-    mgio.write_trace_csv(sol.trace, args.trace)
+    path = args.output
+    try:
+        if path.endswith(".mlv"):
+            mgio.write_vector(path, sol.x)
+        else:
+            with open(path, "w") as fh:
+                for value in sol.x:
+                    fh.write(repr(float(value)) + "\n")
+        path = args.trace
+        mgio.write_trace_csv(sol.trace, path)
+    except OSError as exc:  # a missing directory, no permission
+        print(f"input error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
     print(f"solver={args.solver} converged={sol.converged} "
           f"iterations={sol.iterations} F={sol.objective!r} "
           f"grad_map={sol.grad_map_norm:.3e} time_s={sol.elapsed_s:.3f}")
@@ -131,7 +136,12 @@ def _cmd_bench(args) -> int:
     for solver in spec.solvers:
         _print_config(spec.solver_config(solver), {"solver": solver})
     records = run_compare(spec)
-    mgio.write_records_csv(records, args.output)
+    try:
+        mgio.write_records_csv(records, args.output)
+    except OSError as exc:
+        print(f"input error: {args.output}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_INPUT
     print(f"{len(records)} records written to {args.output}")
     print("summary (per-solver mean time to eps over converged runs):")
     for solver in spec.solvers:
@@ -141,19 +151,6 @@ def _cmd_bench(args) -> int:
         mean = sum(times) / len(times) if times else float("nan")
         print(f"  {solver}: converged {len(times)}/{total}, "
               f"mean_time_s={mean:.4f}")
-    return EXIT_OK
-
-
-def _cmd_check(args) -> int:
-    results = checks_mod.run_suites([args.suite] if args.suite else None)
-    failed = []
-    for name, (ok, detail) in results.items():
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failed.append(name)
-    if failed:
-        print(f"violated invariant suite(s): {', '.join(failed)}")
-        return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -185,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--output", default="records.csv")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_check = sub.add_parser("check", help="run the invariant suites")
-    p_check.add_argument("--suite", default=None,
-                         choices=sorted(checks_mod.SUITES),
-                         help="run a single suite instead of all")
-    p_check.set_defaults(func=_cmd_check)
     return parser
 
 

@@ -686,8 +686,12 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
     F_y = problem.value(y, r_y)  # incumbent objective, updated every step
     run = _SolveRecord(problem, config, y, r_y, F_y)
+    # gradient-branch (eta, alpha) of iteration k, formed once: here for
+    # k = 0, then at the end of iteration k-1, where it also weights the
+    # next anchor's pass
+    eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
     for k in range(config.max_iters):
-        eta, alpha = update_eta_alpha(state, "grad", None, L_f, None, config)
+        eta, alpha = eta_n, alpha_n
         t = _combination_weight(alpha, eta)
         x = t * z + (1.0 - t) * y
         if g is None:
@@ -725,12 +729,12 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         z = mirror_step(problem, z, g, alpha)
         counts[kind] += 1
         state.k, state.alpha, state.eta = k + 1, alpha, eta
+        eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None,
+                                          config)
         if kind == "coarse":
             r_z, g = problem.residual(z), None
         else:
             if k < config.max_iters - 1:
-                eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f,
-                                                  None, config)
                 r_p, r_z, r_next, g_next = problem.residuals_and_gradient(
                     p, z, _combination_weight(alpha_n, eta_n))
             else:

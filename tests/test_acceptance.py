@@ -7,6 +7,7 @@ fixtures so the bookkeeping criterion can audit every trace produced.
 """
 
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -220,10 +221,9 @@ def test_criterion_5_bookkeeping_invariants(descent_runs, rate_runs,
 def test_criterion_6_oracle_equivalence():
     # converged runs on instances with L_f <= 10 (the gradient mapping is
     # 1/L_f-scaled, so the 10*eps bound presumes moderate L_f)
-    eps = 1e-6
     rng = np.random.default_rng(106)
     checked = 0
-    for seed in range(5):
+    for eps, seed in itertools.product((1e-6, 1e-8), range(5)):
         spec = ExperimentSpec(m=40, n=8, rho=0.3, k_true=2, noise=0.05,
                               seed=seed, lam=0.05)
         problem, _, _ = gen_instance(spec)

@@ -1,7 +1,9 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
-from mgprox import InvariantViolation, checks
+from mgprox import InvariantViolation
 from mgprox.cli import main
 from mgprox.io import (
     read_records_csv,
@@ -183,6 +185,19 @@ class TestSolve:
         assert code == 3
         assert "kappa" in capsys.readouterr().err
 
+    def test_invariant_violation_exit_three(self, tiny_instance, tmp_path,
+                                            monkeypatch, capsys):
+        # a live invariant check inside a solver raises out of the solve
+        monkeypatch.setattr("mgprox.cli.run_solver", Mock(
+            side_effect=InvariantViolation("telescoping identity violated")))
+        mpath, vpath = tiny_instance
+        code = run_cli(["solve", mpath, vpath,
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "invariant failure: telescoping identity violated\n"
+
 
 class TestBench:
     def _write_spec(self, tmp_path, reps=2):
@@ -256,29 +271,17 @@ class TestBench:
         assert "line 3" in capsys.readouterr().err
 
 
-class TestCheck:
-    def test_single_suite_pass(self, capsys):
-        assert run_cli(["check", "--suite", "prox"]) == 0
-        assert "PASS prox" in capsys.readouterr().out
-
-    def test_config_flag_unrecognized_exit_one(self, capsys):
-        # the suites fix their own instances and configs
-        assert run_cli(["check", "--kappa", "0.5"]) == 1
-        assert "unrecognized arguments: --kappa" in capsys.readouterr().err
-
-    def test_raising_suite_fails_exit_three(self, monkeypatch, capsys):
-        # a live invariant check inside a solver raises before the suite
-        # can report; the suite fails and the others still run
-        def suite():
-            raise InvariantViolation("telescoping identity violated")
-
-        monkeypatch.setitem(checks.SUITES, "descent", suite)
-        assert run_cli(["check"]) == 3
-        out = capsys.readouterr().out
-        assert "FAIL descent: InvariantViolation: telescoping identity " \
-            "violated" in out
-        assert "PASS prox" in out
-        assert "violated invariant suite(s): descent" in out
-
-    def test_unknown_suite_exit_one(self):
-        assert run_cli(["check", "--suite", "wibble"]) == 1
+@pytest.mark.parametrize("command, flag", [
+    ("solve", "--output"), ("solve", "--trace"), ("bench", "--output")])
+def test_unwritable_output_exit_one(tiny_instance, tmp_path, capsys, command,
+                                    flag):
+    # the run completes; a file it cannot write ends it with one line
+    spec = tmp_path / "spec.txt"
+    spec.write_text("m=40\nn=16\nsolvers=fista\nreps=1\n")
+    inputs = {"solve": [*tiny_instance, "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")],
+              "bench": [str(spec)]}
+    bad = str(tmp_path / "nodir" / "f.csv")
+    assert run_cli([command, *inputs[command], flag, bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {bad}: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -271,6 +272,20 @@ class TestAgm:
         k = sol.iterations
         assert passes == [True] * k and len(residuals) == 1
         assert p.calls == {"apply": 2 * k + 1, "apply_adjoint": k + 1}
+
+    @pytest.mark.parametrize("solver", ["agm", "magma"])
+    def test_eta_alpha_once_per_iteration(self, solver, monkeypatch):
+        # the gradient-branch (eta, alpha) that weights the next anchor's
+        # pass is carried into the next iteration, also after a coarse step
+        spy = Mock(wraps=update_eta_alpha)
+        monkeypatch.setattr(solvers, "update_eta_alpha", spy)
+        p = bucket_instance(seed=13)
+        sol = run_solver(solver, p, np.zeros(p.dim),
+                         SolverConfig(eps=1e-6, max_iters=12000, kappa=0.7))
+        assert sol.converged and sol.iterations > 50
+        assert sol.step_counts["coarse"] > 0 or solver == "agm"
+        grad = [c for c in spy.call_args_list if c.args[1] == "grad"]
+        assert len(grad) <= sol.iterations + 1
 
 
 class TestMfista:
