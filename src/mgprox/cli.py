@@ -7,6 +7,7 @@ its fully resolved configuration so results can be reproduced exactly.
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -74,12 +75,26 @@ def _print_config(config: SolverConfig, extra: dict):
     print("resolved config: " + " ".join(parts))
 
 
+def _unwritable(*paths) -> bool:
+    """Report, as an input error, the first output path that is a directory
+    or lies in a missing one, before a run whose result it would lose."""
+    for path in paths:
+        missing = not os.path.isdir(os.path.dirname(path) or ".")
+        if missing or os.path.isdir(path):
+            why = "No such file or directory" if missing else "Is a directory"
+            print(f"input error: {path}: {why}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_solve(args) -> int:
     try:
         config = _config_from_args(args)
     except ValueError as exc:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    if _unwritable(args.output, args.trace):
+        return EXIT_INPUT
     try:
         A = mgio.read_matrix(args.matrix)
         b = mgio.read_vector(args.vector)
@@ -127,6 +142,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if _unwritable(args.output):
+        return EXIT_INPUT
     try:
         spec = mgio.parse_experiment_file(args.spec)
     except (OSError, ValueError) as exc:

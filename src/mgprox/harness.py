@@ -37,7 +37,8 @@ class ExperimentSpec:
     ``bucket`` defaults to "corruption > 0": gross errors are what the
     bucket model is for.  ``overrides`` maps a solver id to SolverConfig
     field overrides for that solver only; ``config`` fields apply to all.
-    Both are validated as SolverConfig fields when the spec is built.
+    Both are validated as SolverConfig fields when the spec is built, and
+    when magma is among the solvers, its levels against n (build_chain).
     """
 
     m: int
@@ -83,6 +84,8 @@ class ExperimentSpec:
                 raise ValueError(f"override for unknown solver '{s}'; "
                                  f"choose from {SOLVERS}")
             self.solver_config(s)
+        if "magma" in self.solvers:
+            build_chain(self.n, self.solver_config("magma").levels)
 
     def spec_hash(self) -> str:
         canon = repr(dataclasses.asdict(self))
@@ -192,10 +195,8 @@ def run_compare(spec: ExperimentSpec) -> list:
     records = []
     for solver in spec.solvers:
         config = spec.solver_config(solver)
-        chain = None
-        if solver == "magma":
-            chain = build_chain(problem.n_x, config.levels,
-                                bucket=problem.bucket, m=problem.m)
+        chain = build_chain(problem.n_x, config.levels, bucket=problem.bucket,
+                            m=problem.m) if solver == "magma" else None
         try:
             run_solver(solver, problem, x0s[0],
                        dataclasses.replace(config, max_iters=3), chain=chain)

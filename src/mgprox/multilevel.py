@@ -154,8 +154,8 @@ def build_chain(n: int, levels: int, bucket: bool = False,
         raise ValueError("n must be >= 1")
     if bucket and m < 1:
         raise ValueError("bucket chains need the error-block size m")
-    max_depth = int(np.floor(np.log2(n))) + 1
-    if 2 ** (levels - 1) > n:
+    max_depth = int(n).bit_length()
+    if levels > max_depth:
         raise ValueError(
             f"n={n} is too small for {levels} levels; "
             f"maximum feasible depth is {max_depth}")

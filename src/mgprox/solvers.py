@@ -235,16 +235,21 @@ def _norm(v) -> float:
 class _SolveRecord:
     """The stopping test, trace, clock and exits of one solve.
 
-    Made at the start point (x0, B x0 - b, F(x0)), it holds the lowest-F
-    point passed to ``keep``; a solve ends through ``end`` at the point it
-    returns, or through ``budget_exit`` at that kept point.
+    Made from x0, it checks it and takes one pass over A there, so every
+    solver starts from ``start`` = (x0, r, g, F(x0)) with r = B x0 - b and
+    g = B^T r.  It holds the lowest-F point passed to ``keep``, from the
+    start on; a solve ends through ``end`` at the point it returns, or
+    through ``budget_exit`` at that kept point.
     """
 
-    def __init__(self, problem, config, x, r, F):
+    def __init__(self, problem, config, x0):
         self.problem, self.config = problem, config
         self.start_ns = time.perf_counter_ns()
         self.trace = []
-        self.kept = (x, r, F)
+        x = _as_start(problem, x0)
+        r, g = problem.residuals_and_gradient(x)
+        F = problem.value(x, r)
+        self.start, self.kept = (x, r, g, F), (x, r, F)
 
     def stop_test(self, x, g):
         """The prox step p = prox_{L_f}(x), taken with g = grad f(x), and
@@ -291,10 +296,8 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     over A (``residuals_and_gradient``): the residual of each new iterate
     gives its objective, and its gradient the next prox step.
     """
-    x = _as_start(problem, x0)
-    r, g = problem.residuals_and_gradient(x)
-    F = problem.value(x, r)
-    run = _SolveRecord(problem, config, x, r, F)
+    run = _SolveRecord(problem, config, x0)
+    x, r, g, F = run.start
     for k in range(config.max_iters):
         p, Dn = run.stop_test(x, g)
         if Dn < config.eps:
@@ -321,22 +324,21 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     iteration, so rounding does not build up.  A budget exit tests the
     lowest-F iterate, kept with its residual, for one more B^T.
     """
-    x = _as_start(problem, x0)
-    r, g = problem.residuals_and_gradient(x)
+    run = _SolveRecord(problem, config, x0)
+    x, r, g, F = run.start
     x_prev, g_prev = x, g
     y, g_y = x, g
     t = 1.0
     L_f = problem.L_f
-    run = _SolveRecord(problem, config, x, r, problem.value(x, r))
     for k in range(config.max_iters):
         x = prox_step(problem, y, L_f, g_y)
         r, g = problem.residuals_and_gradient(x)
         _, Dn = run.stop_test(x, g)
-        Fx = problem.value(x, r)
-        run.log(k, "grad", Fx, Dn)
-        run.keep(x, r, Fx)
+        F = problem.value(x, r)
+        run.log(k, "grad", F, Dn)
+        run.keep(x, r, F)
         if Dn < config.eps:
-            return run.end(x, r, g, Fx, Dn, k + 1, {"grad": k + 1})
+            return run.end(x, r, g, F, Dn, k + 1, {"grad": k + 1})
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
@@ -526,14 +528,13 @@ def _check_bookkeeping(state, eta_n, alpha_n, t):
         raise InvariantViolation(f"t_k out of (0, 1] at k={state.k}: {t}")
 
 
-def _gradient_step(problem, x, r_x, g, p, r_p, L_f, k):
-    """Take the prox step y = p of the anchor x, formed with g = B^T r_x,
-    and return F(p) from its residual r_p = B p - b.
+def _gradient_step(x, r_x, g, p, r_p, L_f, k):
+    """Certify L_f along the prox step p of the anchor x, formed with
+    g = B^T r_x, given the residuals r_x = B x - b and r_p = B p - b.
 
-    Also certifies L_f along this step: the descent lemma
-    f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2, which the guarantee
-    lemmas assume, costs three dot products here and no product; a
-    violation raises InvariantViolation naming L_f.
+    The descent lemma f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2,
+    which the guarantee lemmas assume, costs three dot products here and
+    no product; a violation raises InvariantViolation naming L_f.
     """
     d = p - x
     f_x = 0.5 * float(r_x @ r_x)
@@ -543,7 +544,6 @@ def _gradient_step(problem, x, r_x, g, p, r_p, L_f, k):
         raise InvariantViolation(
             f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
-    return problem.value(p, r_p)
 
 
 def _smoothing(problem, config, eta, alpha):
@@ -570,7 +570,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
 
     Returns (x, step): the re-formed anchor, and either the reason the
     attempt stopped, one of REJECTION_REASONS, or the accepted step
-    (y, B y - b, F(y), grad f(x), eta, alpha, t, s, its CoarseEvent).
+    (y, grad f(x), eta, alpha, t, s, its CoarseEvent).
     """
     _, L_H = chain.coarse_system(problem, view.mu)
     eta, alpha = update_eta_alpha(state, "coarse", state.s_prev,
@@ -609,13 +609,12 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     # the Armijo test controls F_mu only; the true objective may grow by
     # up to beta*mu, which keeps undoing late-stage convergence.  Require
     # the coarse step to beat the incumbent y.
-    y_new, r_new = x + s * d, r_x + s * Bd
-    F_new = problem.value(y_new, r_new)
-    if F_new > F_y:
+    y_new = x + s * d
+    if problem.value(y_new, r_x + s * Bd) > F_y:
         return x, "objective_rejected"
     eta, alpha = update_eta_alpha(state, "coarse", s, problem.L_f, L_H, config)
     event = CoarseEvent(k, slope, math.sqrt(gn2), L_H, s, res.iterations)
-    return x, (y_new, r_new, F_new, g, eta, alpha, t, s, event)
+    return x, (y_new, g, eta, alpha, t, s, event)
 
 
 def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
@@ -643,22 +642,16 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     On the identity chain (levels = 1) no attempt is made at all, and
     magma is agm.
 
-    Products: the residuals r_y = B y - b and r_z = B z - b are kept, each
-    made once when y or z is formed, and since t + (1-t) = 1 every anchor
-    x = t z + (1-t) y has the residual t r_z + (1-t) r_y.  A gradient
-    iteration makes two products with B (r_y and r_z) and one with B^T
-    (grad f(x)), and reads A once for all three: the bookkeeping already
-    gives the next iteration's gradient-branch weight, so one pass over A
-    (``residuals_and_gradient``) at the end of the iteration forms r_y,
-    r_z, the next anchor's residual and its gradient.  After an accepted
-    coarse step, and at the last iteration, r_y and r_z are formed by
-    separate products and the next anchor's gradient at the top of the
-    loop, so a run stopped by its budget forms no anchor it does not
-    use.  A coarse attempt adds one B^T at its re-formed anchor, and its
-    line search one B (B d), which gives every probe, the accepted y and
-    its incumbent test their residuals, so an accepted coarse step makes
-    no product for r_y.  Each gradient step checks the descent lemma for
-    L_f.
+    Products: every iteration, whatever its step, ends with one pass over
+    A (``residuals_and_gradient``) at the new y and z, weighted by the
+    next gradient-branch t, which the bookkeeping already gives: two
+    products with B (r_y = B y - b, r_z = B z - b) and one with B^T, at
+    the next anchor x = t z + (1-t) y, whose residual is t r_z + (1-t) r_y.
+    So A is read once per iteration, and a run stopped by its budget forms
+    one gradient it does not use.  A coarse attempt adds one B^T at its
+    re-formed anchor, and its line search one B (B d), which gives every
+    probe and the incumbent test their residuals.  Each gradient step
+    checks the descent lemma for L_f.
 
     The coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that
@@ -674,18 +667,14 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     if chain.levels != config.levels:
         raise ValueError(
             f"chain has {chain.levels} levels, config.levels is {config.levels}")
+    run = _SolveRecord(problem, config, x0)
+    y, r_y, g, F_y = run.start  # F_y: incumbent objective, updated every step
+    z, r_z, r_x = y.copy(), r_y, r_y
     L_f = problem.L_f
-    y = _as_start(problem, x0)
-    z = y.copy()
-    r_y = problem.residual(y)
-    r_z = r_y
-    g = None  # grad f at the next anchor, once a pass over A has formed it
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
     events = []
     counts = {"grad": 0, "coarse": 0, "fallback": 0}
     rejections = dict.fromkeys(REJECTION_REASONS, 0)
-    F_y = problem.value(y, r_y)  # incumbent objective, updated every step
-    run = _SolveRecord(problem, config, y, r_y, F_y)
     # gradient-branch (eta, alpha) of iteration k, formed once: here for
     # k = 0, then at the end of iteration k-1, where it also weights the
     # next anchor's pass
@@ -694,15 +683,13 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         eta, alpha = eta_n, alpha_n
         t = _combination_weight(alpha, eta)
         x = t * z + (1.0 - t) * y
-        if g is None:
-            r_x = t * r_z + (1.0 - t) * r_y
-            g = problem.apply_adjoint(r_x)
-        p, Dn = run.stop_test(x, g)
+        # the prox step of the stopping test is the gradient step's y
+        y_next, Dn = run.stop_test(x, g)
         if Dn < config.eps:
             return run.end(x, r_x, g, problem.value(x, r_x), Dn, k, counts,
                            events, rejections)
 
-        kind = "grad"
+        kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
                 and _proximity_clause(state, x, config):
             view = SmoothedView(problem, _smoothing(problem, config, eta, alpha))
@@ -720,7 +707,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                 else:
                     kind = "coarse"
                     state.fails = 0
-                    y, r_y, F_y, g, eta, alpha, t, s, event = step
+                    y_next, g, eta, alpha, t, s, event = step
                     events.append(event)
                     state.s_prev = s
 
@@ -731,19 +718,12 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         state.k, state.alpha, state.eta = k + 1, alpha, eta
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None,
                                           config)
-        if kind == "coarse":
-            r_z, g = problem.residual(z), None
-        else:
-            if k < config.max_iters - 1:
-                r_p, r_z, r_next, g_next = problem.residuals_and_gradient(
-                    p, z, _combination_weight(alpha_n, eta_n))
-            else:
-                r_p, r_z = problem.residual(p), problem.residual(z)
-                r_next = g_next = None
-            F_y = _gradient_step(problem, x, r_x, g, p, r_p, L_f, k)
-            y, r_y, s = p, r_p, NAN
-            r_x, g = r_next, g_next
+        r_y, r_z, r_next, g_next = problem.residuals_and_gradient(
+            y_next, z, _combination_weight(alpha_n, eta_n))
+        if kind != "coarse":
+            _gradient_step(x, r_x, g, y_next, r_y, L_f, k)
             state.q += 1
+        y, r_x, g, F_y = y_next, r_next, g_next, problem.value(y_next, r_y)
         run.keep(y, r_y, F_y)
         run.log(k, kind, F_y, Dn, eta, alpha, t, s)
     return run.budget_exit(counts, events, rejections)

@@ -3,7 +3,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from mgprox import InvariantViolation
+from mgprox import InvariantViolation, cli
 from mgprox.cli import main
 from mgprox.io import (
     read_records_csv,
@@ -264,6 +264,21 @@ class TestBench:
         assert "input error" in err and message in err
         assert not out.exists()
 
+    def test_magma_levels_too_deep_exit_one(self, tmp_path, capsys,
+                                            monkeypatch):
+        # n=4 fits at most 3 levels; the spec is refused before fista runs
+        run_compare = Mock()
+        monkeypatch.setattr("mgprox.cli.run_compare", run_compare)
+        spec = tmp_path / "spec.txt"
+        spec.write_text("m=6\nn=4\nsolvers=fista,magma\nmagma.levels=5\n")
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "n=4 is too small for 5 levels" in err
+        run_compare.assert_not_called()
+        assert not out.exists()
+
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("m=40\nn=16\nwibble=1\n")
@@ -273,15 +288,42 @@ class TestBench:
 
 @pytest.mark.parametrize("command, flag", [
     ("solve", "--output"), ("solve", "--trace"), ("bench", "--output")])
-def test_unwritable_output_exit_one(tiny_instance, tmp_path, capsys, command,
-                                    flag):
-    # the run completes; a file it cannot write ends it with one line
+def test_unwritable_output_exit_one(tiny_instance, tmp_path, capsys,
+                                    monkeypatch, command, flag):
+    # an output path that cannot be written ends the command with one line
+    # before any solve starts
+    run_solver, run_compare = Mock(), Mock()
+    monkeypatch.setattr("mgprox.cli.run_solver", run_solver)
+    monkeypatch.setattr("mgprox.cli.run_compare", run_compare)
     spec = tmp_path / "spec.txt"
     spec.write_text("m=40\nn=16\nsolvers=fista\nreps=1\n")
     inputs = {"solve": [*tiny_instance, "--output", str(tmp_path / "x.csv"),
                         "--trace", str(tmp_path / "t.csv")],
               "bench": [str(spec)]}
-    bad = str(tmp_path / "nodir" / "f.csv")
-    assert run_cli([command, *inputs[command], flag, bad]) == 1
+    for bad, reason in ((tmp_path / "nodir" / "f.csv",
+                         "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert run_cli([command, *inputs[command], flag, str(bad)]) == 1
+        assert capsys.readouterr().err == f"input error: {bad}: {reason}\n"
+    run_solver.assert_not_called()
+    run_compare.assert_not_called()
+
+
+def test_unwritable_output_after_run_exit_one(tiny_instance, tmp_path,
+                                              capsys, monkeypatch):
+    # a directory removed while the solve runs is still reported in one line
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    real = cli.run_solver
+
+    def solve_then_remove(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        out_dir.rmdir()
+        return sol
+
+    monkeypatch.setattr("mgprox.cli.run_solver", solve_then_remove)
+    out = str(out_dir / "x.csv")
+    assert run_cli(["solve", *tiny_instance, "--output", out,
+                    "--trace", str(tmp_path / "t.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"input error: {bad}: ") and err.count("\n") == 1
+    assert err.startswith(f"input error: {out}: ") and err.count("\n") == 1

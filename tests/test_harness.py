@@ -80,6 +80,17 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=message):
             ExperimentSpec(m=10, n=5, config=config, overrides=overrides)
 
+    def test_magma_levels_too_deep_for_n_rejected(self):
+        # n=4 fits at most 3 levels (2^(levels-1) <= n); only magma uses them
+        with pytest.raises(ValueError, match="n=4 is too small for 5 levels"):
+            ExperimentSpec(m=6, n=4, solvers=("fista", "magma"),
+                           overrides={"magma": {"levels": 5}})
+        with pytest.raises(ValueError, match="n=4 is too small for 4 levels"):
+            ExperimentSpec(m=6, n=4, solvers=("magma",), config={"levels": 4})
+        ExperimentSpec(m=6, n=4, solvers=("fista", "magma"),
+                       overrides={"magma": {"levels": 3}})
+        ExperimentSpec(m=6, n=4, solvers=("fista",), config={"levels": 5})
+
     def test_planted_support_recovered_in_easy_regime(self):
         # rho <= 0.5, k_true <= m/20, no noise: the planted support shows
         # up at threshold 1e-4 in at least 9 of 10 seeds

@@ -120,17 +120,24 @@ def _non_default_config():
 def _specs(draw):
     n = draw(st.integers(1, 50))
     unit = st.floats(0.0, 1.0)
+    solvers = tuple(draw(st.lists(st.sampled_from(SOLVERS), max_size=4)))
+    config = draw(_non_default_config())
+    overrides = draw(st.dictionaries(st.sampled_from(SOLVERS),
+                                     _non_default_config().filter(bool),
+                                     max_size=4))
+    if "magma" in solvers:
+        # a spec with magma is valid only where its chain fits n
+        for fields in (config, overrides.get("magma", {})):
+            if "levels" in fields:
+                fields["levels"] = min(fields["levels"], n.bit_length())
     return ExperimentSpec(
         m=draw(st.integers(1, 50)), n=n,
         rho=draw(unit.filter(lambda v: v < 1.0)),
         k_true=draw(st.integers(0, n)), corruption=draw(unit),
         noise=draw(st.floats(0.0, 1e3)), seed=draw(st.integers(0, 2 ** 32)),
-        solvers=tuple(draw(st.lists(st.sampled_from(SOLVERS), max_size=4))),
-        reps=draw(st.integers(1, 9)), lam=draw(st.floats(0.0, 1e3)),
-        bucket=draw(st.booleans()), config=draw(_non_default_config()),
-        overrides=draw(st.dictionaries(st.sampled_from(SOLVERS),
-                                       _non_default_config().filter(bool),
-                                       max_size=4)))
+        solvers=solvers, reps=draw(st.integers(1, 9)),
+        lam=draw(st.floats(0.0, 1e3)), bucket=draw(st.booleans()),
+        config=config, overrides=overrides)
 
 
 @PROPERTY

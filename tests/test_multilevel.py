@@ -74,6 +74,9 @@ class TestBuildChain:
     def test_too_deep_reports_max_depth(self):
         with pytest.raises(ValueError, match="maximum feasible depth is 4"):
             build_chain(8, 5)
+        # a spec file may ask for any levels: no 2^(levels-1) is formed
+        with pytest.raises(ValueError, match="maximum feasible depth is 4"):
+            build_chain(8, 2 ** 62)
 
     def test_levels_one_is_identity(self):
         chain = build_chain(5, 1)

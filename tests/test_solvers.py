@@ -247,10 +247,9 @@ class TestAgm:
 
     @pytest.mark.parametrize("bucket", [False, True])
     def test_reads_A_once_per_iteration(self, rng, bucket, monkeypatch):
-        # agm is magma on the identity chain: after the start residual and
-        # the first anchor's gradient, each iteration makes its two
-        # products with B and one with B^T in one two-point pass, and no
-        # separate residual
+        # agm is magma on the identity chain: after the one-point pass at
+        # the start, each iteration makes its two products with B and one
+        # with B^T in one two-point pass, and no separate residual
         p = CountingLasso(rng.standard_normal((40, 10)),
                           rng.standard_normal(40), 0.5, bucket=bucket)
         passes, residuals = [], []
@@ -270,7 +269,7 @@ class TestAgm:
         sol = agm(p, np.zeros(p.dim), SolverConfig(eps=1e-6, max_iters=20000))
         assert sol.converged and sol.iterations > 50
         k = sol.iterations
-        assert passes == [True] * k and len(residuals) == 1
+        assert passes == [False] + [True] * k and residuals == []
         assert p.calls == {"apply": 2 * k + 1, "apply_adjoint": k + 1}
 
     @pytest.mark.parametrize("solver", ["agm", "magma"])
@@ -672,8 +671,9 @@ class TestMagma:
 
     @pytest.mark.parametrize("bucket", [False, True])
     def test_products_per_iteration(self, bucket):
-        # two B and one B^T per iteration; a coarse attempt adds at most
-        # one of each (B^T at its anchor, B d for the line search)
+        # one pass at the start and one per iteration (two B, one B^T);
+        # every coarse attempt adds one B^T at its anchor, and one that
+        # reaches the line search one B (B d)
         spec = ExperimentSpec(m=200, n=128, rho=0.9, k_true=4,
                               corruption=0.2 if bucket else 0.0, noise=0.01,
                               seed=3, lam=1e-5)
@@ -687,9 +687,32 @@ class TestMagma:
         if bucket:
             assert sol.step_counts["coarse"] > 0
         k = sol.iterations
-        attempts = sol.step_counts["coarse"] + sol.step_counts["fallback"]
-        assert k <= p.calls["apply_adjoint"] <= k + attempts + 2
-        assert 2 * k - attempts <= p.calls["apply"] <= 2 * k + attempts + 2
+        coarse = sol.step_counts["coarse"]
+        fallback = sol.step_counts["fallback"]
+        searched = coarse + sol.rejections["line_search_failed"] \
+            + sol.rejections["objective_rejected"]
+        assert p.calls["apply"] == 2 * k + 1 + searched
+        assert p.calls["apply_adjoint"] == k + 1 + coarse + fallback
+
+    def test_budget_exit_products(self):
+        # a run stopped by its budget makes the same passes, and its exit
+        # tests the kept point with one more B^T: the last pass's gradient
+        # goes unused
+        base = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        p = CountingLasso(base.A, base.b, base.lam, bucket=True)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        cfg = SolverConfig(eps=1e-12, max_iters=300, kappa=0.7, levels=2)
+        p.calls = {"apply": 0, "apply_adjoint": 0}
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert not sol.converged and sol.iterations == cfg.max_iters
+        assert sol.step_counts["coarse"] > 0
+        k = sol.iterations
+        coarse = sol.step_counts["coarse"]
+        fallback = sol.step_counts["fallback"]
+        searched = coarse + sol.rejections["line_search_failed"] \
+            + sol.rejections["objective_rejected"]
+        assert p.calls["apply"] == 2 * k + 1 + searched
+        assert p.calls["apply_adjoint"] == k + 1 + coarse + fallback + 1
 
     def test_recycled_products_are_exact(self, monkeypatch):
         # anchor residuals and gradients, the line search's B d and every
@@ -709,10 +732,10 @@ class TestMagma:
                 return real(*args, **kwargs)
             monkeypatch.setattr(solvers, real.__name__, wrapper)
 
-        def check_anchor(problem, x, r_x, g, p_x, r_p, L_f, k):
-            assert close(r_x, problem.residual(x))
-            assert close(g, problem.f_grad(x))
-            assert close(r_p, problem.residual(p_x))
+        def check_anchor(x, r_x, g, p_x, r_p, L_f, k):
+            assert close(r_x, p.residual(x))
+            assert close(g, p.f_grad(x))
+            assert close(r_p, p.residual(p_x))
 
         def check_coarse(problem, chain, x, mu, grad_H):
             assert close(grad_H,
