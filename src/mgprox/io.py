@@ -291,14 +291,15 @@ def parse_experiment_file(path) -> ExperimentSpec:
                     raise FileFormatError(path, f"unknown key: {key!r}",
                                           line=lineno)
             target[name] = _parse_value(kind, value, path, lineno, key)
+    # a missing key, or values that do not fit together, belong to no
+    # one line
     for f in _SPEC_FIELDS:
         if f.default is dataclasses.MISSING and f.name not in fields:
-            raise FileFormatError(path, f"missing required key {f.name!r}",
-                                  line=1)
+            raise FileFormatError(path, f"missing required key {f.name!r}")
     try:
         return ExperimentSpec(config=config, overrides=overrides, **fields)
     except ValueError as exc:
-        raise FileFormatError(path, str(exc), line=1) from None
+        raise FileFormatError(path, str(exc)) from None
 
 
 def experiment_lines(spec: ExperimentSpec) -> list:

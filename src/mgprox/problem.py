@@ -27,8 +27,9 @@ __all__ = [
 # the spectral norm from below; the product is still not a certified bound.
 LIPSCHITZ_SAFETY = 1.01
 
-# Rows of A per block of ``L1LeastSquares.residuals_and_gradient`` hold
-# about this many bytes, so that a block read from memory for its
+# Rows of A per block of the one-pass products (``residuals_and_gradient``
+# and each power-iteration step of ``lipschitz_estimate``) hold about
+# this many bytes, so that a block read from memory for its
 # products with the points is still in a 2 MiB L2 cache for its product
 # with B^T.
 PASS_BLOCK_BYTES = 1 << 20
@@ -48,22 +49,27 @@ def power_iteration(op, dim: int, rel_tol: float = 1e-6, max_iters: int = 5000,
 
     Returns (estimate, converged).  Emits a warning and returns the best
     estimate if the Rayleigh quotient has not stabilized to ``rel_tol``
-    within ``max_iters``.
+    within ``max_iters``.  An output of ``op`` whose norm is not finite (a
+    NaN or an infinity in it, or a norm that overflows) ends the iteration
+    at once: its norm is returned, with converged False and no warning.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
-        w = op(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True
-        lam_new = float(v @ w)
-        v = w / nw
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-30):
-            return lam_new, True
-        lam = lam_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            w = op(v)
+            nw = np.linalg.norm(w)
+            if not np.isfinite(nw):
+                return float(nw), False
+            if nw == 0.0:
+                return 0.0, True
+            lam_new = float(v @ w)
+            v = w / nw
+            if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-30):
+                return lam_new, True
+            lam = lam_new
     warnings.warn(
         f"power iteration did not reach rel_tol={rel_tol:g} after "
         f"{max_iters} iterations; returning best estimate {lam:.6g}",
@@ -97,6 +103,51 @@ def _apply_adjoint(A: np.ndarray, r: np.ndarray, bucket: bool) -> np.ndarray:
     return A.T @ r
 
 
+def _pass(A: np.ndarray, b, bucket: bool, points, t: float = 1.0):
+    """Residuals r = B w - b of one or two points w (r = B w when b is
+    None) and g = B^T r_x, in one pass over A; returns (rs, r_x, g).
+
+    r_x is t r_z + (1-t) r_y for two points (y, z) and r_y for one.  A is
+    read in row blocks of about PASS_BLOCK_BYTES, and each block's share
+    of g is added while the block is still in cache.
+    """
+    m, n = A.shape
+    # whole groups of 4 rows, as OpenBLAS's A @ w kernel takes them,
+    # and no one-row last block, which numpy forms as a dot product:
+    # each row of a block then gets the rounding it gets in A @ w
+    rows = max(4, PASS_BLOCK_BYTES // (8 * n) // 4 * 4)
+    edges = list(range(0, m, rows)) + [m]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    rs = [np.empty(m) for _ in points]
+    r_x = rs[0] if len(points) == 1 else np.empty(m)
+    g = None
+    for lo, hi in zip(edges, edges[1:]):
+        blk = slice(lo, hi)
+        A_b = A[blk]
+        for w, r in zip(points, rs):
+            r_b = r[blk]
+            if bucket:
+                np.matmul(A_b, w[:n], out=r_b)
+                r_b += w[n:][blk]
+            else:
+                np.matmul(A_b, w, out=r_b)
+            if b is not None:
+                r_b -= b[blk]
+        if len(points) == 2:
+            r_xb = r_x[blk]
+            np.multiply(rs[1][blk], t, out=r_xb)
+            r_xb += (1.0 - t) * rs[0][blk]
+        part = A_b.T @ r_x[blk]
+        if g is None:
+            g = part
+        else:
+            g += part
+    if bucket:
+        g = np.concatenate([g, r_x])
+    return rs, r_x, g
+
+
 class L1LeastSquares:
     """F(x) = f(x) + g(x) with f(x) = 0.5*||Ax - b||^2, g(x) = lam*||x||_1.
 
@@ -124,11 +175,6 @@ class L1LeastSquares:
                 f"b has length {b.shape}, expected ({A.shape[0]},)")
         if not 0 <= lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative (got {lam})")
-        for name, data in (("A", A), ("b", b)):
-            if not np.all(np.isfinite(data)):
-                raise ValueError(
-                    f"{name} has {int(np.sum(~np.isfinite(data)))} "
-                    f"non-finite entries (NaN or Inf)")
         self.A = A
         self.b = b
         self.lam = float(lam)
@@ -138,6 +184,18 @@ class L1LeastSquares:
         # g <= g_mu <= g + smoothing_beta * mu for the l1 smoothing
         self.smoothing_beta = self.lam * self.dim
         self.L_f = lipschitz_estimate(self)
+        # a NaN or an infinity in A makes the estimate non-finite, so A is
+        # scanned only then
+        finite_L = bool(np.isfinite(self.L_f))
+        for name, data in (("b", b),) if finite_L else (("A", A), ("b", b)):
+            if not np.all(np.isfinite(data)):
+                raise ValueError(
+                    f"{name} has {int(np.sum(~np.isfinite(data)))} "
+                    f"non-finite entries (NaN or Inf)")
+        if not finite_L:
+            raise ValueError("L_f overflows: A is finite, but the power "
+                             "iteration for its Lipschitz constant overflows "
+                             "float64 (scale A down)")
         if self.L_f == 0:
             raise ValueError("A is zero, so f is constant and its Lipschitz "
                              "constant L_f is 0: no solver can take a step")
@@ -175,39 +233,7 @@ class L1LeastSquares:
         points = (y,) if z is None else (y, z)
         for w in points:
             _check_dim(w, self.dim)
-        A, b, n, m = self.A, self.b, self.n_x, self.m
-        # whole groups of 4 rows, as OpenBLAS's A @ w kernel takes them,
-        # and no one-row last block, which numpy forms as a dot product:
-        # each row of a block then gets the rounding it gets in A @ w
-        rows = max(4, PASS_BLOCK_BYTES // (8 * max(n, 1)) // 4 * 4)
-        edges = list(range(0, max(m, 1), rows)) + [m]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]
-        rs = [np.empty(m) for _ in points]
-        r_x = rs[0] if z is None else np.empty(m)
-        g = None
-        for lo, hi in zip(edges, edges[1:]):
-            blk = slice(lo, hi)
-            A_b, b_b = A[blk], b[blk]
-            for w, r in zip(points, rs):
-                r_b = r[blk]
-                if self.bucket:
-                    np.matmul(A_b, w[:n], out=r_b)
-                    r_b += w[n:][blk]
-                else:
-                    np.matmul(A_b, w, out=r_b)
-                r_b -= b_b
-            if z is not None:
-                r_xb = r_x[blk]
-                np.multiply(rs[1][blk], t, out=r_xb)
-                r_xb += (1.0 - t) * rs[0][blk]
-            part = A_b.T @ r_x[blk]
-            if g is None:
-                g = part
-            else:
-                g += part
-        if self.bucket:
-            g = np.concatenate([g, r_x])
+        rs, r_x, g = _pass(self.A, self.b, self.bucket, points, t)
         return (rs[0], g) if z is None else (rs[0], rs[1], r_x, g)
 
     # -- smooth part f and nonsmooth part g --------------------------------
@@ -336,8 +362,15 @@ def lipschitz_estimate(problem: L1LeastSquares) -> float:
 
     Power iteration to relative tolerance 1e-6, which approaches the norm
     from below, inflated by 1.01.  magma and agm test it by the descent
-    lemma at every gradient step; ista and fista do not.
+    lemma at every gradient step; ista and fista do not.  Each step forms
+    B^T B v in one row-blocked pass over A, the pass of
+    ``residuals_and_gradient`` with no offset b, so a step reads A once.
+    A NaN or infinity in A makes the first product non-finite, and
+    products that overflow float64 make some product non-finite; either
+    ends the iteration with a non-finite estimate, which
+    ``L1LeastSquares`` rejects.
     """
-    est, _ = power_iteration(
-        lambda v: problem.apply_adjoint(problem.apply(v)), problem.dim)
+    A, bucket = problem.A, problem.bucket
+    est, _ = power_iteration(lambda v: _pass(A, None, bucket, (v,))[2],
+                             problem.dim)
     return LIPSCHITZ_SAFETY * est

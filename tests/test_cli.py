@@ -115,6 +115,26 @@ class TestSolve:
         assert "Traceback" not in captured.err
         assert "resolved config" not in captured.out
 
+    @pytest.mark.parametrize("entry, message", [
+        ("nan", "A has 1 non-finite entries (NaN or Inf)"),
+        ("1e200", "L_f overflows"),
+    ])
+    def test_bad_csv_dictionary_exit_one(self, tmp_path, capsys, entry,
+                                         message):
+        # a NaN, or entries whose products overflow, are found by the
+        # Lipschitz power iteration when the problem is built
+        mpath, vpath = tmp_path / "A.csv", tmp_path / "b.csv"
+        mpath.write_text(f"{entry},0\n0,1\n1,1\n")
+        vpath.write_text("1\n2\n3\n")
+        code = run_cli(["solve", str(mpath), str(vpath),
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {message}")
+        assert "Traceback" not in captured.err
+        assert "resolved config" not in captured.out
+
     @pytest.mark.parametrize("x0, message", [
         (np.zeros(5), "x0 has shape (5,), expected (6,)"),
         (np.full(6, np.nan), "x0 has 6 non-finite"),

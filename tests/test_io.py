@@ -250,8 +250,22 @@ class TestExperimentFiles:
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("m=10\n")
-        with pytest.raises(FileFormatError, match="missing required key"):
+        with pytest.raises(FileFormatError, match="missing required key") \
+                as info:
             parse_experiment_file(path)
+        assert info.value.line is None and "at line" not in str(info.value)
+
+    def test_spec_conflict_names_no_line(self, tmp_path):
+        # the levels set on line 4 do not fit the n of line 2: neither line
+        # alone is wrong, so the error names none
+        path = tmp_path / "spec.txt"
+        path.write_text("m=6\nn=4\nsolvers=fista,magma\nmagma.levels=5\n")
+        with pytest.raises(FileFormatError) as info:
+            parse_experiment_file(path)
+        assert info.value.line is None
+        assert str(info.value) == (
+            f"{path}: n=4 is too small for 5 levels; maximum feasible "
+            f"depth is 3")
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "spec.txt"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,13 +215,14 @@ class TestResidualsAndGradient:
     @pytest.mark.parametrize("m", [9, 13, 16, 17])
     def test_blocks_of_four_rows(self, m, monkeypatch):
         # a block smaller than a row still takes 4 rows, and a last block
-        # of one row joins the block before it
+        # of one row joins the block before it; the problem is built
+        # before the spy, since its Lipschitz estimate makes passes too
+        monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
+        p = L1LeastSquares(np.ones((m, 3)), np.ones(m), 0.1)
         seen = []
         real = np.matmul
         monkeypatch.setattr(np, "matmul", lambda a, *args, **kwargs:
                             seen.append(len(a)) or real(a, *args, **kwargs))
-        monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
-        p = L1LeastSquares(np.ones((m, 3)), np.ones(m), 0.1)
         p.residuals_and_gradient(np.ones(3))
         assert seen == {9: [4, 5], 13: [4, 4, 5], 16: [4, 4, 4, 4],
                         17: [4, 4, 4, 5]}[m]
@@ -377,6 +380,37 @@ class TestLipschitzEstimate:
         assert not ok
         assert est > 0
 
+    @pytest.mark.parametrize("out", [
+        np.array([1.0, np.nan, 2.0]), np.array([np.inf, 0.0, 1.0]),
+        np.array([np.inf, -np.inf, 0.0]), np.full(3, 1e200)])
+    def test_non_finite_output_stops_at_once(self, out):
+        # a NaN or an infinity in the output, or a norm that overflows,
+        # is returned at the first call, with no warning
+        calls = []
+
+        def op(v):
+            calls.append(v)
+            return out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, ok = power_iteration(op, 3)
+        assert len(calls) == 1 and not ok and not np.isfinite(est)
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("m, n", [(40, 10), (37, 6), (9, 30)])
+    def test_one_pass_per_step(self, m, n, bucket, monkeypatch):
+        # each step forms B^T B v in one pass over A: with A one block it
+        # is apply_adjoint(apply(v)) bit for bit; blocks of 4 rows change
+        # only the order of summation of B^T r
+        A = np.random.default_rng(m * n).standard_normal((m, n))
+        p = L1LeastSquares(A, np.zeros(m), 0.1, bucket=bucket)
+        est, ok = power_iteration(lambda v: p.apply_adjoint(p.apply(v)),
+                                  p.dim)
+        assert ok and p.L_f == SAFETY * est
+        monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
+        blocked = L1LeastSquares(A, np.zeros(m), 0.1, bucket=bucket)
+        assert blocked.L_f == pytest.approx(p.L_f, rel=1e-15, abs=0)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("entry", [
@@ -417,6 +451,43 @@ class TestConstruction:
         b[2] = bad
         with pytest.raises(ValueError, match="^b has 1 non-finite"):
             L1LeastSquares(np.ones((3, 2)), b, 0.1, bucket=True)
+        with pytest.raises(ValueError, match="^A has 1 non-finite"):
+            L1LeastSquares(A, b, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 9), bucket=st.booleans(),
+           blocked=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           planted=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                      st.sampled_from([np.nan, np.inf,
+                                                       -np.inf])),
+                            min_size=1, max_size=6))
+    def test_non_finite_dictionary_counted(self, m, n, bucket, blocked,
+                                           seed, planted):
+        # A NaN or an infinity anywhere in A, with A one block or blocks
+        # of 4 rows, is rejected with the count of such entries, and no
+        # numpy warning escapes the power iteration that finds it
+        A = np.random.default_rng(seed).standard_normal((m, n))
+        for k, bad in planted:
+            A.flat[k % A.size] = bad
+        count = int(np.sum(~np.isfinite(A)))
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if blocked:
+                mp.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
+            with pytest.raises(ValueError) as info:
+                L1LeastSquares(A, np.ones(m), 0.1, bucket=bucket)
+        assert str(info.value) == \
+            f"A has {count} non-finite entries (NaN or Inf)"
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_overflowing_dictionary_rejected(self, scale, bucket):
+        # A is finite, but B^T B v (1e200) or its norm (1e100) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^L_f overflows"):
+                L1LeastSquares(np.full((5, 3), scale), np.ones(5), 0.1,
+                               bucket=bucket)
 
     @pytest.mark.parametrize("shape", [(4, 0), (0, 3)])
     def test_empty_dictionary_rejected(self, shape):
