@@ -68,10 +68,23 @@ def _config_from_args(args) -> SolverConfig:
     return SolverConfig(**given)
 
 
+def _blas() -> str:
+    """The BLAS numpy was built with, as name-version; "unknown" on numpy
+    before 1.26, whose show_config cannot return it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "unknown"
+    return f"{blas.get('name')}-{blas.get('version')}"
+
+
 def _print_config(config: SolverConfig, extra: dict):
     parts = [f"{k}={v}" for k, v in extra.items()]
     parts += [f"{f.name}={getattr(config, f.name)}"
               for f in dataclasses.fields(config)]
+    # the numpy and BLAS that ran: residuals of two points round as the
+    # BLAS's matrix-matrix kernel does
+    parts += [f"numpy={np.__version__}", f"blas={_blas()}"]
     print("resolved config: " + " ".join(parts))
 
 
@@ -94,6 +107,10 @@ def _cmd_solve(args) -> int:
         print(f"config validation failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     if _unwritable(args.output, args.trace):
+        return EXIT_INPUT
+    if os.path.realpath(args.output) == os.path.realpath(args.trace):
+        print(f"input error: --output and --trace both name {args.trace}, "
+              "so the trace would overwrite the solution", file=sys.stderr)
         return EXIT_INPUT
     try:
         A = mgio.read_matrix(args.matrix)

@@ -109,7 +109,10 @@ def _pass(A: np.ndarray, b, bucket: bool, points, t: float = 1.0):
 
     r_x is t r_z + (1-t) r_y for two points (y, z) and r_y for one.  A is
     read in row blocks of about PASS_BLOCK_BYTES, and each block's share
-    of g is added while the block is still in cache.
+    of g is added while the block is still in cache.  One point takes one
+    product A_b @ w per block A_b.  The x-parts of two points are copied
+    once into the rows of a 2 x n array W, and each block makes one
+    product W @ A_b^T for both.
     """
     m, n = A.shape
     # whole groups of 4 rows, as OpenBLAS's A @ w kernel takes them,
@@ -119,19 +122,26 @@ def _pass(A: np.ndarray, b, bucket: bool, points, t: float = 1.0):
     edges = list(range(0, m, rows)) + [m]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    rs = [np.empty(m) for _ in points]
-    r_x = rs[0] if len(points) == 1 else np.empty(m)
+    if len(points) == 1:
+        rs = [np.empty(m)]
+        r_x = rs[0]
+    else:
+        W = np.array([w[:n] for w in points])
+        R = np.empty((2, m))
+        rs = [R[0], R[1]]
+        r_x = np.empty(m)
     g = None
     for lo, hi in zip(edges, edges[1:]):
         blk = slice(lo, hi)
         A_b = A[blk]
+        if len(points) == 1:
+            np.matmul(A_b, points[0][:n], out=rs[0][blk])
+        else:
+            np.matmul(W, A_b.T, out=R[:, blk])
         for w, r in zip(points, rs):
             r_b = r[blk]
             if bucket:
-                np.matmul(A_b, w[:n], out=r_b)
                 r_b += w[n:][blk]
-            else:
-                np.matmul(A_b, w, out=r_b)
             if b is not None:
                 r_b -= b[blk]
         if len(points) == 2:
@@ -224,11 +234,15 @@ class L1LeastSquares:
         one with B^T.
 
         A is read in row blocks of about PASS_BLOCK_BYTES, and each
-        block's share of g is added while the block is still in cache.
-        With a BLAS that forms A @ w in groups of 4 rows, as OpenBLAS
-        does, the residuals are those of ``residual`` bit for bit; g is
-        ``apply_adjoint(r_x)`` summed block by block.  When A is one
-        block the pass makes the same operations as those calls.
+        block's share of g is added while the block is still in cache;
+        g is ``apply_adjoint(r_x)`` summed block by block.  One point's
+        residual is that of ``residual`` bit for bit, with a BLAS that
+        forms A @ w in groups of 4 rows, as OpenBLAS does, and when A is
+        one block the pass makes the same operations as those calls.  Two
+        points share one matrix-matrix product per block, which costs
+        about what one A @ w does but rounds otherwise: r_y and r_z agree
+        with ``residual`` to rounding, and r_x is t r_z + (1-t) r_y
+        exactly.
         """
         points = (y,) if z is None else (y, z)
         for w in points:

@@ -645,13 +645,14 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     Products: every iteration, whatever its step, ends with one pass over
     A (``residuals_and_gradient``) at the new y and z, weighted by the
     next gradient-branch t, which the bookkeeping already gives: two
-    products with B (r_y = B y - b, r_z = B z - b) and one with B^T, at
-    the next anchor x = t z + (1-t) y, whose residual is t r_z + (1-t) r_y.
-    So A is read once per iteration, and a run stopped by its budget forms
-    one gradient it does not use.  A coarse attempt adds one B^T at its
-    re-formed anchor, and its line search one B (B d), which gives every
-    probe and the incumbent test their residuals.  Each gradient step
-    checks the descent lemma for L_f.
+    products with B (r_y = B y - b, r_z = B z - b), which each block of A
+    forms in one matrix-matrix product with both points, and one with
+    B^T, at the next anchor x = t z + (1-t) y, whose residual is
+    t r_z + (1-t) r_y.  So A is read once per iteration, and a run
+    stopped by its budget forms one gradient it does not use.  A coarse
+    attempt adds one B^T at its re-formed anchor, and its line search one
+    B (B d), which gives every probe and the incumbent test their
+    residuals.  Each gradient step checks the descent lemma for L_f.
 
     The coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that

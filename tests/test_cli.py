@@ -1,3 +1,4 @@
+import re
 from unittest.mock import Mock
 
 import numpy as np
@@ -46,6 +47,18 @@ class TestSolve:
         printed = capsys.readouterr().out
         assert "resolved config" in printed
         assert "lambda=0.05" in printed
+        assert f" numpy={np.__version__} " in printed
+        assert re.search(r" blas=\S+\n", printed)
+
+    def test_blas_unknown_without_show_config_dicts(self, tiny_instance,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        # numpy before 1.26 has show_config() with no mode
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert run_cli(["solve", *tiny_instance,
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")]) == 0
+        assert " blas=unknown\n" in capsys.readouterr().out
 
     def test_binary_solution_output(self, tiny_instance, tmp_path):
         mpath, vpath = tiny_instance
@@ -327,6 +340,23 @@ def test_unwritable_output_exit_one(tiny_instance, tmp_path, capsys,
         assert capsys.readouterr().err == f"input error: {bad}: {reason}\n"
     run_solver.assert_not_called()
     run_compare.assert_not_called()
+
+
+@pytest.mark.parametrize("trace", ["x.csv", "./x.csv", "sub/../x.csv"])
+def test_output_and_trace_one_file_exit_one(tiny_instance, tmp_path, capsys,
+                                            monkeypatch, trace):
+    # the trace would overwrite the solution, so nothing runs
+    run_solver = Mock()
+    monkeypatch.setattr("mgprox.cli.run_solver", run_solver)
+    (tmp_path / "sub").mkdir()
+    out, trace = str(tmp_path / "x.csv"), f"{tmp_path}/{trace}"
+    assert run_cli(["solve", *tiny_instance, "--output", out,
+                    "--trace", trace]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: --output and --trace both name {trace}, so the "
+        "trace would overwrite the solution\n")
+    run_solver.assert_not_called()
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unwritable_output_after_run_exit_one(tiny_instance, tmp_path,

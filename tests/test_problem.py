@@ -194,13 +194,20 @@ class TestResidualsAndGradient:
                            max(rows * 8 * n, 8 * n - 1))
             out = p.residuals_and_gradient(y, z, t)
         if two:
+            # the two points share one matrix-matrix product per block,
+            # which rounds otherwise than A @ w: each entry is within
+            # 1e-13 of the size of the terms it sums
             r_y, r_z, r_x, g = out
-            assert np.array_equal(r_z, p.residual(z))
+            for w, r in ((y, r_y), (z, r_z)):
+                scale = np.abs(p.A) @ np.abs(w[:n]) + np.abs(p.b)
+                if bucket:
+                    scale += np.abs(w[n:])
+                assert np.all(np.abs(r - p.residual(w)) <= 1e-13 * scale)
             assert np.array_equal(r_x, t * r_z + (1.0 - t) * r_y)
         else:
             r_y, g = out
             r_x = r_y
-        assert np.array_equal(r_y, p.residual(y))
+            assert np.array_equal(r_y, p.residual(y))
         ref = p.apply_adjoint(r_x)
         if rows is None:
             assert np.array_equal(g, ref)
@@ -226,6 +233,38 @@ class TestResidualsAndGradient:
         p.residuals_and_gradient(np.ones(3))
         assert seen == {9: [4, 5], 13: [4, 4, 5], 16: [4, 4, 4, 4],
                         17: [4, 4, 4, 5]}[m]
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("block_bytes, edges", [
+        (None, [0, 10]), (1, [0, 4, 8, 10])])
+    def test_two_points_one_product_per_block(self, bucket, block_bytes,
+                                              edges, monkeypatch):
+        # a view of A that records the operand shapes of every matmul it
+        # takes part in; block_bytes 1 gives blocks of 4 rows
+        calls = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    calls.append(tuple(np.shape(a) for a in inputs))
+                return getattr(ufunc, method)(
+                    *(np.asarray(a) for a in inputs), **kwargs)
+
+        rng = np.random.default_rng(3)
+        n = 3
+        p = L1LeastSquares(rng.standard_normal((10, n)),
+                           rng.standard_normal(10), 0.1, bucket=bucket)
+        if block_bytes is not None:
+            monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES",
+                                block_bytes)
+        monkeypatch.setattr(p, "A", p.A.view(Spy))
+        p.residuals_and_gradient(rng.standard_normal(p.dim),
+                                 rng.standard_normal(p.dim), 0.3)
+        expected = []
+        for lo, hi in zip(edges, edges[1:]):
+            # both points' residuals, then the block's share of B^T r_x
+            expected += [((2, n), (n, hi - lo)), ((n, hi - lo), (hi - lo,))]
+        assert calls == expected
 
     def test_rejects_wrong_length(self):
         p = random_lasso(np.random.default_rng(1), m=5, n=3)
