@@ -41,7 +41,7 @@ x = np.random.default_rng(0).standard_normal(problem.dim)
 model = build_coarse_model(problem, chain, x, mu)
 fine_grad_restricted = chain.restrict(SmoothedView(problem, mu).grad(x))
 print("coherence residual:",
-      np.linalg.norm(model.grad(model.anchor) - fine_grad_restricted))
+      np.linalg.norm(model.grad(model.start) - fine_grad_restricted))
 
 # --- MAGMA vs FISTA ------------------------------------------------------
 x0 = np.zeros(problem.dim)

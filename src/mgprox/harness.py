@@ -30,6 +30,13 @@ __all__ = [
 SUPPORT_THRESHOLD = 1e-6
 
 
+def _sorted_keys(value):
+    """``value`` with the keys of every dict in it sorted."""
+    if isinstance(value, dict):
+        return {k: _sorted_keys(value[k]) for k in sorted(value)}
+    return value
+
+
 @dataclass
 class ExperimentSpec:
     """Reproducible description of a benchmark batch.
@@ -73,6 +80,8 @@ class ExperimentSpec:
             raise ValueError(
                 f"lam must be finite and nonnegative, got {self.lam}")
         self.solvers = tuple(self.solvers)
+        if not self.solvers:
+            raise ValueError(f"solvers must name at least one of {SOLVERS}")
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver '{s}'; choose from {SOLVERS}")
@@ -88,8 +97,11 @@ class ExperimentSpec:
             build_chain(self.n, self.solver_config("magma").levels)
 
     def spec_hash(self) -> str:
-        canon = repr(dataclasses.asdict(self))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        """A hash of the fields, in which the keys of config and overrides
+        are sorted, so specs that compare equal hash alike."""
+        canon = {k: _sorted_keys(v)
+                 for k, v in dataclasses.asdict(self).items()}
+        return hashlib.sha256(repr(canon).encode()).hexdigest()[:16]
 
     def solver_config(self, solver: str) -> SolverConfig:
         fields = dict(self.config)

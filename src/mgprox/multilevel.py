@@ -181,13 +181,14 @@ class CoarseModel:
     least-squares term with A replaced by A_H (B_H = [A_H, I] in bucket
     form) and g_mu is ``view``'s smoothed penalty, with its lam and mu.
     v_H = grad_H - grad(f_H + g_mu)(anchor), so grad(anchor) equals the
-    restricted fine gradient ``grad_H``.  lipschitz() returns ``L``.
+    restricted fine gradient ``grad_H``; ``L`` is its Lipschitz estimate.
 
-    lift(w) holds the part of value and grad that is affine in w, for one
-    product with B_H and one with B_H^T; value(w, a) and grad(w, a) take
-    it as ``a`` and make no product.  Since lift is affine, the lift of an
-    affine combination of points (weights summing to 1) is the same
-    combination of their lifts, which is how mfista recycles it.
+    A point of the model is one vector [w, r, B_H^T r + v_H], with
+    r = B_H w - b: lift(w) forms it, for one product with B_H and one with
+    B_H^T, and value(p) and grad(p) read it and make none.  A point is
+    affine in w, so an affine combination of points (weights summing to
+    1) is the point of the same combination of their w.  ``start`` is the
+    anchor's point, made from the products that define v_H.
     """
 
     def __init__(self, view: SmoothedView, A_H, anchor, grad_H, L):
@@ -199,39 +200,37 @@ class CoarseModel:
         self.anchor = anchor
         self.dim = anchor.shape[0]
         self.L = L
-        r = _apply(A_H, anchor, self.bucket) - self.b
-        self.v_H = grad_H - (_apply_adjoint(A_H, r, self.bucket)
-                             + view.g_grad(anchor))
+        r, Btr = self._products(anchor)
+        self.v_H = grad_H - (Btr + view.g_grad(anchor))
+        self.start = np.concatenate([anchor, r, Btr + self.v_H])
+
+    def _products(self, w):
+        """r = B_H w - b and B_H^T r: the model's one product site."""
+        r = _apply(self.A_H, w, self.bucket) - self.b
+        return r, _apply_adjoint(self.A_H, r, self.bucket)
 
     def lift(self, w) -> np.ndarray:
-        """[r, B_H^T r + v_H] with r = B_H w - b, stacked in one vector of
-        length m + dim."""
+        """The point [w, r, B_H^T r + v_H] of w."""
         w = np.asarray(w, dtype=float)
         _check_dim(w, self.dim)
-        r = _apply(self.A_H, w, self.bucket) - self.b
-        return np.concatenate(
-            [r, _apply_adjoint(self.A_H, r, self.bucket) + self.v_H])
+        r, Btr = self._products(w)
+        return np.concatenate([w, r, Btr + self.v_H])
 
-    def value(self, w, a=None) -> float:
-        """The value at w; ``a`` = lift(w) if the caller holds it."""
-        w = np.asarray(w, dtype=float)
-        _check_dim(w, self.dim)
-        if a is None:
-            a = self.lift(w)
-        r = a[:self.m]
+    def _parts(self, p):
+        """The blocks w, r and B_H^T r + v_H of the point p."""
+        _check_dim(p, 2 * self.dim + self.m)
+        d, e = self.dim, self.dim + self.m
+        return p[:d], p[d:e], p[e:]
+
+    def value(self, p) -> float:
+        """The value at the point p."""
+        w, r, _ = self._parts(p)
         return 0.5 * float(r @ r) + self.view.g_value(w) + float(self.v_H @ w)
 
-    def grad(self, w, a=None):
-        """The gradient at w; ``a`` = lift(w) if the caller holds it."""
-        w = np.asarray(w, dtype=float)
-        _check_dim(w, self.dim)
-        if a is None:
-            a = self.lift(w)
-        return a[self.m:] + self.view.g_grad(w)
-
-    def lipschitz(self) -> float:
-        """The Lipschitz estimate L: spectral estimate plus lam/mu."""
-        return self.L
+    def grad(self, p):
+        """The gradient at the point p."""
+        w, _, a = self._parts(p)
+        return a + self.view.g_grad(w)
 
 
 def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,

@@ -20,6 +20,7 @@ problem may proceed concurrently.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -67,12 +68,16 @@ class InvariantViolation(RuntimeError):
 
 
 def _reject_non_finite(record):
-    """Raise ValueError naming the first float field of ``record`` that is
-    NaN or infinite."""
+    """Raise ValueError naming the first field of ``record`` that is a NaN
+    or infinite float, or that is declared int and holds no integer (a
+    bool, or a float such as 2.0); numpy integers are integers."""
     for f in fields(record):
         value = getattr(record, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite (got {value})")
+        if f.type is int and (isinstance(value, bool)
+                              or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer (got {value!r})")
 
 
 @dataclass
@@ -374,62 +379,56 @@ def _combination_weight(alpha, eta):
     return min(1.0 / (alpha * eta), 1.0)
 
 
-def mfista(objective, x0, tol: float, max_iters: int) -> CoarseSolveResult:
-    """Monotone accelerated gradient descent on a smooth objective.
+def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
+    """Monotone accelerated gradient descent on a smooth objective, from
+    the point p0.
 
-    ``objective`` must provide lift(x), value(x, a), grad(x, a) and
-    lipschitz(), where a = lift(x) is the part of value and grad that is
-    affine in x (CoarseModel.lift); value and grad take it and make no
-    product.  The iterate sequence is nonincreasing in value (Beck &
+    ``objective`` works on points, vectors whose first ``dim`` entries are
+    the variable w and whose rest is affine in w (CoarseModel): lift(w)
+    forms the point of w, value(p) and grad(p) read one, and ``L`` bounds
+    the curvature.  The iterate sequence is nonincreasing in value (Beck &
     Teboulle's monotone FISTA), so its first step already does as well as
-    a gradient step from x0 when lipschitz() bounds the curvature.  Stops
-    when the gradient norm falls below ``tol`` or the budget runs out; a
-    start point below ``tol`` returns at once with 0 iterations and
-    values == [F(x0)].  values[-1] < values[0] holds exactly when some
-    step lowered the value.
+    a gradient step from p0.  Stops when the gradient norm falls below
+    ``tol`` or the budget runs out; a start point below ``tol`` returns at
+    once with 0 iterations and values == [F(p0)].  values[-1] < values[0]
+    holds exactly when some step lowered the value.  The result's x is w.
 
-    Products: lift is called once at x0 and once per iteration, at the
-    gradient step z = y - grad(y)/L, so a CoarseModel makes one product
-    with B_H and one with B_H^T per iteration.  The momentum point y is an
-    affine combination of iterates, and its lift the same combination of
-    their lifts.
+    Products: lift is called once per iteration, at the gradient step
+    z = y - grad(y)/L, so a CoarseModel makes one product with B_H and one
+    with B_H^T per iteration.  The momentum point y is one affine
+    combination of points.
     """
-    x0 = np.asarray(x0, dtype=float)
-    L = objective.lipschitz()
-    a0 = objective.lift(x0)
-    g0 = objective.grad(x0, a0)
-    F0 = objective.value(x0, a0)
+    L, n = objective.L, objective.dim
+    g0 = objective.grad(p0)
+    F0 = objective.value(p0)
     if _norm(g0) < tol:
-        return CoarseSolveResult(x0, 0, [F0])
-    x_prev, a_prev, F_prev, g_prev = x0, a0, F0, g0
-    y, a_y, g_y = x0, a0, g0
+        return CoarseSolveResult(p0[:n], 0, [F0])
+    p_prev, F_prev, g_prev = p0, F0, g0
+    y, g_y = p0, g0
     t = 1.0
     values = [F0]
     for j in range(1, max_iters + 1):
-        zc = y - g_y / L
-        a_z = objective.lift(zc)
-        Fz = objective.value(zc, a_z)
+        z = objective.lift(y[:n] - g_y / L)
+        Fz = objective.value(z)
         accepted = Fz <= F_prev
         if accepted:
-            x, a_x, Fx, gx = zc, a_z, Fz, objective.grad(zc, a_z)
+            p, F_p, g_p = z, Fz, objective.grad(z)
         else:
-            # the monotone test keeps x_prev, whose gradient is known
-            x, a_x, Fx, gx = x_prev, a_prev, F_prev, g_prev
-        values.append(Fx)
-        if _norm(gx) < tol or j == max_iters:
-            return CoarseSolveResult(x, j, values)
+            # the monotone test keeps p_prev, whose gradient is known
+            p, F_p, g_p = p_prev, F_prev, g_prev
+        values.append(F_p)
+        if _norm(g_p) < tol or j == max_iters:
+            return CoarseSolveResult(p[:n], j, values)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        # y = x + (t/t_next) (zc - x) + ((t-1)/t_next) (x - x_prev), where
-        # zc == x after an accepted step and x == x_prev after a rejected one
+        # y = p + (t/t_next) (z - p) + ((t-1)/t_next) (p - p_prev), where
+        # z == p after an accepted step and p == p_prev after a rejected one
         if accepted:
-            c = (t - 1.0) / t_next
-            y, a_y = x + c * (x - x_prev), a_x + c * (a_x - a_prev)
+            y = p + (t - 1.0) / t_next * (p - p_prev)
         else:
-            c = t / t_next
-            y, a_y = x + c * (zc - x), a_x + c * (a_z - a_x)
-        g_y = objective.grad(y, a_y)
-        x_prev, a_prev, F_prev, g_prev, t = x, a_x, Fx, gx, t_next
-    return CoarseSolveResult(x_prev, max_iters, values)
+            y = p + t / t_next * (z - p)
+        g_y = objective.grad(y)
+        p_prev, F_prev, g_prev, t = p, F_p, g_p, t_next
+    return CoarseSolveResult(p_prev[:n], max_iters, values)
 
 
 def _proximity_clause(state: MagmaState, x: np.ndarray,
@@ -587,7 +586,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     if not coarse_condition(state, x, grad_mu, chain, config, grad_H):
         return x, "condition_lost"
     model = build_coarse_model(problem, chain, x, view.mu, grad_H=grad_H)
-    res = mfista(model, model.anchor, config.coarse_tol, config.coarse_budget)
+    res = mfista(model, model.start, config.coarse_tol, config.coarse_budget)
     # a solve that never moved: a start stationary within rounding of
     # coarse_tol, or an L_H that does not bound the coarse curvature
     if not res.values[-1] < res.values[0]:
@@ -658,9 +657,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     smoothed gradient, so it is tested first; only an iteration that
     passes it forms grad F_mu(x) and R grad F_mu(x).  A coarse attempt
     restricts its anchor's smoothed gradient once, for the entry test,
-    the coarse condition and the model, and its mfista solve makes one
-    A_H and one A_H^T product per inner iteration, plus one pair at its
-    start.
+    the coarse condition and the model.  Building the model makes one
+    A_H and one A_H^T product, which also give mfista its start point,
+    and the mfista solve one pair per inner iteration.
     """
     if chain.fine_dim != problem.dim:
         raise ValueError(

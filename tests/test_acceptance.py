@@ -127,7 +127,7 @@ def test_criterion_1_coherence_suite():
         mu = float(rng.uniform(1e-3, 0.2))
         model = build_coarse_model(problem, chain, x, mu)
         rhs = chain.restrict(SmoothedView(problem, mu).grad(x))
-        resid = float(np.linalg.norm(model.grad(model.anchor) - rhs))
+        resid = float(np.linalg.norm(model.grad(model.start) - rhs))
         assert resid <= 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

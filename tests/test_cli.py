@@ -312,6 +312,27 @@ class TestBench:
         run_compare.assert_not_called()
         assert not out.exists()
 
+    def test_empty_solver_list_exit_one(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("m=40\nn=16\nsolvers=\n")
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+        assert "solvers must name at least one" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_spec_hash_ignores_line_order(self, tmp_path, capsys):
+        hashes = []
+        for lines in ("eps=1e-3\nmax_iters=5\n", "max_iters=5\neps=1e-3\n"):
+            spec = tmp_path / "spec.txt"
+            spec.write_text("m=40\nn=16\n" + lines)
+            out = tmp_path / "records.csv"
+            run_cli(["bench", str(spec), "--output", str(out)])
+            hashes.append(capsys.readouterr().out.split()[1])
+        assert hashes[0] == hashes[1]
+
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("m=40\nn=16\nwibble=1\n")

@@ -71,6 +71,44 @@ class TestGenInstance:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ExperimentSpec(m=10, n=5, **{name: value})
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        ExperimentSpec) if f.type is int])
+    @pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_int_field_rejected(self, name, value):
+        fields = {"m": 10, "n": 5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentSpec(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = ExperimentSpec(m=np.int64(10), n=np.int32(5),
+                              reps=np.int64(2))
+        assert len(run_compare(spec)) == 2
+
+    def test_empty_solver_list_rejected(self):
+        with pytest.raises(ValueError, match="solvers must name at least"):
+            ExperimentSpec(m=10, n=5, solvers=())
+
+    def test_spec_hash_ignores_key_order(self):
+        config = {"eps": 1e-3, "max_iters": 5}
+        overrides = {"magma": {"levels": 2, "kappa": 0.6},
+                     "fista": {"max_iters": 7}}
+        a = ExperimentSpec(m=6, n=4, solvers=("fista", "magma"),
+                           config=config, overrides=overrides)
+        b = ExperimentSpec(
+            m=6, n=4, solvers=("fista", "magma"),
+            config=dict(reversed(config.items())),
+            overrides={k: dict(reversed(v.items()))
+                       for k, v in reversed(overrides.items())})
+        assert a == b and a.spec_hash() == b.spec_hash()
+        c = dataclasses.replace(a, config={"eps": 1e-3, "max_iters": 6})
+        assert c.spec_hash() != a.spec_hash()
+
+    def test_spec_hash_of_sorted_keys_unchanged(self):
+        # hashing sorts the keys of config and overrides; a spec whose
+        # keys were already sorted keeps the hash it had before
+        spec = ExperimentSpec(m=6, n=4, config={"eps": 1e-3, "max_iters": 5})
+        assert spec.spec_hash() == "ed9fb252693ded31"
+
     @pytest.mark.parametrize("config, overrides, message", [
         ({"kappa": 2.0}, {}, "kappa must lie in"),
         ({}, {"magma": {"eps": float("nan")}}, "eps must be finite"),

@@ -120,7 +120,8 @@ def _non_default_config():
 def _specs(draw):
     n = draw(st.integers(1, 50))
     unit = st.floats(0.0, 1.0)
-    solvers = tuple(draw(st.lists(st.sampled_from(SOLVERS), max_size=4)))
+    solvers = tuple(draw(st.lists(st.sampled_from(SOLVERS), min_size=1,
+                                  max_size=4)))
     config = draw(_non_default_config())
     overrides = draw(st.dictionaries(st.sampled_from(SOLVERS),
                                      _non_default_config().filter(bool),

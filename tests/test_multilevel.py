@@ -229,7 +229,7 @@ class TestCoarseModel:
             mu = float(rng.uniform(1e-3, 0.2))
             model = build_coarse_model(p, chain, x, mu)
             rhs = chain.restrict(SmoothedView(p, mu).grad(x))
-            resid = np.linalg.norm(model.grad(model.anchor) - rhs)
+            resid = np.linalg.norm(model.grad(model.start) - rhs)
             assert resid <= 1e-10 * (1 + np.linalg.norm(rhs))
 
     def test_coarse_dictionary_is_A_R_transpose(self, rng):
@@ -251,14 +251,15 @@ class TestCoarseModel:
             model = CoarseModel(view, A_H, np.zeros(dim), np.zeros(dim),
                                 L=1.0)
             assert np.array_equal(model.v_H, np.zeros(dim))
-            assert model.value(np.zeros(dim)) == pytest.approx(
+            assert model.value(model.lift(np.zeros(dim))) == pytest.approx(
                 0.5 * dim * 0.2)
 
     @pytest.mark.parametrize("bucket", [False, True])
     def test_matches_dense_formula(self, rng, bucket):
-        # grad(anchor) is the grad_H passed in, and at random points value
-        # and grad match 0.5||B_H w - b||^2 + g_mu(w) + <v_H, w> with the
-        # dense B_H = [A_H, I] (bucket) or A_H
+        # the gradient at the start point, the anchor's, is the grad_H
+        # passed in, and at random points value and grad match
+        # 0.5||B_H w - b||^2 + g_mu(w) + <v_H, w> with the dense
+        # B_H = [A_H, I] (bucket) or A_H
         p = random_lasso(rng, m=9, n=16, bucket=bucket)
         chain = build_chain(16, 3, bucket=bucket, m=p.m)
         A_H, _ = chain.coarse_dictionary(p)
@@ -266,7 +267,8 @@ class TestCoarseModel:
         anchor = rng.standard_normal(chain.coarse_dim)
         grad_H = rng.standard_normal(chain.coarse_dim)
         model = CoarseModel(SmoothedView(p, mu), A_H, anchor, grad_H, L=1.0)
-        assert np.linalg.norm(model.grad(anchor) - grad_H) \
+        assert np.array_equal(model.start, model.lift(anchor))
+        assert np.linalg.norm(model.grad(model.start) - grad_H) \
             <= 1e-12 * np.linalg.norm(grad_H)
         B_H = np.hstack([A_H, np.eye(p.m)]) if bucket else A_H
         for _ in range(20):
@@ -275,8 +277,9 @@ class TestCoarseModel:
             pen = np.sqrt(mu ** 2 + w ** 2)
             value = 0.5 * r @ r + p.lam * np.sum(pen) + model.v_H @ w
             grad = B_H.T @ r + p.lam * w / pen + model.v_H
-            assert model.value(w) == pytest.approx(value, rel=1e-12)
-            assert np.linalg.norm(model.grad(w) - grad) \
+            assert model.value(model.lift(w)) == pytest.approx(value,
+                                                               rel=1e-12)
+            assert np.linalg.norm(model.grad(model.lift(w)) - grad) \
                 <= 1e-12 * np.linalg.norm(grad)
 
     def test_finite_difference_gradient(self, rng):
@@ -284,10 +287,11 @@ class TestCoarseModel:
         chain = build_chain(8, 2, bucket=True, m=6)
         model = build_coarse_model(p, chain, rng.standard_normal(14), 1e-2)
         w = rng.standard_normal(model.dim)
-        g = model.grad(w)
+        g = model.grad(model.lift(w))
         h = 1e-6
         fd = np.array([
-            (model.value(w + h * e) - model.value(w - h * e))
+            (model.value(model.lift(w + h * e))
+             - model.value(model.lift(w - h * e)))
             / (2 * h) for e in np.eye(model.dim)])
         assert np.max(np.abs(g - fd)) <= 1e-4 * (1 + np.max(np.abs(g)))
 
@@ -297,10 +301,20 @@ class TestCoarseModel:
         model = build_coarse_model(p, chain, rng.standard_normal(8), 1e-2)
         w = rng.standard_normal(model.dim)
         delta = rng.standard_normal(model.dim)
-        before = model.value(w)
+        before = model.value(model.lift(w))
         model.v_H = model.v_H + delta
-        assert model.value(w) - before == pytest.approx(
+        assert model.value(model.lift(w)) - before == pytest.approx(
             float(delta @ w), rel=1e-12, abs=1e-12)
+
+    def test_point_length_checked(self, rng):
+        # value and grad read a point [w, r, B_H^T r + v_H], not w
+        p = random_lasso(rng, m=6, n=8, bucket=True)
+        chain = build_chain(8, 2, bucket=True, m=6)
+        model = build_coarse_model(p, chain, rng.standard_normal(14), 1e-2)
+        assert model.start.shape == (2 * model.dim + model.m,)
+        for method in (model.value, model.grad):
+            with pytest.raises(ValueError, match="length"):
+                method(model.anchor)
 
     def test_nonpositive_mu_rejected(self, rng):
         p = random_lasso(rng, m=5, n=8)
@@ -314,14 +328,14 @@ class TestCoarseLipschitz:
         view = SmoothedView(L1LeastSquares(np.eye(2), np.zeros(2), 1.0), 1.0)
         model = CoarseModel(view, np.eye(2), np.zeros(2), np.zeros(2),
                             L=SAFETY * 1.0 + 1.0)
-        assert model.lipschitz() == pytest.approx(SAFETY + 1.0)
+        assert model.L == pytest.approx(SAFETY + 1.0)
 
     def test_lam_zero_limit_is_spectral_part(self, rng):
         p = random_lasso(rng, m=6, n=8, lam=0.0)
         chain = build_chain(8, 2)
         model = build_coarse_model(p, chain, np.zeros(8), 1.0)
         A_H, spectral = chain.coarse_dictionary(p)
-        assert model.lipschitz() == pytest.approx(spectral)
+        assert model.L == pytest.approx(spectral)
 
     def test_small_random_vs_svd(self, rng):
         p = random_lasso(rng, m=7, n=8, bucket=True)
@@ -332,7 +346,7 @@ class TestCoarseLipschitz:
         dense = np.hstack([A_H, np.eye(7)])
         smax2 = np.linalg.svd(dense, compute_uv=False)[0] ** 2
         expected = SAFETY * smax2 + p.lam / mu
-        assert model.lipschitz() == pytest.approx(expected, rel=1e-4)
+        assert model.L == pytest.approx(expected, rel=1e-4)
 
     def test_upper_bounds_true_curvature(self, rng):
         # L_H must dominate the largest Hessian eigenvalue of the model
@@ -344,4 +358,4 @@ class TestCoarseLipschitz:
         w = rng.standard_normal(model.dim) * 0.1
         hess = A_H.T @ A_H + np.diag(
             p.lam * mu ** 2 / (mu ** 2 + w ** 2) ** 1.5)
-        assert model.lipschitz() >= np.linalg.eigvalsh(hess)[-1]
+        assert model.L >= np.linalg.eigvalsh(hess)[-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest.mock import Mock
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from mgprox import (
-    CoarseModel,
     ExperimentSpec,
     L1LeastSquares,
     LineSearchError,
@@ -28,30 +28,29 @@ from mgprox import (
     run_solver,
     update_eta_alpha,
 )
-from mgprox import solvers
+from mgprox import multilevel, solvers
 from conftest import (CountingLasso, dense_restriction, one_d_lasso,
                       random_lasso)
 
 
 class QuadObjective:
-    """Smooth test objective 0.5 x^T H x - c^T x for mfista; its lift is
-    the gradient H x - c, which is affine in x."""
+    """Smooth test objective 0.5 x^T H x - c^T x for mfista.  Its point is
+    [x, H x - c]: x and the gradient, which is affine in x."""
 
     def __init__(self, H, c):
         self.H, self.c = H, c
+        self.dim = c.shape[0]
+        self.L = float(np.linalg.eigvalsh(H)[-1])
 
     def lift(self, x):
-        return self.H @ x - self.c
+        return np.concatenate([x, self.H @ x - self.c])
 
-    def value(self, x, a=None):
-        a = self.lift(x) if a is None else a
+    def value(self, p):
+        x, a = p[:self.dim], p[self.dim:]
         return 0.5 * float(x @ (a - self.c))
 
-    def grad(self, x, a=None):
-        return self.lift(x) if a is None else a
-
-    def lipschitz(self):
-        return float(np.linalg.eigvalsh(self.H)[-1])
+    def grad(self, p):
+        return p[self.dim:]
 
 
 def assert_telescoping(trace):
@@ -88,6 +87,17 @@ class TestSolverConfig:
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        SolverConfig) if f.type is int])
+    @pytest.mark.parametrize("value", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_int_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(50), levels=np.int32(2))
+        assert cfg.max_iters == 50 and cfg.levels == 2
 
     def test_kappa_one_is_degenerate_but_legal(self):
         SolverConfig(kappa=1.0)
@@ -291,14 +301,15 @@ class TestMfista:
     def test_stationary_start_unavailable(self):
         H = np.diag([1.0, 2.0])
         c = np.array([1.0, 2.0])
-        res = mfista(QuadObjective(H, c), np.array([1.0, 1.0]), 1e-6, 100)
+        obj = QuadObjective(H, c)
+        res = mfista(obj, obj.lift(np.array([1.0, 1.0])), 1e-6, 100)
         assert res.iterations == 0
 
     def test_monotone_decrease_every_iteration(self, rng):
         H = rng.standard_normal((6, 6))
         H = H @ H.T + 0.1 * np.eye(6)
-        res = mfista(QuadObjective(H, rng.standard_normal(6)),
-                     rng.standard_normal(6) * 3, 1e-12, 300)
+        obj = QuadObjective(H, rng.standard_normal(6))
+        res = mfista(obj, obj.lift(rng.standard_normal(6) * 3), 1e-12, 300)
         assert all(res.values[i + 1] <= res.values[i] + 1e-14
                    for i in range(len(res.values) - 1))
 
@@ -306,19 +317,20 @@ class TestMfista:
         H = rng.standard_normal((5, 5))
         H = H @ H.T + 0.5 * np.eye(5)
         obj = QuadObjective(H, rng.standard_normal(5))
-        x0 = rng.standard_normal(5)
-        res = mfista(obj, x0, 1e-12, 50)
-        g0 = obj.grad(x0)
+        p0 = obj.lift(rng.standard_normal(5))
+        res = mfista(obj, p0, 1e-12, 50)
+        g0 = obj.grad(p0)
         assert res.values[1] <= res.values[0] \
-            - float(g0 @ g0) / (2 * obj.lipschitz()) + 1e-12
+            - float(g0 @ g0) / (2 * obj.L) + 1e-12
 
     def test_rejection_reuses_known_gradient(self, rng):
-        # one lift per iteration, at the trial point, and one at the start;
-        # every value and grad takes a lift.  A rejected step keeps x_prev,
-        # whose gradient is already known: one grad at the start, one per
-        # accepted step and one per momentum point
+        # one lift per iteration, at the trial point; the start point is
+        # passed in.  A rejected step keeps x_prev, whose gradient is
+        # already known: one grad at the start, one per accepted step and
+        # one per momentum point
         H = np.diag(np.logspace(0, 4, 8))
         obj = QuadObjective(H, rng.standard_normal(8))
+        p0 = obj.lift(rng.standard_normal(8) * 3)
         trial_values, grads, lifts = [], [], []
         real_value, real_grad, real_lift = obj.value, obj.grad, obj.lift
 
@@ -326,33 +338,34 @@ class TestMfista:
             lifts.append(x)
             return real_lift(x)
 
-        def value(x, a):
-            trial_values.append(real_value(x, a))
+        def value(p):
+            trial_values.append(real_value(p))
             return trial_values[-1]
 
-        def grad(x, a):
-            grads.append(x)
-            return real_grad(x, a)
+        def grad(p):
+            grads.append(p)
+            return real_grad(p)
 
         obj.lift, obj.value, obj.grad = lift, value, grad
-        res = mfista(obj, rng.standard_normal(8) * 3, 1e-12, 300)
+        res = mfista(obj, p0, 1e-12, 300)
         rejected = sum(trial_values[j] > res.values[j - 1]
                        for j in range(1, len(res.values)))
         assert rejected > 10
-        assert len(lifts) == len(trial_values) == res.iterations + 1
+        assert len(lifts) == res.iterations
+        assert len(trial_values) == res.iterations + 1
         assert len(grads) == 2 * res.iterations - rejected
 
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("bucket", [False, True])
     def test_recycled_lift_matches_fresh_evaluation(self, bucket, levels):
-        # every momentum point's lift is a combination of earlier lifts;
-        # wherever mfista takes a gradient, over the full default budget,
-        # value and grad from the lift it holds match a fresh lift, and
-        # lift runs once per iteration plus once at the start.  As for the
-        # fine level's recycled B^T r, the gradient error is measured
-        # against the product it recycles, B_H^T r: the gradient itself
-        # is that product minus nearly all of v_H and the penalty term, so
-        # a fresh evaluation is no more exact than ~1e-16 of B_H^T r either
+        # every momentum point is a combination of earlier points; wherever
+        # mfista takes a gradient, over the full default budget, value and
+        # grad from the point it holds match a fresh lift of its w, and
+        # lift runs once per iteration.  As for the fine level's recycled
+        # B^T r, the gradient error is measured against the product it
+        # recycles, B_H^T r: the gradient itself is that product minus
+        # nearly all of v_H and the penalty term, so a fresh evaluation is
+        # no more exact than ~1e-16 of B_H^T r either
         spec = ExperimentSpec(m=120, n=64, rho=0.9, k_true=4,
                               corruption=0.2 if bucket else 0.0, noise=0.01,
                               seed=5, lam=1e-4, bucket=bucket)
@@ -368,53 +381,63 @@ class TestMfista:
             lifts.append(w)
             return real_lift(w)
 
-        def grad(w, a):
-            fresh = real_lift(w)
-            assert real_value(w, a) == pytest.approx(real_value(w, fresh),
-                                                     rel=1e-12)
-            g, g_fresh = real_grad(w, a), real_grad(w, fresh)
-            product = fresh[model.m:] - model.v_H
+        def grad(q):
+            fresh = real_lift(q[:model.dim])
+            assert real_value(q) == pytest.approx(real_value(fresh),
+                                                  rel=1e-12)
+            g, g_fresh = real_grad(q), real_grad(fresh)
+            product = fresh[model.dim + model.m:] - model.v_H
             assert np.linalg.norm(g - g_fresh) \
                 <= 1e-12 * np.linalg.norm(product)
-            checked.append(w)
+            checked.append(q)
             return g
 
         model.lift, model.grad = lift, grad
-        res = mfista(model, model.anchor, 0.0, cfg.coarse_budget)
+        res = mfista(model, model.start, 0.0, cfg.coarse_budget)
         assert res.iterations == cfg.coarse_budget
         assert res.values[-1] < res.values[0]
-        assert len(lifts) == res.iterations + 1
+        assert len(lifts) == res.iterations
         # the start, every accepted step and every momentum point
         assert len(checked) > res.iterations
 
-    def test_one_lift_per_iteration_in_magma(self, monkeypatch):
-        # one product with B_H and one with B_H^T per mfista iteration,
-        # plus one pair at the start of each coarse solve
+    def test_coarse_products_per_solve(self, monkeypatch):
+        # building a coarse model makes one product with B_H and one with
+        # B_H^T, which also give mfista its start point, and each mfista
+        # iteration one more pair: iterations + 1 pairs per coarse solve
         p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
         chain = build_chain(p.n_x, 3, bucket=True, m=p.m)
-        lifts, iterations = [], []
-        real_lift, real_mfista = CoarseModel.lift, solvers.mfista
+        chain.coarse_dictionary(p)  # its power iteration is not counted
+        products, iterations = [], []
+        real_apply, real_adjoint = multilevel._apply, multilevel._apply_adjoint
+        real_mfista = solvers.mfista
 
-        def lift(model, w):
-            lifts.append(w)
-            return real_lift(model, w)
+        def apply(*args):
+            products.append("B_H")
+            return real_apply(*args)
+
+        def apply_adjoint(*args):
+            products.append("B_H^T")
+            return real_adjoint(*args)
 
         def mfista(*args):
             res = real_mfista(*args)
             iterations.append(res.iterations)
             return res
 
-        monkeypatch.setattr(CoarseModel, "lift", lift)
+        monkeypatch.setattr(multilevel, "_apply", apply)
+        monkeypatch.setattr(multilevel, "_apply_adjoint", apply_adjoint)
         monkeypatch.setattr(solvers, "mfista", mfista)
         cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6, levels=3)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.step_counts["coarse"] > 0 and sum(iterations) > 50
-        assert len(lifts) == sum(it + 1 for it in iterations)
+        pairs = sum(it + 1 for it in iterations)
+        assert products.count("B_H") == products.count("B_H^T") == pairs
 
     def test_reaches_same_minimizer_as_gradient_descent(self):
         H = np.array([[3.0]])
         c = np.array([6.0])
-        res = mfista(QuadObjective(H, c), np.array([-5.0]), 1e-10, 2000)
+        obj = QuadObjective(H, c)
+        res = mfista(obj, obj.lift(np.array([-5.0])), 1e-10, 2000)
         x = np.array([-5.0])
         for _ in range(20000):
             x = x - (H @ x - c) / 3.0
@@ -925,7 +948,7 @@ class TestMagma:
         real_mfista, real_event = solvers.mfista, solvers.CoarseEvent
 
         def mfista(model, *args):
-            solved.append(model.lipschitz())
+            solved.append(model.L)
             return real_mfista(model, *args)
 
         def event(*args):
