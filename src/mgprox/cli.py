@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--bucket", action="store_true",
                          help="augment the dictionary to [A, I] for dense "
                               "error correction")
-    p_solve.add_argument("--x0", default=None, help="starting-point file")
-    p_solve.add_argument("--x0-seed", type=int, default=None,
-                         help="seed for a random starting point")
+    start = p_solve.add_mutually_exclusive_group()
+    start.add_argument("--x0", default=None, help="starting-point file")
+    start.add_argument("--x0-seed", type=int, default=None,
+                       help="seed for a random starting point")
     p_solve.add_argument("--output", default="solution.csv")
     p_solve.add_argument("--trace", default="trace.csv")
     _add_config_flags(p_solve)

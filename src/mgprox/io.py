@@ -267,11 +267,13 @@ def parse_experiment_file(path) -> ExperimentSpec:
 
     The keys are the ExperimentSpec fields other than config and
     overrides (m and n are required), any SolverConfig field as a global
-    default, and "<solver>.<field>" as a per-solver override.
+    default, and "<solver>.<field>" as a per-solver override.  Each key
+    may be given once.
     """
     fields = {}
     config = {}
     overrides = {}
+    first_line = {}
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -281,12 +283,18 @@ def parse_experiment_file(path) -> ExperimentSpec:
                 raise FileFormatError(path, f"expected key=value, got {line!r}",
                                       line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise FileFormatError(
+                    path, f"key {key!r} repeated; first given at line "
+                    f"{first_line[key]}", line=lineno)
+            first_line[key] = lineno
             if key in _SPEC_TYPES:
                 target, name, kind = fields, key, _SPEC_TYPES[key]
             else:
-                solver, _, name = key.rpartition(".")
+                solver, dot, name = key.rpartition(".")
                 target = overrides.setdefault(solver, {}) if solver else config
-                kind = _CONFIG_TYPES.get(name)
+                # ".eps" names no solver, so it is no key
+                kind = None if dot and not solver else _CONFIG_TYPES.get(name)
                 if kind is None:
                     raise FileFormatError(path, f"unknown key: {key!r}",
                                           line=lineno)

@@ -30,14 +30,15 @@ class RestrictionChain:
 
     Over levels - 1 halvings the full-weighting stencils compose into one
     kernel of width 2f - 1 at stride f = 2^(levels-1): coarse entry i
-    weights fine entries i f - (f - 1) ... i f + (f - 1).  ``kernel``
-    holds it as two length-f halves, the columns [right, left] of an
-    (f, 2) array: ``right`` weights fine block i (entries i f ... i f +
-    f - 1) and ``left`` weights block i - 1 (its first weight is 0).  A
-    fine x-dimension that is not divisible by f is zero-padded to n_H f,
-    which equals running the stencils on the padded size and keeping the
-    first n columns of the composed operator.  Prolongation applies the
-    transpose of the same kernel (P = R^T).
+    weights fine entry i f + d by the hat (f - |d|)/f^2, |d| < f.
+    ``kernel`` holds it as two length-f halves, the columns [right, left]
+    of an (f, 2) array: ``right`` = (f - j)/f^2 weights fine block i
+    (entries i f + j, j = 0 ... f - 1) and ``left`` = j/f^2 weights block
+    i - 1 (its first weight is 0).  A fine x-dimension that is not
+    divisible by f is zero-padded to n_H f, which equals running the
+    stencils on the padded size and keeping the first n columns of the
+    composed operator.  Prolongation applies the transpose of the same
+    kernel (P = R^T).
     """
 
     def __init__(self, n: int, levels: int, kernel: np.ndarray,
@@ -144,9 +145,10 @@ def build_chain(n: int, levels: int, bucket: bool = False,
     levels = 1 yields the degenerate identity chain (R = I on the x block),
     used to switch the multilevel machinery off.
 
-    The kernel is one interior coarse unit vector prolonged level by
-    level, in O(2^levels) time and memory whatever n is; every weight is
-    an exact dyadic rational.
+    The composed stencil is the hat (f - |d|)/f^2 at distance d from the
+    coarse entry's centre, f = 2^(levels-1): the transpose of composed
+    linear interpolation.  It is formed in closed form in O(f) time and
+    memory whatever n is, and every weight is an exact dyadic rational.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -159,17 +161,9 @@ def build_chain(n: int, levels: int, bucket: bool = False,
         raise ValueError(
             f"n={n} is too small for {levels} levels; "
             f"maximum feasible depth is {max_depth}")
-    factor = 2 ** (levels - 1)
-    # unit vector at coarse index 1 of 3; after levels - 1 prolongations
-    # its support is fine entries 1 ... 2 factor - 1, centred on factor
-    k = np.array([0.0, 1.0, 0.0])
-    for _ in range(levels - 1):
-        fine = np.zeros(2 * k.size)
-        fine[0::2] = 0.5 * k
-        fine[1::2] = 0.25 * k
-        fine[1:-1:2] += 0.25 * k[1:]
-        k = fine
-    kernel = np.column_stack([k[factor:2 * factor], k[:factor]])
+    f = 2 ** (levels - 1)
+    j = np.arange(f)
+    kernel = np.column_stack([f - j, j]) / (f * f)
     return RestrictionChain(n, levels, kernel, bucket=bucket, m=m)
 
 

@@ -238,19 +238,24 @@ def _norm(v) -> float:
 
 
 class _SolveRecord:
-    """The stopping test, trace, clock and exits of one solve.
+    """The stopping test, trace, tallies, clock and exits of one solve.
 
     Made from x0, it checks it and takes one pass over A there, so every
     solver starts from ``start`` = (x0, r, g, F(x0)) with r = B x0 - b and
-    g = B^T r.  It holds the lowest-F point passed to ``keep``, from the
-    start on; a solve ends through ``end`` at the point it returns, or
-    through ``budget_exit`` at that kept point.
+    g = B^T r.  ``log`` numbers each trace row by its position and counts
+    its step kind, one of ``kinds``; magma adds its coarse steps to
+    ``events`` and counts its fallbacks by ``reasons``, so a Solution's
+    tallies agree with its trace.  ``kept`` is the lowest-F point passed
+    to ``keep``, from the start on; a solve ends through ``end`` at the
+    point it returns, or through ``budget_exit`` at that kept point.
     """
 
-    def __init__(self, problem, config, x0):
+    def __init__(self, problem, config, x0, kinds=("grad",), reasons=()):
         self.problem, self.config = problem, config
         self.start_ns = time.perf_counter_ns()
-        self.trace = []
+        self.trace, self.events = [], []
+        self.counts = dict.fromkeys(kinds, 0)
+        self.rejections = dict.fromkeys(reasons, 0)
         x = _as_start(problem, x0)
         r, g = problem.residuals_and_gradient(x)
         F = problem.value(x, r)
@@ -262,32 +267,32 @@ class _SolveRecord:
         p = prox_step(self.problem, x, self.problem.L_f, g)
         return p, _norm(x - p)
 
-    def log(self, k, kind, F, Dn, eta=NAN, alpha=NAN, t=NAN, s=NAN):
-        self.trace.append(TraceRow(k, kind, F, Dn, eta, alpha, t, s,
-                                   time.perf_counter_ns() - self.start_ns))
+    def log(self, kind, F, Dn, eta=NAN, alpha=NAN, t=NAN, s=NAN):
+        self.counts[kind] += 1
+        self.trace.append(TraceRow(len(self.trace), kind, F, Dn, eta, alpha,
+                                   t, s, time.perf_counter_ns() - self.start_ns))
 
     def keep(self, x, r, F):
         if F < self.kept[2]:
             self.kept = (x, r, F)
 
-    def end(self, x, r, g, F, Dn, k, counts, events=(), rejections=()):
+    def end(self, x, r, g, F, Dn):
         """The Solution at x, given its residual r = B x - b, gradient
         g = B^T r, objective F and stopping measure Dn; its duality gap
         is formed from r and g with no product."""
         gap = self.problem.duality_gap(F, r, g)
         elapsed_s = (time.perf_counter_ns() - self.start_ns) / 1e9
-        return Solution(x, F, Dn, k, Dn < self.config.eps, dict(counts),
-                        elapsed_s, self.trace, list(events), dict(rejections),
-                        gap)
+        return Solution(x, F, Dn, len(self.trace), Dn < self.config.eps,
+                        self.counts, elapsed_s, self.trace, self.events,
+                        self.rejections, gap)
 
-    def budget_exit(self, counts, events=(), rejections=()):
+    def budget_exit(self):
         """End after max_iters iterations at the kept point, which is
         tested with one product with B^T."""
         x, r, F = self.kept
         g = self.problem.apply_adjoint(r)
         _, Dn = self.stop_test(x, g)
-        return self.end(x, r, g, F, Dn, self.config.max_iters, counts,
-                        events, rejections)
+        return self.end(x, r, g, F, Dn)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +308,14 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """
     run = _SolveRecord(problem, config, x0)
     x, r, g, F = run.start
-    for k in range(config.max_iters):
+    for k in range(config.max_iters + 1):
         p, Dn = run.stop_test(x, g)
-        if Dn < config.eps:
-            return run.end(x, r, g, F, Dn, k, {"grad": k})
+        if Dn < config.eps or k == config.max_iters:
+            return run.end(x, r, g, F, Dn)
         x = p
         r, g = problem.residuals_and_gradient(x)
         F = problem.value(x, r)
-        run.log(k, "grad", F, Dn)
-    _, Dn = run.stop_test(x, g)
-    return run.end(x, r, g, F, Dn, config.max_iters,
-                   {"grad": config.max_iters})
+        run.log("grad", F, Dn)
 
 
 def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
@@ -335,21 +337,21 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     y, g_y = x, g
     t = 1.0
     L_f = problem.L_f
-    for k in range(config.max_iters):
+    for _ in range(config.max_iters):
         x = prox_step(problem, y, L_f, g_y)
         r, g = problem.residuals_and_gradient(x)
         _, Dn = run.stop_test(x, g)
         F = problem.value(x, r)
-        run.log(k, "grad", F, Dn)
+        run.log("grad", F, Dn)
         run.keep(x, r, F)
         if Dn < config.eps:
-            return run.end(x, r, g, F, Dn, k + 1, {"grad": k + 1})
+            return run.end(x, r, g, F, Dn)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
         g_y = g + beta * (g - g_prev)
         x_prev, g_prev, t = x, g, t_next
-    return run.budget_exit({"grad": config.max_iters})
+    return run.budget_exit()
 
 
 def update_eta_alpha(state, branch: str, s_k, L_f: float, L_H,
@@ -667,14 +669,12 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     if chain.levels != config.levels:
         raise ValueError(
             f"chain has {chain.levels} levels, config.levels is {config.levels}")
-    run = _SolveRecord(problem, config, x0)
+    run = _SolveRecord(problem, config, x0, ("grad", "coarse", "fallback"),
+                       REJECTION_REASONS)
     y, r_y, g, F_y = run.start  # F_y: incumbent objective, updated every step
     z, r_z, r_x = y.copy(), r_y, r_y
     L_f = problem.L_f
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
-    events = []
-    counts = {"grad": 0, "coarse": 0, "fallback": 0}
-    rejections = dict.fromkeys(REJECTION_REASONS, 0)
     # gradient-branch (eta, alpha) of iteration k, formed once: here for
     # k = 0, then at the end of iteration k-1, where it also weights the
     # next anchor's pass
@@ -686,8 +686,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         # the prox step of the stopping test is the gradient step's y
         y_next, Dn = run.stop_test(x, g)
         if Dn < config.eps:
-            return run.end(x, r_x, g, problem.value(x, r_x), Dn, k, counts,
-                           events, rejections)
+            return run.end(x, r_x, g, problem.value(x, r_x), Dn)
 
         kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
@@ -702,19 +701,18 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                 state.x_tilde, state.q = x_c.copy(), 0
                 if isinstance(step, str):
                     kind = "fallback"
-                    rejections[step] += 1
+                    run.rejections[step] += 1
                     state.fails += 1
                 else:
                     kind = "coarse"
                     state.fails = 0
                     y_next, g, eta, alpha, t, s, event = step
-                    events.append(event)
+                    run.events.append(event)
                     state.s_prev = s
 
         if k >= 1:
             _check_bookkeeping(state, eta, alpha, t)
         z = mirror_step(problem, z, g, alpha)
-        counts[kind] += 1
         state.k, state.alpha, state.eta = k + 1, alpha, eta
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None,
                                           config)
@@ -725,8 +723,8 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
             state.q += 1
         y, r_x, g, F_y = y_next, r_next, g_next, problem.value(y_next, r_y)
         run.keep(y, r_y, F_y)
-        run.log(k, kind, F_y, Dn, eta, alpha, t, s)
-    return run.budget_exit(counts, events, rejections)
+        run.log(kind, F_y, Dn, eta, alpha, t, s)
+    return run.budget_exit()
 
 
 def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:

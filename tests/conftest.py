@@ -1,7 +1,87 @@
+import dataclasses
+import json
+import numbers
+
 import numpy as np
 import pytest
 
-from mgprox import L1LeastSquares
+from mgprox import L1LeastSquares, solvers
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-solves", metavar="PATH", default=None,
+        help="write one JSON line per solver Solution the tests make, for "
+             "tests/compare_solves.py to compare two trees bitwise")
+
+
+def pytest_configure(config):
+    path = config.getoption("record_solves")
+    if path is not None:
+        config.pluginmanager.register(_SolveRecorder(path), "solve-recorder")
+
+
+def _plain(value):
+    """A JSON value that keeps ``value`` bit for bit: floats as hex."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value).hex()
+    return value
+
+
+def _row(record, skip=()):
+    return [_plain(getattr(record, f.name))
+            for f in dataclasses.fields(record) if f.name not in skip]
+
+
+class _SolveRecorder:
+    """Writes every Solution made while a test runs, under the test's id:
+    x as the hex of its bytes, the other numbers as hex floats and ints,
+    and the trace rows without their clock column.
+
+    It replaces ``mgprox.solvers.Solution`` with a subclass that records
+    itself when it is made, so it needs nothing else of the library.
+    """
+
+    def __init__(self, path):
+        self.file = open(path, "w")
+        self.test_id = None
+        self.real = solvers.Solution
+        recorder = self
+
+        class Solution(self.real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                recorder.write(self)
+
+        solvers.Solution = Solution
+
+    def write(self, sol):
+        line = {
+            "test": self.test_id,
+            "x": np.ascontiguousarray(sol.x, dtype=float).tobytes().hex(),
+            "objective": _plain(sol.objective),
+            "grad_map_norm": _plain(sol.grad_map_norm),
+            "gap": _plain(sol.gap),
+            "iterations": _plain(sol.iterations),
+            "converged": _plain(sol.converged),
+            "step_counts": {k: _plain(v) for k, v in sol.step_counts.items()},
+            "rejections": {k: _plain(v) for k, v in sol.rejections.items()},
+            "coarse_events": [_row(e) for e in sol.coarse_events],
+            "trace": [_row(r, skip=("elapsed_ns",)) for r in sol.trace],
+        }
+        self.file.write(json.dumps(line) + "\n")
+
+    @pytest.hookimpl(tryfirst=True)
+    def pytest_runtest_setup(self, item):
+        self.test_id = item.nodeid
+
+    def pytest_unconfigure(self, config):
+        solvers.Solution = self.real
+        self.file.close()
 
 
 @pytest.fixture

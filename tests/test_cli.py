@@ -208,6 +208,21 @@ class TestSolve:
         assert len(Fm) == len(Fa)
         assert np.max(np.abs(np.array(Fm) - np.array(Fa))) <= 1e-10
 
+    def test_x0_and_x0_seed_exit_one(self, tiny_instance, tmp_path, capsys):
+        # the seed used to be ignored, and the run went on from the file
+        mpath, vpath = tiny_instance
+        x0_path = tmp_path / "x0.mlv"
+        write_vector(x0_path, np.zeros(6))
+        code = run_cli(["solve", mpath, vpath, "--x0", str(x0_path),
+                        "--x0-seed", "3", "--max-iters", "2",
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert "resolved config" not in captured.out
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_exit_one(self, tiny_instance):
         mpath, vpath = tiny_instance
         assert run_cli(["solve", mpath, vpath, "--wibble", "3"]) == 1
@@ -332,6 +347,25 @@ class TestBench:
             run_cli(["bench", str(spec), "--output", str(out)])
             hashes.append(capsys.readouterr().out.split()[1])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("lines", [
+        "m=6\nn=4\nm=8\n", "m=6\nn=4\neps=1e-3\neps=1e-4\n",
+        "m=6\nn=4\nsolvers=magma\nmagma.levels=2\nmagma.levels=3\n",
+        "m=6\nn=4\n.eps=1e-3\n"],
+        ids=["field", "config", "override", "empty_prefix"])
+    def test_repeated_or_prefixless_key_exit_one(self, tmp_path, capsys,
+                                                 lines, monkeypatch):
+        run_compare = Mock()
+        monkeypatch.setattr("mgprox.cli.run_compare", run_compare)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(lines)
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+        run_compare.assert_not_called()
 
     def test_bad_spec_exit_one(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"

@@ -247,6 +247,30 @@ class TestExperimentFiles:
         with pytest.raises(FileFormatError, match="line 3"):
             parse_experiment_file(path)
 
+    @pytest.mark.parametrize("again, first_line", [
+        ("m=8", 1), ("eps=1e-4", 4), ("magma.levels=3", 5)],
+        ids=["field", "config", "override"])
+    def test_repeated_key_reports_both_lines(self, tmp_path, again,
+                                             first_line):
+        # the last value used to win silently
+        path = tmp_path / "spec.txt"
+        path.write_text("m=6\nn=4\nsolvers=fista,magma\neps=1e-3\n"
+                        f"magma.levels=2\n# a comment\n{again}\n")
+        key = again.split("=")[0]
+        with pytest.raises(FileFormatError) as info:
+            parse_experiment_file(path)
+        assert info.value.line == 7
+        assert str(info.value).endswith(
+            f"key {key!r} repeated; first given at line {first_line}")
+
+    def test_empty_solver_prefix_is_unknown_key(self, tmp_path):
+        # ".eps" used to set the global eps
+        path = tmp_path / "spec.txt"
+        path.write_text("m=6\nn=4\n.eps=1e-3\n")
+        with pytest.raises(FileFormatError, match="line 3: unknown key: "
+                                                  "'.eps'"):
+            parse_experiment_file(path)
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("m=10\n")

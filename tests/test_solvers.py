@@ -1105,6 +1105,44 @@ class TestSolveEnd:
         assert 0 <= ns[-1] <= sol.elapsed_s * 1e9
 
 
+class TestSolveTallies:
+    """A Solution's iterations, step counts, rejections and coarse events
+    agree with its trace, at every exit."""
+
+    @pytest.mark.parametrize("exit", ["start", "converged", "budget"])
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_tallies_match_trace(self, name, exit):
+        spec = ExperimentSpec(m=60, n=40, rho=0.7, k_true=3, corruption=0.15,
+                              noise=0.01, seed=0, lam=1e-3)
+        p, _, _ = gen_instance(spec)
+        x0 = np.zeros(p.dim)
+        if exit == "start":  # a point that passes the test below
+            x0 = fista(p, x0, SolverConfig(eps=1e-6, max_iters=5000)).x
+        cfg = SolverConfig(eps=1e-4, kappa=0.7,
+                           max_iters=24 if exit == "budget" else 5000)
+        sol = run_solver(name, p, x0, cfg)
+        assert sol.converged == (exit != "budget")
+        if exit == "start":  # fista tests its first step, not x0
+            assert sol.iterations == (1 if name == "fista" else 0)
+        trace = sol.trace
+        assert sol.iterations == len(trace)
+        assert [row.k for row in trace] == list(range(len(trace)))
+        coupled = name in ("agm", "magma")
+        kinds = ("grad", "coarse", "fallback") if coupled else ("grad",)
+        assert sol.step_counts == {
+            kind: sum(row.step_kind == kind for row in trace)
+            for kind in kinds}
+        assert set(sol.rejections) == set(REJECTION_REASONS if coupled
+                                          else ())
+        assert sum(sol.rejections.values()) == \
+            sol.step_counts.get("fallback", 0)
+        assert len(sol.coarse_events) == sol.step_counts.get("coarse", 0)
+        assert [e.k for e in sol.coarse_events] == \
+            [row.k for row in trace if row.step_kind == "coarse"]
+        if name == "magma" and exit != "start":
+            assert sol.step_counts["coarse"] > 0
+
+
 class TestDualityGap:
     """Solution.gap bounds the objective error of the returned point."""
 
