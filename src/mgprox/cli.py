@@ -119,6 +119,9 @@ def _cmd_solve(args) -> int:
         if args.x0 is not None:
             x0 = mgio.read_vector(args.x0)
         elif args.x0_seed is not None:
+            if args.x0_seed < 0:
+                raise ValueError(
+                    f"--x0-seed must be nonnegative, got {args.x0_seed}")
             x0 = np.random.default_rng(args.x0_seed).standard_normal(problem.dim)
         else:
             x0 = np.zeros(problem.dim)

@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise ValueError("corruption must lie in [0, 1]")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.lam < 0:

@@ -29,7 +29,7 @@ import struct
 import numpy as np
 
 from .harness import ExperimentSpec, RunRecord
-from .solvers import SolverConfig, TraceRow
+from .solvers import SOLVERS, SolverConfig, TraceRow
 
 __all__ = [
     "FileFormatError",
@@ -56,11 +56,8 @@ class FileFormatError(ValueError):
     """Malformed input file; carries the byte offset or line number."""
 
     def __init__(self, path, message, offset=None, line=None):
-        where = ""
-        if offset is not None:
-            where = f" at byte offset {offset}"
-        elif line is not None:
-            where = f" at line {line}"
+        where = (f" at byte offset {offset}" if offset is not None
+                 else f" at line {line}" if line is not None else "")
         super().__init__(f"{path}{where}: {message}")
         self.path = str(path)
         self.offset = offset
@@ -69,26 +66,6 @@ class FileFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Binary vectors and matrices.
-
-
-def write_vector(path, v: np.ndarray):
-    v = np.ascontiguousarray(np.asarray(v, dtype="<f8"))
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_VECTOR)
-        fh.write(struct.pack("<Q", v.shape[0]))
-        fh.write(v.tobytes())
-
-
-def write_matrix(path, A: np.ndarray):
-    A = np.ascontiguousarray(np.asarray(A, dtype="<f8"))
-    if A.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_MATRIX)
-        fh.write(struct.pack("<QQ", A.shape[0], A.shape[1]))
-        fh.write(A.tobytes())
 
 
 def _read_exact(fh, nbytes, path, what):
@@ -159,6 +136,24 @@ def _read_array(path, ndim) -> np.ndarray:
     if not any(rows):
         raise FileFormatError(path, "no values found", line=1)
     return np.array([v for row in rows for v in row] if ndim == 1 else rows)
+
+
+def _write_array(path, a, ndim):
+    """Write a vector (ndim 1) or matrix (ndim 2) in the binary format."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array")
+    with open(path, "wb") as fh:
+        fh.writelines((_ARRAYS[ndim][0],
+                       struct.pack(f"<{ndim}Q", *a.shape), a))
+
+
+def write_vector(path, v: np.ndarray):
+    _write_array(path, v, 1)
+
+
+def write_matrix(path, A: np.ndarray):
+    _write_array(path, A, 2)
 
 
 def read_vector(path) -> np.ndarray:
@@ -292,6 +287,10 @@ def parse_experiment_file(path) -> ExperimentSpec:
                 target, name, kind = fields, key, _SPEC_TYPES[key]
             else:
                 solver, dot, name = key.rpartition(".")
+                if solver and solver not in SOLVERS:
+                    raise FileFormatError(
+                        path, f"override for unknown solver '{solver}'; "
+                        f"choose from {SOLVERS}", line=lineno)
                 target = overrides.setdefault(solver, {}) if solver else config
                 # ".eps" names no solver, so it is no key
                 kind = None if dot and not solver else _CONFIG_TYPES.get(name)

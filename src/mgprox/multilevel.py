@@ -26,27 +26,45 @@ __all__ = [
 
 
 class RestrictionChain:
-    """Composed restriction across levels, acting on the x block.
+    """Composed restriction across ``levels`` grids, acting on the x block.
+
+    The x dimension n halves per level; levels = 1 yields the degenerate
+    identity chain (R = I on the x block), used to switch the multilevel
+    machinery off.  A bucket chain needs the error-block size m, and
+    levels may not exceed n's bit length.  ``build_chain`` is this class.
 
     Over levels - 1 halvings the full-weighting stencils compose into one
     kernel of width 2f - 1 at stride f = 2^(levels-1): coarse entry i
-    weights fine entry i f + d by the hat (f - |d|)/f^2, |d| < f.
-    ``kernel`` holds it as two length-f halves, the columns [right, left]
-    of an (f, 2) array: ``right`` = (f - j)/f^2 weights fine block i
-    (entries i f + j, j = 0 ... f - 1) and ``left`` = j/f^2 weights block
-    i - 1 (its first weight is 0).  A fine x-dimension that is not
-    divisible by f is zero-padded to n_H f, which equals running the
-    stencils on the padded size and keeping the first n columns of the
-    composed operator.  Prolongation applies the transpose of the same
-    kernel (P = R^T).
+    weights fine entry i f + d by the hat (f - |d|)/f^2, |d| < f, the
+    transpose of composed linear interpolation, formed in closed form in
+    O(f) time and memory with exact dyadic weights.  ``kernel`` holds it
+    as two length-f halves, the columns [right, left] of an (f, 2) array:
+    ``right`` = (f - j)/f^2 weights fine block i (entries i f + j,
+    j = 0 ... f - 1) and ``left`` = j/f^2 weights block i - 1 (its first
+    weight is 0).  A fine x-dimension that is not divisible by f is
+    zero-padded to n_H f, which equals running the stencils on the padded
+    size and keeping the first n columns of the composed operator.
+    Prolongation applies the transpose of the same kernel (P = R^T).
     """
 
-    def __init__(self, n: int, levels: int, kernel: np.ndarray,
-                 bucket: bool = False, m: int = 0):
+    def __init__(self, n: int, levels: int, bucket: bool = False, m: int = 0):
+        if levels < 1:
+            raise ValueError("levels must be >= 1")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if bucket and m < 1:
+            raise ValueError("bucket chains need the error-block size m")
+        max_depth = int(n).bit_length()
+        if levels > max_depth:
+            raise ValueError(
+                f"n={n} is too small for {levels} levels; "
+                f"maximum feasible depth is {max_depth}")
+        f = 2 ** (levels - 1)
+        j = np.arange(f)
         self.n = n
         self.levels = levels
-        self.kernel = kernel
-        self.n_H = -(-n // kernel.shape[0])
+        self.kernel = np.column_stack([f - j, j]) / (f * f)
+        self.n_H = -(-n // f)
         self.bucket = bucket
         self.m = m
         self._model_cache = weakref.WeakKeyDictionary()
@@ -138,33 +156,7 @@ class RestrictionChain:
         return A_H, spectral + problem.lam / mu
 
 
-def build_chain(n: int, levels: int, bucket: bool = False,
-                m: int = 0) -> RestrictionChain:
-    """Build a chain of ``levels`` grids with the x dimension halving per level.
-
-    levels = 1 yields the degenerate identity chain (R = I on the x block),
-    used to switch the multilevel machinery off.
-
-    The composed stencil is the hat (f - |d|)/f^2 at distance d from the
-    coarse entry's centre, f = 2^(levels-1): the transpose of composed
-    linear interpolation.  It is formed in closed form in O(f) time and
-    memory whatever n is, and every weight is an exact dyadic rational.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if bucket and m < 1:
-        raise ValueError("bucket chains need the error-block size m")
-    max_depth = int(n).bit_length()
-    if levels > max_depth:
-        raise ValueError(
-            f"n={n} is too small for {levels} levels; "
-            f"maximum feasible depth is {max_depth}")
-    f = 2 ** (levels - 1)
-    j = np.arange(f)
-    kernel = np.column_stack([f - j, j]) / (f * f)
-    return RestrictionChain(n, levels, kernel, bucket=bucket, m=m)
+build_chain = RestrictionChain
 
 
 class CoarseModel:

@@ -628,7 +628,12 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     coarse step (_try_coarse_step): it solves the coherent coarse model
     with mfista and sets y_{k+1} = x_k + s_k d_k with an Armijo step on
     the smoothed objective.  The mirror step z_{k+1} uses grad f(x_k) and
-    the finalized alpha_{k+1}.
+    the finalized alpha_{k+1}.  The eta/alpha coupling is what keeps the
+    O(1/sqrt(eps)) accelerated rate; its anchor weight
+    t_k = min(1/(alpha eta), 1) is that of the row's own eta and alpha on
+    gradient and fallback rows only.  A coarse row's t weights the anchor
+    with the eta estimated from the last accepted step size, while its
+    eta and alpha are recomputed with the accepted s_k.
 
     The bookkeeping needs eta_{k+1} (hence s_k) before x_k exists, so the
     iterate is first formed with the gradient-branch weights; a coarse

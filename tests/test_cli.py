@@ -223,6 +223,20 @@ class TestSolve:
         assert "resolved config" not in captured.out
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_x0_seed_exit_one(self, tiny_instance, tmp_path,
+                                       capsys):
+        # the message used to be numpy's, without the flag's name
+        mpath, vpath = tiny_instance
+        code = run_cli(["solve", mpath, vpath, "--x0-seed", "-1",
+                        "--output", str(tmp_path / "x.csv"),
+                        "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "input error: --x0-seed must be nonnegative, got -1\n"
+        assert captured.out == ""
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_exit_one(self, tiny_instance):
         mpath, vpath = tiny_instance
         assert run_cli(["solve", mpath, vpath, "--wibble", "3"]) == 1
@@ -363,6 +377,29 @@ class TestBench:
         assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+        run_compare.assert_not_called()
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed=-1", ": seed must be nonnegative, got -1\n"),
+        ("FISTA.eps=1e-3",
+         " at line 3: override for unknown solver 'FISTA'; choose from "),
+        ("..eps=1e-3",
+         " at line 3: override for unknown solver '.'; choose from "),
+    ], ids=["negative_seed", "solver_case", "solver_dots"])
+    def test_bad_seed_or_solver_prefix_exit_one(self, tmp_path, capsys,
+                                                monkeypatch, line, message):
+        # a negative seed used to end in a traceback after the spec and
+        # config lines; a bad solver prefix was reported without its line
+        run_compare = Mock()
+        monkeypatch.setattr("mgprox.cli.run_compare", run_compare)
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"m=40\nn=16\n{line}\n")
+        out = tmp_path / "records.csv"
+        assert run_cli(["bench", str(spec), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {spec}{message}")
         assert captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
         run_compare.assert_not_called()

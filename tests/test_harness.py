@@ -84,6 +84,13 @@ class TestGenInstance:
                               reps=np.int64(2))
         assert len(run_compare(spec)) == 2
 
+    def test_negative_seed_rejected(self):
+        # gen_instance used to fail in np.random.default_rng instead
+        with pytest.raises(ValueError,
+                           match=r"^seed must be nonnegative, got -1$"):
+            ExperimentSpec(m=10, n=5, seed=-1)
+        ExperimentSpec(m=10, n=5, seed=0)
+
     def test_empty_solver_list_rejected(self):
         with pytest.raises(ValueError, match="solvers must name at least"):
             ExperimentSpec(m=10, n=5, solvers=())

@@ -271,6 +271,20 @@ class TestExperimentFiles:
                                                   "'.eps'"):
             parse_experiment_file(path)
 
+    @pytest.mark.parametrize("key, solver", [
+        ("FISTA.eps", "FISTA"), ("..eps", ".")], ids=["case", "dots"])
+    def test_unknown_solver_override_reports_line(self, tmp_path, key,
+                                                  solver):
+        # the solver used to be checked only once the whole file was read
+        path = tmp_path / "spec.txt"
+        path.write_text(f"m=6\nn=4\n{key}=1e-3\n")
+        with pytest.raises(FileFormatError) as info:
+            parse_experiment_file(path)
+        assert info.value.line == 3
+        assert str(info.value).startswith(
+            f"{path} at line 3: override for unknown solver '{solver}'; "
+            "choose from ")
+
     def test_missing_required_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("m=10\n")

@@ -6,6 +6,7 @@ import pytest
 from mgprox import (
     CoarseModel,
     L1LeastSquares,
+    RestrictionChain,
     SmoothedView,
     build_chain,
     build_coarse_model,
@@ -162,6 +163,30 @@ class TestBuildChain:
     def test_bucket_requires_m(self):
         with pytest.raises(ValueError):
             build_chain(8, 2, bucket=True, m=0)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((8, 0), {}, "levels must be >= 1"),
+        ((0, 1), {}, "n must be >= 1"),
+        ((8, 2), {"bucket": True},
+         "bucket chains need the error-block size m"),
+        ((8, 5), {}, "n=8 is too small for 5 levels; maximum feasible "
+                     "depth is 4"),
+    ], ids=["levels_zero", "n_zero", "bucket_without_m", "too_deep"])
+    def test_constructor_rejects_bad_arguments(self, args, kwargs, message):
+        # the constructor used to take any kernel and check nothing
+        assert build_chain is RestrictionChain
+        with pytest.raises(ValueError) as info:
+            RestrictionChain(*args, **kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_constructor_derives_stencil(self, levels):
+        chain = RestrictionChain(8, levels, bucket=True, m=3)
+        f = 2 ** (levels - 1)
+        assert (chain.n, chain.levels, chain.n_H) == (8, levels, 8 // f)
+        assert chain.bucket and chain.m == 3
+        assert np.array_equal(dense_restriction(chain),
+                              _dense_chain(8, levels))
 
 
 class TestTransfer:

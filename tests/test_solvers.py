@@ -1143,6 +1143,34 @@ class TestSolveTallies:
             assert sol.step_counts["coarse"] > 0
 
 
+class TestAnchorWeight:
+    """A row's t is the anchor weight min(1/(alpha eta), 1) of its own eta
+    and alpha on every gradient and fallback row.  A coarse row is not
+    held to it: its anchor is weighted by the eta estimated from the last
+    accepted step size, and its eta and alpha are recomputed with the
+    accepted one."""
+
+    @pytest.mark.parametrize("corruption", [0.0, 0.15],
+                             ids=["plain", "bucket"])
+    def test_t_is_weight_of_row_eta_alpha(self, corruption):
+        spec = ExperimentSpec(m=60, n=40, rho=0.7, k_true=3,
+                              corruption=corruption, noise=0.01, seed=0,
+                              lam=1e-3)
+        p, _, _ = gen_instance(spec)
+        cfg = SolverConfig(eps=1e-5, kappa=0.5, max_iters=5000)
+        for name in ("agm", "magma"):
+            sol = run_solver(name, p, np.zeros(p.dim), cfg)
+            assert sol.converged
+            if name == "magma":
+                assert sol.step_counts["coarse"] > 0
+                assert sol.step_counts["fallback"] > 0
+            rows = [row for row in sol.trace if row.step_kind != "coarse"]
+            assert len(rows) == sol.step_counts["grad"] + \
+                sol.step_counts["fallback"]
+            for row in rows:
+                assert row.t == min(1.0 / (row.alpha * row.eta), 1.0), row
+
+
 class TestDualityGap:
     """Solution.gap bounds the objective error of the returned point."""
 
