@@ -140,9 +140,9 @@ def _read_array(path, ndim) -> np.ndarray:
 
 def _write_array(path, a, ndim):
     """Write a vector (ndim 1) or matrix (ndim 2) in the binary format."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    if a.ndim != ndim:
+    if np.ndim(a) != ndim:
         raise ValueError(f"expected a {ndim}-D array")
+    a = np.ascontiguousarray(a, dtype="<f8")
     with open(path, "wb") as fh:
         fh.writelines((_ARRAYS[ndim][0],
                        struct.pack(f"<{ndim}Q", *a.shape), a))

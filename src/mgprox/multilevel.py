@@ -5,9 +5,10 @@ Restriction uses the standard stride-2 full-weighting stencil
 (sigma = 1).  For bucket problems the operators act only on the x block
 and pass the error block through unchanged: R = [R_x, I].
 
-The coarse objective is the reduced smoothed l1 least-squares model plus
-a linear correction <v_H, .> chosen so that the coarse gradient at the
-anchor equals the restricted gradient of the smoothed fine objective.
+The coarse model is the reduced smoothed l1 least-squares model on the
+chain's A_H plus a linear correction <v_H, .> that makes its gradient at
+R x_k the restricted smoothed fine gradient; problem, chain, x_k and mu
+alone define it.
 """
 
 import weakref
@@ -126,12 +127,22 @@ class RestrictionChain:
             return np.concatenate([self._prolong_x(u[:self.n_H]), u[self.n_H:]])
         return self._prolong_x(u)
 
+    def _check_problem(self, problem):
+        """Raise unless the chain was built for problem's n, bucket and m."""
+        if (self.n, self.bucket) != (problem.n_x, problem.bucket) \
+                or self.bucket and self.m != problem.m:
+            raise ValueError(
+                f"chain is for n={self.n}, bucket={self.bucket}, m={self.m}; "
+                f"problem has n_x={problem.n_x}, bucket={problem.bucket}, "
+                f"m={problem.m}")
+
     def coarse_dictionary(self, problem):
         """A_H = A R_x^T and the spectral estimate of the coarse system
         (power iteration x1.01, not a certified bound).
 
         Cached per problem; A_H does not depend on the anchor point.
         """
+        self._check_problem(problem)
         cached = self._model_cache.get(problem)
         if cached is not None:
             return cached
@@ -160,14 +171,17 @@ build_chain = RestrictionChain
 
 
 class CoarseModel:
-    """The fine level's smoothed model on the coarse dictionary, plus a
-    linear coherence correction.
+    """The coarse model of ``problem`` at the anchor R x_k, smoothed with
+    ``mu``; ``build_coarse_model`` is this class.
 
-    value(w_H) = f_H(w_H) + g_mu(w_H) + <v_H, w_H>, where f_H is the fine
+    value(w_H) = f_H(w_H) + g_mu(w_H) + <v_H, w_H>: f_H is the fine
     least-squares term with A replaced by A_H (B_H = [A_H, I] in bucket
-    form) and g_mu is ``view``'s smoothed penalty, with its lam and mu.
-    v_H = grad_H - grad(f_H + g_mu)(anchor), so grad(anchor) equals the
-    restricted fine gradient ``grad_H``; ``L`` is its Lipschitz estimate.
+    form), g_mu the fine level's smoothed penalty, and
+    v_H = grad_H - grad(f_H + g_mu)(anchor), so that grad(anchor) is
+    grad_H = R grad(F_mu)(x_k).  A_H and the Lipschitz estimate ``L`` are
+    the chain's ``coarse_system`` at ``mu``: A_H and its spectral estimate
+    are cached on the chain, and v_H is recomputed for every anchor.
+    Passing ``grad_H`` saves one fine-level pass and one restriction.
 
     A point of the model is one vector [w, r, B_H^T r + v_H], with
     r = B_H w - b: lift(w) forms it, for one product with B_H and one with
@@ -177,15 +191,16 @@ class CoarseModel:
     anchor's point, made from the products that define v_H.
     """
 
-    def __init__(self, view: SmoothedView, A_H, anchor, grad_H, L):
-        self.view = view
-        self.A_H = A_H
-        self.b = view.problem.b
-        self.m = self.b.shape[0]
-        self.bucket = view.problem.bucket
-        self.anchor = anchor
+    def __init__(self, problem, chain: RestrictionChain, x_k: np.ndarray,
+                 mu: float, grad_H: np.ndarray = None):
+        self.view = view = SmoothedView(problem, mu)
+        self.A_H, self.L = chain.coarse_system(problem, mu)
+        self.b, self.m, self.bucket = problem.b, problem.m, problem.bucket
+        x_k = np.asarray(x_k, dtype=float)
+        if grad_H is None:
+            grad_H = chain.restrict(view.grad(x_k))
+        self.anchor = anchor = chain.restrict(x_k)
         self.dim = anchor.shape[0]
-        self.L = L
         r, Btr = self._products(anchor)
         self.v_H = grad_H - (Btr + view.g_grad(anchor))
         self.start = np.concatenate([anchor, r, Btr + self.v_H])
@@ -219,20 +234,4 @@ class CoarseModel:
         return a + self.view.g_grad(w)
 
 
-def build_coarse_model(problem, chain: RestrictionChain, x_k: np.ndarray,
-                       mu_fine: float,
-                       grad_H: np.ndarray = None) -> CoarseModel:
-    """Coarse model anchored at x_k with exact first-order coherence.
-
-    The coarse l1 term is smoothed with the fine level's mu, and the
-    model's gradient at R x_k is R*grad(F_mu)(x_k).  A_H and its spectral
-    estimate are cached on the chain; v_H is recomputed for every anchor.
-    Pass ``grad_H`` = R*grad(F_mu)(x_k) when it is already available to
-    avoid one fine-level pass and one restriction.
-    """
-    view = SmoothedView(problem, mu_fine)
-    A_H, L_H = chain.coarse_system(problem, mu_fine)
-    x_k = np.asarray(x_k, dtype=float)
-    if grad_H is None:
-        grad_H = chain.restrict(view.grad(x_k))
-    return CoarseModel(view, A_H, chain.restrict(x_k), grad_H, L_H)
+build_coarse_model = CoarseModel

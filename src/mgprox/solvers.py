@@ -668,9 +668,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     A_H and one A_H^T product, which also give mfista its start point,
     and the mfista solve one pair per inner iteration.
     """
-    if chain.fine_dim != problem.dim:
-        raise ValueError(
-            f"chain acts on dimension {chain.fine_dim}, problem has {problem.dim}")
+    chain._check_problem(problem)
     if chain.levels != config.levels:
         raise ValueError(
             f"chain has {chain.levels} levels, config.levels is {config.levels}")

@@ -32,6 +32,17 @@ class TestBinaryFormats:
         write_matrix(path, A)
         assert np.array_equal(read_matrix(path), A)
 
+    @pytest.mark.parametrize("write, bad", [
+        (write_vector, 3.0), (write_vector, np.float64(3.0)),
+        (write_matrix, 3.0), (write_matrix, [1.0, 2.0])],
+        ids=["vector_scalar", "vector_0d", "matrix_scalar", "matrix_1d"])
+    def test_wrong_dimensions_rejected(self, tmp_path, write, bad):
+        # a scalar is not a length-1 vector; nothing is written
+        path = tmp_path / "a.bin"
+        with pytest.raises(ValueError, match="expected a [12]-D array"):
+            write(path, bad)
+        assert not path.exists()
+
     def test_magic_layout(self, tmp_path):
         path = tmp_path / "v.mlv"
         write_vector(path, np.array([1.5]))

@@ -72,6 +72,24 @@ class TestBuildChain:
         assert chain.n_H == 1
         assert dense_restriction(chain).shape == (1, 8)
 
+    @pytest.mark.parametrize("n, bucket, m, problem", [
+        (8, False, 0, dict(m=6, n=10)),
+        (8, True, 4, dict(m=4, n=8)),
+        (8, True, 4, dict(m=5, n=8, bucket=True)),
+        (8, False, 0, dict(m=4, n=8, bucket=True))],
+        ids=["n", "bucket_chain", "m", "plain_chain"])
+    def test_coarse_dictionary_rejects_other_problem(self, rng, n, bucket,
+                                                     m, problem):
+        # a chain built for another size would restrict the first n
+        # columns of A, or fail later in a product
+        chain = build_chain(n, 2, bucket=bucket, m=m)
+        p = random_lasso(rng, **problem)
+        with pytest.raises(ValueError, match=(
+                f"chain is for n={n}, bucket={bucket}, m={m}; problem has "
+                f"n_x={p.n_x}, bucket={p.bucket}, m={p.m}")):
+            chain.coarse_dictionary(p)
+        assert len(chain._model_cache) == 0
+
     def test_too_deep_reports_max_depth(self):
         with pytest.raises(ValueError, match="maximum feasible depth is 4"):
             build_chain(8, 5)
@@ -269,12 +287,11 @@ class TestCoarseModel:
     def test_value_at_origin(self, rng):
         # w_H = 0, b = 0 and a zero restricted gradient at the origin give
         # v_H = 0: value reduces to lam * dim * mu
-        A_H = rng.standard_normal((4, 3))
+        A = rng.standard_normal((4, 3))
         for bucket, dim in ((True, 7), (False, 3)):
-            view = SmoothedView(
-                L1LeastSquares(A_H, np.zeros(4), 0.5, bucket=bucket), 0.2)
-            model = CoarseModel(view, A_H, np.zeros(dim), np.zeros(dim),
-                                L=1.0)
+            p = L1LeastSquares(A, np.zeros(4), 0.5, bucket=bucket)
+            chain = build_chain(3, 1, bucket=bucket, m=4)
+            model = CoarseModel(p, chain, np.zeros(dim), 0.2)
             assert np.array_equal(model.v_H, np.zeros(dim))
             assert model.value(model.lift(np.zeros(dim))) == pytest.approx(
                 0.5 * dim * 0.2)
@@ -289,10 +306,10 @@ class TestCoarseModel:
         chain = build_chain(16, 3, bucket=bucket, m=p.m)
         A_H, _ = chain.coarse_dictionary(p)
         mu = 0.05
-        anchor = rng.standard_normal(chain.coarse_dim)
+        x = rng.standard_normal(p.dim)
         grad_H = rng.standard_normal(chain.coarse_dim)
-        model = CoarseModel(SmoothedView(p, mu), A_H, anchor, grad_H, L=1.0)
-        assert np.array_equal(model.start, model.lift(anchor))
+        model = CoarseModel(p, chain, x, mu, grad_H=grad_H)
+        assert np.array_equal(model.start, model.lift(chain.restrict(x)))
         assert np.linalg.norm(model.grad(model.start) - grad_H) \
             <= 1e-12 * np.linalg.norm(grad_H)
         B_H = np.hstack([A_H, np.eye(p.m)]) if bucket else A_H
@@ -341,6 +358,20 @@ class TestCoarseModel:
             with pytest.raises(ValueError, match="length"):
                 method(model.anchor)
 
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_constructor_takes_system_and_anchor_from_chain(self, rng,
+                                                            bucket):
+        # the one way to build a model: its A_H is the chain's cached
+        # object and its L the chain's L_H at its mu
+        assert build_coarse_model is CoarseModel
+        p = random_lasso(rng, m=9, n=16, bucket=bucket)
+        chain = build_chain(16, 3, bucket=bucket, m=p.m)
+        x, mu = rng.standard_normal(p.dim), 0.05
+        model = build_coarse_model(p, chain, x, mu)
+        A_H, L_H = chain.coarse_system(p, mu)
+        assert model.A_H is A_H and model.L == L_H
+        assert np.array_equal(model.anchor, chain.restrict(x))
+
     def test_nonpositive_mu_rejected(self, rng):
         p = random_lasso(rng, m=5, n=8)
         chain = build_chain(8, 2)
@@ -350,9 +381,8 @@ class TestCoarseModel:
 
 class TestCoarseLipschitz:
     def test_identity_dictionary_value(self):
-        view = SmoothedView(L1LeastSquares(np.eye(2), np.zeros(2), 1.0), 1.0)
-        model = CoarseModel(view, np.eye(2), np.zeros(2), np.zeros(2),
-                            L=SAFETY * 1.0 + 1.0)
+        p = L1LeastSquares(np.eye(2), np.zeros(2), 1.0)
+        model = CoarseModel(p, build_chain(2, 1), np.zeros(2), 1.0)
         assert model.L == pytest.approx(SAFETY + 1.0)
 
     def test_lam_zero_limit_is_spectral_part(self, rng):

@@ -748,12 +748,14 @@ class TestMagma:
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-        def spy(name, real, check):
+        def spy(name, attr, check):
+            real = getattr(solvers, attr)
+
             def wrapper(*args, **kwargs):
                 check(*args, **kwargs)
                 seen[name] += 1
                 return real(*args, **kwargs)
-            monkeypatch.setattr(solvers, real.__name__, wrapper)
+            monkeypatch.setattr(solvers, attr, wrapper)
 
         def check_anchor(x, r_x, g, p_x, r_p, L_f, k):
             assert close(r_x, p.residual(x))
@@ -778,9 +780,9 @@ class TestMagma:
                 seen["objective"] += 1
             return real_value(problem, x, r)
 
-        spy("anchor", solvers._gradient_step, check_anchor)
-        spy("coarse", solvers.build_coarse_model, check_coarse)
-        spy("armijo", solvers.armijo_search, check_armijo)
+        spy("anchor", "_gradient_step", check_anchor)
+        spy("coarse", "build_coarse_model", check_coarse)
+        spy("armijo", "armijo_search", check_armijo)
         monkeypatch.setattr(L1LeastSquares, "value", value)
         cfg = SolverConfig(eps=1e-9, max_iters=600, kappa=0.7, levels=2)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
@@ -978,6 +980,20 @@ class TestMagma:
         chain = build_chain(8, 2, bucket=True, m=10)
         with pytest.raises(ValueError):
             magma(p, chain, np.zeros(p.dim), SolverConfig())
+
+    def test_chain_for_other_problem_rejected_at_entry(self, rng):
+        # a bucket chain with n=8, m=4 acts on 12 entries, as many as this
+        # plain problem has; magma must reject it before any product
+        p = CountingLasso(rng.standard_normal((20, 12)),
+                          rng.standard_normal(20), 0.1)
+        chain = build_chain(8, 2, bucket=True, m=4)
+        assert chain.fine_dim == p.dim
+        before = dict(p.calls)
+        with pytest.raises(ValueError, match=(
+                "chain is for n=8, bucket=True, m=4; "
+                "problem has n_x=12, bucket=False, m=20")):
+            magma(p, chain, np.zeros(p.dim), SolverConfig(max_iters=50))
+        assert p.calls == before
 
     @pytest.mark.parametrize("levels", [1, 3])
     def test_level_mismatch_rejected(self, rng, levels):
