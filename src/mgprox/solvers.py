@@ -1,7 +1,9 @@
 """First-order solvers for composite problems.
 
-ista and fista run on the fine level; mfista is the monotone solver
-used on smoothed coarse models; magma couples gradient and mirror steps
+ista and fista run on the fine level; mfista, the monotone solver used
+on smoothed coarse models, restarts its momentum at each step its
+monotone test rejects and returns when a step without momentum is
+rejected; magma couples gradient and mirror steps
 and replaces some gradient steps with coarse correction steps obtained
 from a first-order-coherent reduced model.  agm, the coupled scheme
 without coarse steps, is magma on the one-level (identity) chain.
@@ -388,17 +390,25 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     ``objective`` works on points, vectors whose first ``dim`` entries are
     the variable w and whose rest is affine in w (CoarseModel): lift(w)
     forms the point of w, value(p) and grad(p) read one, and ``L`` bounds
-    the curvature.  The iterate sequence is nonincreasing in value (Beck &
-    Teboulle's monotone FISTA), so its first step already does as well as
-    a gradient step from p0.  Stops when the gradient norm falls below
-    ``tol`` or the budget runs out; a start point below ``tol`` returns at
-    once with 0 iterations and values == [F(p0)].  values[-1] < values[0]
-    holds exactly when some step lowered the value.  The result's x is w.
+    the curvature.  Each iteration tries the gradient step
+    z = y - grad(y)/L from the momentum point y and keeps it only if
+    F(z) <= F(p_prev) (Beck & Teboulle's monotone test), so the iterate
+    sequence is nonincreasing in value and its first step already does as
+    well as a gradient step from p0.  A rejected trial restarts the
+    momentum (O'Donoghue & Candès' function-value restart): t = 1, and the
+    next trial is the plain gradient step from p_prev.  A rejected trial
+    that had no momentum (the first, or the one after a restart) would be
+    repeated by every later one, so the solve returns p_prev at once.
+    Stops when the gradient norm falls below ``tol`` or the budget runs
+    out; a start point below ``tol`` returns at once with 0 iterations and
+    values == [F(p0)].  values[-1] < values[0] holds exactly when some
+    step lowered the value.  The result's x is w.
 
-    Products: lift is called once per iteration, at the gradient step
-    z = y - grad(y)/L, so a CoarseModel makes one product with B_H and one
-    with B_H^T per iteration.  The momentum point y is one affine
-    combination of points.
+    Products: lift is called once per iteration, at the trial z, so a
+    CoarseModel makes one product with B_H and one with B_H^T per
+    iteration.  grad is taken at p0, at each accepted trial and at each
+    momentum point of nonzero weight, which is one affine combination of
+    points; a momentum-free y is p_prev itself, whose gradient is known.
     """
     L, n = objective.L, objective.dim
     g0 = objective.grad(p0)
@@ -412,24 +422,28 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     for j in range(1, max_iters + 1):
         z = objective.lift(y[:n] - g_y / L)
         Fz = objective.value(z)
-        accepted = Fz <= F_prev
-        if accepted:
-            p, F_p, g_p = z, Fz, objective.grad(z)
-        else:
-            # the monotone test keeps p_prev, whose gradient is known
-            p, F_p, g_p = p_prev, F_prev, g_prev
-        values.append(F_p)
-        if _norm(g_p) < tol or j == max_iters:
-            return CoarseSolveResult(p[:n], j, values)
+        if Fz > F_prev:
+            # the monotone test keeps p_prev.  A trial without momentum
+            # (y is p_prev) was the gradient step from p_prev, which every
+            # later trial would repeat; otherwise restart from that step,
+            # whose gradient is known
+            values.append(F_prev)
+            if y is p_prev or j == max_iters:
+                return CoarseSolveResult(p_prev[:n], j, values)
+            y, g_y, t = p_prev, g_prev, 1.0
+            continue
+        g_z = objective.grad(z)
+        values.append(Fz)
+        if _norm(g_z) < tol or j == max_iters:
+            return CoarseSolveResult(z[:n], j, values)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        # y = p + (t/t_next) (z - p) + ((t-1)/t_next) (p - p_prev), where
-        # z == p after an accepted step and p == p_prev after a rejected one
-        if accepted:
-            y = p + (t - 1.0) / t_next * (p - p_prev)
+        beta = (t - 1.0) / t_next
+        if beta == 0.0:
+            y, g_y = z, g_z
         else:
-            y = p + t / t_next * (z - p)
-        g_y = objective.grad(y)
-        p_prev, F_prev, g_prev, t = p, F_p, g_p, t_next
+            y = z + beta * (z - p_prev)
+            g_y = objective.grad(y)
+        p_prev, F_prev, g_prev, t = z, Fz, g_z, t_next
     return CoarseSolveResult(p_prev[:n], max_iters, values)
 
 

@@ -323,20 +323,17 @@ class TestMfista:
         assert res.values[1] <= res.values[0] \
             - float(g0 @ g0) / (2 * obj.L) + 1e-12
 
-    def test_rejection_reuses_known_gradient(self, rng):
-        # one lift per iteration, at the trial point; the start point is
-        # passed in.  A rejected step keeps x_prev, whose gradient is
-        # already known: one grad at the start, one per accepted step and
-        # one per momentum point
-        H = np.diag(np.logspace(0, 4, 8))
-        obj = QuadObjective(H, rng.standard_normal(8))
-        p0 = obj.lift(rng.standard_normal(8) * 3)
-        trial_values, grads, lifts = [], [], []
-        real_value, real_grad, real_lift = obj.value, obj.grad, obj.lift
+    @staticmethod
+    def _spied_solve(obj, p0, tol, max_iters):
+        """mfista on obj, with the points it lifts, the values it takes
+        (the start's, then one per trial) and the points it takes
+        gradients at; and, per iteration, whether its trial was rejected."""
+        lifted, trial_values, grads = [], [], []
+        real_lift, real_value, real_grad = obj.lift, obj.value, obj.grad
 
         def lift(x):
-            lifts.append(x)
-            return real_lift(x)
+            lifted.append(real_lift(x))
+            return lifted[-1]
 
         def value(p):
             trial_values.append(real_value(p))
@@ -347,13 +344,91 @@ class TestMfista:
             return real_grad(p)
 
         obj.lift, obj.value, obj.grad = lift, value, grad
-        res = mfista(obj, p0, 1e-12, 300)
-        rejected = sum(trial_values[j] > res.values[j - 1]
-                       for j in range(1, len(res.values)))
-        assert rejected > 10
-        assert len(lifts) == res.iterations
+        res = mfista(obj, p0, tol, max_iters)
+        rejected = [trial_values[j] > res.values[j - 1]
+                    for j in range(1, len(res.values))]
+        return res, lifted, trial_values, grads, rejected
+
+    def test_restart_call_pattern(self, rng):
+        # one lift per iteration, at the trial point, and one value per
+        # iteration plus the start's.  grad runs at the start, once at
+        # each accepted trial and at each momentum point of nonzero
+        # weight.  The i-th accepted trial in a row, counted from the start
+        # or the last rejection, has weight (t_i - 1)/t_{i+1} with t_1 = 1,
+        # zero at i = 1; the last iteration forms no momentum point.  A
+        # rejected trial restarts from the kept point, whose gradient is
+        # known, and takes no grad
+        H = np.diag(np.logspace(0, 4, 8))
+        obj = QuadObjective(H, rng.standard_normal(8))
+        p0 = obj.lift(rng.standard_normal(8) * 3)
+        res, lifted, trial_values, grads, rejected = self._spied_solve(
+            obj, p0, 1e-6, 3000)
+        assert np.linalg.norm(H @ res.x - obj.c) < 1e-6
+        assert 0 < sum(rejected) < res.iterations
+        assert len(lifted) == res.iterations
         assert len(trial_values) == res.iterations + 1
-        assert len(grads) == 2 * res.iterations - rejected
+        momentum, run = 0, 0
+        for j, rej in enumerate(rejected, start=1):
+            run = 0 if rej else run + 1
+            momentum += run >= 2 and j < res.iterations
+        assert len(grads) == 1 + (res.iterations - sum(rejected)) + momentum
+        assert grads[0] is p0
+        for z, rej in zip(lifted, rejected):
+            assert sum(g is z for g in grads) == (0 if rej else 1)
+
+    def test_no_two_rejections_in_a_row(self):
+        # after a rejection the next trial is the plain gradient step from
+        # the kept point, which a valid L makes descend
+        total = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+            H = Q @ np.diag(np.logspace(0, 3, 10)) @ Q.T
+            obj = QuadObjective(H, rng.standard_normal(10))
+            p0 = obj.lift(rng.standard_normal(10) * 3)
+            res, _, _, _, rejected = self._spied_solve(obj, p0, 1e-4, 3000)
+            assert np.linalg.norm(H @ res.x - obj.c) < 1e-4
+            assert not any(a and b for a, b in zip(rejected, rejected[1:]))
+            total += sum(rejected)
+        assert total > 20
+
+    def test_rejected_gradient_step_exits_at_once(self, rng):
+        # with L at 1% of the curvature the first trial, a plain gradient
+        # step, overshoots; every later trial would repeat it
+        H = rng.standard_normal((6, 6))
+        obj = QuadObjective(H @ H.T + 0.1 * np.eye(6), rng.standard_normal(6))
+        obj.L *= 0.01
+        w0 = rng.standard_normal(6)
+        p0 = obj.lift(w0)
+        res, lifted, _, _, _ = self._spied_solve(obj, p0, 1e-12, 100)
+        F0 = obj.value(p0)
+        assert res.iterations == 1 and len(lifted) == 1
+        assert res.values == [F0, F0]
+        assert np.array_equal(res.x, w0)
+
+    def test_restart_beats_monotone_fista(self, rng):
+        # Beck & Teboulle's monotone FISTA keeps the momentum through a
+        # rejected step, y = x + t/t' (z - x) + (t-1)/t' (x - x_prev), and
+        # needs more iterations than the restarted solve to reach tol
+        H = np.diag(np.logspace(0, 4, 8))
+        c = rng.standard_normal(8)
+        obj = QuadObjective(H, c)
+        w0 = rng.standard_normal(8) * 3
+        res = mfista(obj, obj.lift(w0), 1e-6, 3000)
+        assert np.linalg.norm(H @ res.x - c) < 1e-6
+
+        def F(x):
+            return 0.5 * float(x @ (H @ x)) - float(c @ x)
+
+        x_prev = y = w0
+        F_prev, t = F(w0), 1.0
+        for _ in range(res.iterations):
+            z = y - (H @ y - c) / obj.L
+            x = z if F(z) <= F_prev else x_prev
+            assert np.linalg.norm(H @ x - c) >= 1e-6
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x + t / t_next * (z - x) + (t - 1.0) / t_next * (x - x_prev)
+            x_prev, F_prev, t = x, F(x), t_next
 
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("bucket", [False, True])
