@@ -3,9 +3,10 @@
 The library solves min F(x) = f(x) + g(x) for l1-regularized least
 squares, f(x) = 0.5*||Ax - b||^2 and g(x) = lam*||x||_1 (L1LeastSquares),
 and its bucket variant for dense error correction.  Solvers: ista,
-fista, agm, and the multilevel magma, plus the monotone mfista used on
-smoothed coarse models, which restarts its momentum at each rejected
-step and returns when a step without momentum is rejected.
+fista, which restarts its momentum by the gradient test, agm, and the
+multilevel magma, plus the monotone mfista used on smoothed coarse
+models, which restarts its momentum at each rejected step and returns
+when a step without momentum is rejected.
 
 Each operation has one public name: the methods of L1LeastSquares,
 SmoothedView, RestrictionChain and CoarseModel, and the functions

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 import numbers
 
 import numpy as np
 import pytest
 
-from mgprox import L1LeastSquares, solvers
+from mgprox import L1LeastSquares, prox_step, solvers
 
 
 def pytest_addoption(parser):
@@ -120,6 +121,34 @@ class CountingLasso(L1LeastSquares):
         self.calls["apply"] += 1 if z is None else 2
         self.calls["apply_adjoint"] += 1
         return super().residuals_and_gradient(y, z, t)
+
+
+def textbook_fista(problem, x0, eps, max_iters):
+    """Beck & Teboulle's FISTA, without restart: the baseline of the
+    paper's comparison, written out as the library's fista runs it but
+    for the gradient restart, and with no trace, L_f check or budget
+    exit.  Each iteration makes one pass over A at the main iterate x,
+    which gives the stopping test ||D(x)|| < eps, and the momentum point
+    takes its gradient by linearity, so a solve makes one product with B
+    and one with B^T per iteration and one of each at x0.
+
+    Returns (x, iterations, converged).
+    """
+    L = problem.L_f
+    x = np.array(x0, dtype=float)
+    _, g = problem.residuals_and_gradient(x)
+    x_prev, g_prev, y, g_y, t = x, g, x, g, 1.0
+    for k in range(1, max_iters + 1):
+        x = prox_step(problem, y, L, g_y)
+        _, g = problem.residuals_and_gradient(x)
+        if np.linalg.norm(x - prox_step(problem, x, L, g)) < eps:
+            return x, k, True
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = x + beta * (x - x_prev)
+        g_y = g + beta * (g - g_prev)
+        x_prev, g_prev, t = x, g, t_next
+    return x, max_iters, False
 
 
 def dense_restriction(chain):
