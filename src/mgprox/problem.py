@@ -191,8 +191,6 @@ class L1LeastSquares:
         self.bucket = bool(bucket)
         self.m, self.n_x = A.shape
         self.dim = self.n_x + self.m if bucket else self.n_x
-        # g <= g_mu <= g + smoothing_beta * mu for the l1 smoothing
-        self.smoothing_beta = self.lam * self.dim
         self.L_f = lipschitz_estimate(self)
         # a NaN or an infinity in A makes the estimate non-finite, so A is
         # scanned only then

@@ -40,6 +40,7 @@ __all__ = [
     "CoarseEvent",
     "Solution",
     "REJECTION_REASONS",
+    "LINE_SEARCH_CAP",
     "LineSearchError",
     "InvariantViolation",
     "ista",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 NAN = float("nan")
+
+# Shrinkages an Armijo scan makes below its start before it gives up, a
+# safety bound: at the default tau = 0.95 the last probe is 0.6% of it.
+LINE_SEARCH_CAP = 100
 
 # Why a coarse attempt fell back to the gradient step, in the order magma
 # tests them; Solution.rejections counts each.
@@ -105,9 +110,14 @@ class SolverConfig:
     default kappa magma takes no coarse step there and is agm.  Bucket
     problems are unaffected: R passes the error block through.
 
+    mu is the one smoothing level of a solve: magma's coarse models, its
+    coarse condition and its Armijo search all work on F_mu with this mu,
+    which only makes the coarse model differentiable.
+
     There is no step-size setting: every prox-gradient step and every
     stopping test is taken at the problem's Lipschitz constant L_f, which
-    L1LeastSquares computes when it is built.
+    L1LeastSquares computes when it is built.  The Armijo scan's cap is
+    the constant LINE_SEARCH_CAP.
     """
 
     eps: float = 1e-6
@@ -119,12 +129,9 @@ class SolverConfig:
     tau: float = 0.95
     s0: float = 10.0
     mu: float = 1e-3
-    mu_schedule: str = "fixed"  # "fixed" or "horizon"
-    zeta: float = 1.0
     coarse_tol: float = 1e-3
     coarse_budget: int = 100
     levels: int = 2
-    line_search_cap: int = 100
 
     def __post_init__(self):
         _reject_non_finite(self)
@@ -138,15 +145,10 @@ class SolverConfig:
             (0 < self.tau < 1, f"tau must lie in (0, 1) (got {self.tau})"),
             (self.s0 > 0, f"s0 must be positive (got {self.s0})"),
             (self.mu > 0, f"mu must be positive (got {self.mu})"),
-            (self.mu_schedule in ("fixed", "horizon"),
-             f"mu_schedule must be 'fixed' or 'horizon' (got {self.mu_schedule})"),
-            (0 < self.zeta <= 1, f"zeta must lie in (0, 1] (got {self.zeta})"),
             (self.coarse_tol > 0, f"coarse_tol must be positive (got {self.coarse_tol})"),
             (self.coarse_budget >= 1,
              f"coarse_budget must be >= 1 (got {self.coarse_budget})"),
             (self.levels >= 1, f"levels must be >= 1 (got {self.levels})"),
-            (self.line_search_cap >= 1,
-             f"line_search_cap must be >= 1 (got {self.line_search_cap})"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -515,8 +517,8 @@ def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
     with B; the residual ``r_x`` = B x - b and ``Bd`` = B d are formed
     once each unless the caller passes them.
 
-    Raises LineSearchError after ``line_search_cap`` probes below the
-    start; raises ValueError if d is not a descent direction at x.
+    Raises LineSearchError after LINE_SEARCH_CAP probes below the start;
+    raises ValueError if d is not a descent direction at x.
     """
     if slope is None:
         slope = float(d @ view.grad(x))
@@ -539,12 +541,12 @@ def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
             s = grown
             grown = s / config.tau
         return min(s, config.s0)
-    for _ in range(config.line_search_cap):
+    for _ in range(LINE_SEARCH_CAP):
         s *= config.tau
         if accepted(s):
             return s
     raise LineSearchError(
-        f"no step accepted after {config.line_search_cap} shrinkages "
+        f"no step accepted after {LINE_SEARCH_CAP} shrinkages "
         f"(slope {slope:.3e})")
 
 
@@ -575,17 +577,6 @@ def _gradient_step(x, r_x, g, p, r_p, L_f, k):
         raise InvariantViolation(
             f"L_f = {L_f:.6g} fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
-
-
-def _smoothing(problem, config, eta, alpha):
-    """mu of the coarse model at the provisional (eta, alpha): config.mu, or
-    max(zeta / ((L_f + eta) alpha^2 beta T), 1e-12) on the horizon schedule."""
-    if config.mu_schedule == "fixed":
-        return config.mu
-    beta = max(problem.smoothing_beta, 1e-30)
-    mu = config.zeta / ((problem.L_f + eta) * alpha ** 2 * beta
-                        * config.max_iters)
-    return max(mu, 1e-12)
 
 
 def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
@@ -638,7 +629,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     except LineSearchError:
         return x, "line_search_failed"
     # the Armijo test controls F_mu only; the true objective may grow by
-    # up to beta*mu, which keeps undoing late-stage convergence.  Require
+    # up to lam*dim*mu, which keeps undoing late-stage convergence.  Require
     # the coarse step to beat the incumbent y.
     y_new = x + s * d
     if problem.value(y_new, r_x + s * Bd) > F_y:
@@ -690,7 +681,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     B (B d), which gives every probe and the incumbent test their
     residuals.  Each gradient step checks the descent lemma for L_f.
 
-    The coarse condition's proximity clause needs no product and no
+    One smoothed view F_mu, at config.mu, is made at entry and serves the
+    coarse condition, every coarse model and every Armijo search.  The
+    coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that
     passes it forms grad F_mu(x) and R grad F_mu(x).  A coarse attempt
     restricts its anchor's smoothed gradient once, for the entry test,
@@ -704,6 +697,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
             f"chain has {chain.levels} levels, config.levels is {config.levels}")
     run = _SolveRecord(problem, config, x0, ("grad", "coarse", "fallback"),
                        REJECTION_REASONS)
+    view = SmoothedView(problem, config.mu)
     y, r_y, g, F_y = run.start  # F_y: incumbent objective, updated every step
     z, r_z, r_x = y.copy(), r_y, r_y
     L_f = problem.L_f
@@ -723,25 +717,25 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 
         kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
-                and _proximity_clause(state, x, config):
-            view = SmoothedView(problem, _smoothing(problem, config, eta, alpha))
-            if coarse_condition(state, x, g + view.g_grad(x), chain, config):
-                x_c, step = _try_coarse_step(problem, chain, view, state,
-                                             y, r_y, z, r_z, F_y, config, k)
-                # remember the attempt's anchor, accepted or not; without
-                # this the moved-away clause re-fires every iteration and
-                # each failing attempt costs a coarse solve.
-                state.x_tilde, state.q = x_c.copy(), 0
-                if isinstance(step, str):
-                    kind = "fallback"
-                    run.rejections[step] += 1
-                    state.fails += 1
-                else:
-                    kind = "coarse"
-                    state.fails = 0
-                    y_next, g, eta, alpha, t, s, event = step
-                    run.events.append(event)
-                    state.s_prev = s
+                and _proximity_clause(state, x, config) \
+                and coarse_condition(state, x, g + view.g_grad(x), chain,
+                                     config):
+            x_c, step = _try_coarse_step(problem, chain, view, state,
+                                         y, r_y, z, r_z, F_y, config, k)
+            # remember the attempt's anchor, accepted or not; without
+            # this the moved-away clause re-fires every iteration and
+            # each failing attempt costs a coarse solve.
+            state.x_tilde, state.q = x_c.copy(), 0
+            if isinstance(step, str):
+                kind = "fallback"
+                run.rejections[step] += 1
+                state.fails += 1
+            else:
+                kind = "coarse"
+                state.fails = 0
+                y_next, g, eta, alpha, t, s, event = step
+                run.events.append(event)
+                state.s_prev = s
 
         if k >= 1:
             _check_bookkeeping(state, eta, alpha, t)

@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import re
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
-from mgprox import InvariantViolation, cli
+from mgprox import InvariantViolation, SolverConfig, cli
 from mgprox.cli import main
 from mgprox.io import (
     read_records_csv,
@@ -240,6 +242,18 @@ class TestSolve:
     def test_unknown_flag_exit_one(self, tiny_instance):
         mpath, vpath = tiny_instance
         assert run_cli(["solve", mpath, vpath, "--wibble", "3"]) == 1
+
+    def test_every_solver_setting_has_one_flag(self):
+        # each SolverConfig field is set by exactly one flag of solve, and
+        # solve has no config flag that sets nothing
+        solve = cli.build_parser()._subparsers._group_actions[0] \
+            .choices["solve"]
+        config_flags = argparse.ArgumentParser(add_help=False)
+        cli._add_config_flags(config_flags)
+        dests = [solve._option_string_actions[a.option_strings[0]].dest
+                 for a in config_flags._actions]
+        assert len(dests) == len(set(dests))
+        assert set(dests) == {f.name for f in dataclasses.fields(SolverConfig)}
 
     def test_invalid_config_exit_three(self, tiny_instance, capsys):
         mpath, vpath = tiny_instance

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from mgprox import ExperimentSpec, RunRecord, TraceRow
+from mgprox import ExperimentSpec, RunRecord, SolverConfig, TraceRow
 from mgprox.io import (
     FileFormatError,
     parse_experiment_file,
@@ -257,6 +257,21 @@ class TestExperimentFiles:
         path.write_text("m=10\nn=5\nwibble=3\n")
         with pytest.raises(FileFormatError, match="line 3"):
             parse_experiment_file(path)
+
+    @pytest.mark.parametrize("line", [
+        "mu_schedule=horizon", "zeta=0.5", "magma.line_search_cap=1"])
+    def test_removed_config_key_is_unknown(self, tmp_path, line):
+        # the smoothing schedule, its zeta and the line-search cap are no
+        # solver settings: mu is the one smoothing level of a solve, and
+        # the cap is solvers.LINE_SEARCH_CAP
+        path = tmp_path / "spec.txt"
+        path.write_text(f"m=6\nn=4\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(FileFormatError,
+                           match=f"line 3: unknown key: '{key}'"):
+            parse_experiment_file(path)
+        with pytest.raises(TypeError):
+            SolverConfig(**{key.rpartition(".")[2]: 0.5})
 
     @pytest.mark.parametrize("again, first_line", [
         ("m=8", 1), ("eps=1e-4", 4), ("magma.levels=3", 5)],

@@ -103,7 +103,6 @@ def _non_default_config():
     make a valid config together."""
     def field_value(f):
         kind = {
-            str: st.sampled_from(("fixed", "horizon")),
             int: st.integers(min_value=1),
             # v or 1/v: every float field accepts one unless v is 1
             float: st.floats(1e-300, 1e300).map(

@@ -544,4 +544,3 @@ class TestConstruction:
     def test_bucket_effective_dimension(self):
         p = L1LeastSquares(np.ones((3, 2)), np.ones(3), 0.1, bucket=True)
         assert p.dim == 5
-        assert p.smoothing_beta == pytest.approx(0.1 * 5)

@@ -79,8 +79,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         dict(eps=0.0), dict(max_iters=0), dict(kappa=0.0), dict(kappa=2.0),
         dict(theta=-1.0), dict(K_d=0), dict(armijo_c=1.0), dict(tau=1.0),
-        dict(s0=0.0), dict(mu=0.0), dict(zeta=0.0), dict(coarse_tol=0.0),
-        dict(coarse_budget=0), dict(levels=0), dict(mu_schedule="bogus"),
+        dict(s0=0.0), dict(mu=0.0), dict(coarse_tol=0.0),
+        dict(coarse_budget=0), dict(levels=0),
         dict(eps=math.inf), dict(s0=math.inf), dict(mu=math.inf),
         dict(theta=math.inf),
     ])
@@ -731,11 +731,11 @@ class TestArmijo:
             armijo_search(view, np.array([1.0]), np.array([1.0]),
                           SolverConfig())
 
-    def test_cap_exhaustion_raises(self):
+    def test_cap_exhaustion_raises(self, monkeypatch):
         view = self._quadratic_view()
         # huge c forces rejection of every step in the capped grid
-        cfg = SolverConfig(armijo_c=1 - 1e-12, s0=1e6, tau=0.9,
-                           line_search_cap=5)
+        monkeypatch.setattr(solvers, "LINE_SEARCH_CAP", 5)
+        cfg = SolverConfig(armijo_c=1 - 1e-12, s0=1e6, tau=0.9)
         with pytest.raises(LineSearchError):
             armijo_search(view, np.array([1.0]), np.array([-1.0]), cfg)
 
@@ -978,8 +978,9 @@ class TestMagma:
         # mfista step overshoot, so the monotone solve never moves
         overrides = {"entry_stationary": {"coarse_tol": 1e6},
                      "no_decrease": {"coarse_budget": 3},
-                     "line_search_failed": {"s0": 1e12,
-                                            "line_search_cap": 1}}[reason]
+                     "line_search_failed": {"s0": 1e12}}[reason]
+        if reason == "line_search_failed":
+            monkeypatch.setattr(solvers, "LINE_SEARCH_CAP", 1)
         if reason == "no_decrease":
             real = RestrictionChain.coarse_dictionary
 
@@ -1056,46 +1057,37 @@ class TestMagma:
         assert sol.rejections["objective_rejected"] >= 1
         assert sol.step_counts["coarse"] > 0
 
-    def test_horizon_schedule(self, monkeypatch):
-        # each coarse model gets mu = max(zeta / ((L_f + eta) alpha^2
-        # beta T), 1e-12) at the provisional (eta, alpha) of its iteration
+    def test_coarse_models_smoothed_at_config_mu(self, monkeypatch):
+        # config.mu is the one smoothing level of a solve: magma makes one
+        # smoothed view, and every coarse model is built at its mu
         p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
-        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6,
-                           mu_schedule="horizon", zeta=0.5)
-        provisional, mus = [], []
-        real_update = solvers.update_eta_alpha
-        real_build = solvers.build_coarse_model
+        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6)
+        views, mus = [], []
+        real_view, real_build = solvers.SmoothedView, solvers.build_coarse_model
 
-        def update(state, branch, *args):
-            out = real_update(state, branch, *args)
-            if branch == "grad":
-                provisional.append(out)
-            return out
+        def view(problem, mu):
+            views.append(mu)
+            return real_view(problem, mu)
 
         def build(problem, chain, x, mu, **kwargs):
-            eta, alpha = provisional[-1]
-            expected = cfg.zeta / ((p.L_f + eta) * alpha ** 2
-                                   * p.smoothing_beta * cfg.max_iters)
-            mus.append((mu, max(expected, 1e-12)))
+            mus.append(mu)
             return real_build(problem, chain, x, mu, **kwargs)
 
-        monkeypatch.setattr(solvers, "update_eta_alpha", update)
+        monkeypatch.setattr(solvers, "SmoothedView", view)
         monkeypatch.setattr(solvers, "build_coarse_model", build)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.converged and sol.step_counts["coarse"] > 0
-        assert len({mu for mu, _ in mus}) > 1 and min(mus)[0] > 1e-12
-        for mu, expected in mus:
-            assert mu == pytest.approx(expected, rel=1e-12)
+        assert views == [cfg.mu]
+        assert len(mus) >= sol.step_counts["coarse"]
+        assert all(mu == cfg.mu for mu in mus)
         assert_telescoping(sol.trace)
 
     def test_event_L_H_is_the_solved_models_lipschitz(self, monkeypatch):
-        # the coarse-branch eta and mfista's step take one L_H; on the
-        # horizon schedule it changes from one coarse attempt to the next
+        # the coarse-branch eta and mfista's step take one L_H
         p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
-        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6,
-                           mu_schedule="horizon", zeta=0.5)
+        cfg = SolverConfig(eps=1e-6, max_iters=2000, kappa=0.6)
         solved, event_models = [], []
         real_mfista, real_event = solvers.mfista, solvers.CoarseEvent
 
@@ -1111,7 +1103,6 @@ class TestMagma:
         monkeypatch.setattr(solvers, "CoarseEvent", event)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.step_counts["coarse"] > 0
-        assert len(set(solved)) > 1
         assert [ev.L_H for ev in sol.coarse_events] == event_models
 
     def test_lipschitz_constant_certified(self):
