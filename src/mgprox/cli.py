@@ -43,22 +43,10 @@ def _add_config_flags(p):
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--kappa", type=float, default=None,
                    help="coarse-condition norm fraction in (0, 1]")
-    p.add_argument("--theta", type=float, default=None,
-                   help="relative-distance threshold to the last coarse anchor")
-    p.add_argument("--Kd", dest="K_d", type=int, default=None,
-                   help="consecutive-gradient-step allowance")
-    p.add_argument("--tau", type=float, default=None,
-                   help="line-search shrink factor in (0, 1)")
-    p.add_argument("--s0", type=float, default=None,
-                   help="initial line-search step")
-    p.add_argument("--c", dest="armijo_c", type=float, default=None,
-                   help="Armijo sufficient-decrease constant in (0, 1)")
     p.add_argument("--mu", type=float, default=None,
                    help="smoothing level for the coarse machinery")
     p.add_argument("--levels", type=int, default=None,
                    help="grid levels; 1 disables coarse correction")
-    p.add_argument("--coarse-tol", type=float, default=None)
-    p.add_argument("--coarse-budget", type=int, default=None)
 
 
 def _config_from_args(args) -> SolverConfig:

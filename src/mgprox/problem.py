@@ -373,8 +373,8 @@ def lipschitz_estimate(problem: L1LeastSquares) -> float:
     """Estimate of ||A^T A||_2 (bucket: ||B^T B||_2), not a certified bound.
 
     Power iteration to relative tolerance 1e-6, which approaches the norm
-    from below, inflated by 1.01.  magma and agm test it by the descent
-    lemma at every gradient step; ista and fista do not.  Each step forms
+    from below, inflated by 1.01.  ista, fista, magma and agm test it by
+    the descent lemma at every gradient step.  Each step forms
     B^T B v in one row-blocked pass over A, the pass of
     ``residuals_and_gradient`` with no offset b, so a step reads A once.
     A NaN or infinity in A makes the first product non-finite, and

@@ -1,8 +1,8 @@
 """First-order solvers for composite problems.
 
-ista and fista run on the fine level, fista with O'Donoghue & Candès'
-gradient restart of its momentum and a descent-lemma check of L_f at
-each step; mfista, the monotone solver used
+ista and fista run on the fine level with a descent-lemma check of L_f
+at each step, fista with O'Donoghue & Candès' gradient restart of its
+momentum; mfista, the monotone solver used
 on smoothed coarse models, restarts its momentum at each step its
 monotone test rejects and returns when a step without momentum is
 rejected; magma couples gradient and mirror steps
@@ -40,6 +40,13 @@ __all__ = [
     "CoarseEvent",
     "Solution",
     "REJECTION_REASONS",
+    "THETA",
+    "K_D",
+    "ARMIJO_C",
+    "TAU",
+    "S0",
+    "COARSE_TOL",
+    "COARSE_BUDGET",
     "LINE_SEARCH_CAP",
     "LineSearchError",
     "InvariantViolation",
@@ -58,8 +65,30 @@ __all__ = [
 
 NAN = float("nan")
 
+# magma's line-search and coarse-condition constants, fixed for the l1
+# instance family.
+#
+# Relative distance from the last coarse anchor past which the coarse
+# condition may fire again; it has no published value.
+THETA = 0.5
+# Gradient steps since the last coarse anchor after which it may fire
+# anyway, doubled by each attempt in a row that fell back, up to 64x.
+K_D = 30
+# The Armijo constant c, also unpublished.  It does double duty: it both
+# accepts line-search steps and scales the coarse-branch eta as
+# L_H/(c s kappa^2), so the customary 1e-4 inflates eta by four orders of
+# magnitude and wipes out the momentum after every coarse step (measured
+# 10x more iterations at benchmark scale); 0.5 keeps the coupling tight.
+ARMIJO_C = 0.5
+# The Armijo scan's grid {S0 * TAU^i}: its shrink factor and its top.
+TAU = 0.95
+S0 = 10.0
+# Gradient-norm tolerance of a coarse solve, below which its start is
+# stationary and no model is built, and its mfista iteration budget.
+COARSE_TOL = 1e-3
+COARSE_BUDGET = 100
 # Shrinkages an Armijo scan makes below its start before it gives up, a
-# safety bound: at the default tau = 0.95 the last probe is 0.6% of it.
+# safety bound: at TAU = 0.95 the last probe is 0.6% of it.
 LINE_SEARCH_CAP = 100
 
 # Why a coarse attempt fell back to the gradient step, in the order magma
@@ -93,16 +122,11 @@ def _reject_non_finite(record):
 class SolverConfig:
     """Validated solver parameters.
 
-    Defaults are the working set for the l1 instance family:
-    kappa=0.8, K_d=30, tau=0.95, s0=10, eps=1e-6, coarse tolerance 1e-3.
-    theta has no published value; 0.5 is used.  The Armijo constant c is
-    also unpublished, and it does double duty here: it both accepts line
-    search steps and scales the coarse-branch eta as L_H/(c s kappa^2),
-    so the customary 1e-4 inflates eta by four orders of magnitude and
-    wipes out the momentum after every coarse step (measured 10x more
-    iterations at benchmark scale); 0.5 keeps the coupling tight.
-    kappa=1 is allowed as a degenerate setting that switches coarse
-    steps off (the norm test is strict).
+    Defaults are the working set for the l1 instance family: eps=1e-6,
+    kappa=0.8.  kappa=1 is allowed as a degenerate setting that switches
+    coarse steps off (the norm test is strict).  magma's other parameters
+    are the module constants THETA, K_D, ARMIJO_C, TAU, S0, COARSE_TOL,
+    COARSE_BUDGET and LINE_SEARCH_CAP.
 
     The coarse condition ||R g|| > kappa ||g|| can hold only where
     kappa < ||R||_2.  On a plain (non-bucket) problem R = R_x, and
@@ -116,21 +140,13 @@ class SolverConfig:
 
     There is no step-size setting: every prox-gradient step and every
     stopping test is taken at the problem's Lipschitz constant L_f, which
-    L1LeastSquares computes when it is built.  The Armijo scan's cap is
-    the constant LINE_SEARCH_CAP.
+    L1LeastSquares computes when it is built.
     """
 
     eps: float = 1e-6
     max_iters: int = 1000
     kappa: float = 0.8
-    theta: float = 0.5
-    K_d: int = 30
-    armijo_c: float = 0.5
-    tau: float = 0.95
-    s0: float = 10.0
     mu: float = 1e-3
-    coarse_tol: float = 1e-3
-    coarse_budget: int = 100
     levels: int = 2
 
     def __post_init__(self):
@@ -139,15 +155,7 @@ class SolverConfig:
             (self.eps > 0, f"eps must be positive (got {self.eps})"),
             (self.max_iters >= 1, f"max_iters must be >= 1 (got {self.max_iters})"),
             (0 < self.kappa <= 1, f"kappa must lie in (0, 1] (got {self.kappa})"),
-            (self.theta > 0, f"theta must be positive (got {self.theta})"),
-            (self.K_d >= 1, f"K_d must be >= 1 (got {self.K_d})"),
-            (0 < self.armijo_c < 1, f"armijo c must lie in (0, 1) (got {self.armijo_c})"),
-            (0 < self.tau < 1, f"tau must lie in (0, 1) (got {self.tau})"),
-            (self.s0 > 0, f"s0 must be positive (got {self.s0})"),
             (self.mu > 0, f"mu must be positive (got {self.mu})"),
-            (self.coarse_tol > 0, f"coarse_tol must be positive (got {self.coarse_tol})"),
-            (self.coarse_budget >= 1,
-             f"coarse_budget must be >= 1 (got {self.coarse_budget})"),
             (self.levels >= 1, f"levels must be >= 1 (got {self.levels})"),
         ]
         for ok, msg in checks:
@@ -310,7 +318,8 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
 
     One product with B and one with B^T per iteration, made in one pass
     over A (``residuals_and_gradient``): the residual of each new iterate
-    gives its objective, and its gradient the next prox step.
+    gives its objective and, as in fista, checks the descent lemma for
+    L_f along the step; its gradient gives the next prox step.
     """
     run = _SolveRecord(problem, config, x0)
     x, r, g, F = run.start
@@ -318,8 +327,9 @@ def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
         p, Dn = run.stop_test(x, g)
         if Dn < config.eps or k == config.max_iters:
             return run.end(x, r, g, F, Dn)
-        x = p
-        r, g = problem.residuals_and_gradient(x)
+        r_p, g_p = problem.residuals_and_gradient(p)
+        _gradient_step(x, r, g, p, r_p, problem.L_f, k)
+        x, r, g = p, r_p, g_p
         F = problem.value(x, r)
         run.log("grad", F, Dn)
 
@@ -380,16 +390,16 @@ def update_eta_alpha(state, branch: str, s_k, L_f: float, L_H,
 
     k = 0 seeds the recursion with eta_1 = L_f, alpha_1 = 1/L_f.  For
     k >= 1, eta_{k+1} is L_f on the gradient branch and
-    max(1/(4 alpha_k^2 eta_k), L_H/(c s_k kappa^2)) on the coarse branch;
-    alpha_{k+1} = 1/(2 eta_{k+1}) + alpha_k sqrt(eta_k/eta_{k+1}) is the
-    positive root that keeps alpha^2 eta telescoping exactly, and reduces
-    to (k+2)/(2 L_f) on all-gradient runs.
+    max(1/(4 alpha_k^2 eta_k), L_H/(ARMIJO_C s_k kappa^2)) on the coarse
+    branch; alpha_{k+1} = 1/(2 eta_{k+1}) + alpha_k sqrt(eta_k/eta_{k+1})
+    is the positive root that keeps alpha^2 eta telescoping exactly, and
+    reduces to (k+2)/(2 L_f) on all-gradient runs.
     """
     if state.k == 0:
         return L_f, 1.0 / L_f
     if branch == "coarse":
         eta_next = max(1.0 / (4.0 * state.alpha ** 2 * state.eta),
-                       L_H / (config.armijo_c * s_k * config.kappa ** 2))
+                       L_H / (ARMIJO_C * s_k * config.kappa ** 2))
     else:
         eta_next = L_f
     alpha_next = 1.0 / (2.0 * eta_next) + state.alpha * math.sqrt(state.eta / eta_next)
@@ -465,16 +475,15 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     return CoarseSolveResult(p_prev[:n], max_iters, values)
 
 
-def _proximity_clause(state: MagmaState, x: np.ndarray,
-                      config: SolverConfig) -> bool:
+def _proximity_clause(state: MagmaState, x: np.ndarray) -> bool:
     """The cheap half of the coarse condition: x has moved
-    theta-relatively away from the last coarse anchor, or at least
-    K_d * min(2^fails, 64) gradient steps have accumulated since then.
+    THETA-relatively away from the last coarse anchor, or at least
+    K_D * min(2^fails, 64) gradient steps have accumulated since then.
     True before the first coarse attempt."""
     if state.x_tilde is None:
         return True
-    moved = _norm(x - state.x_tilde) > config.theta * _norm(state.x_tilde)
-    return moved or state.q >= config.K_d * min(2 ** state.fails, 64)
+    moved = _norm(x - state.x_tilde) > THETA * _norm(state.x_tilde)
+    return moved or state.q >= K_D * min(2 ** state.fails, 64)
 
 
 def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
@@ -483,8 +492,8 @@ def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
     """Decide whether the coarse direction is worth computing at anchor x.
 
     True iff ||R g|| > kappa ||g|| (strictly) and x has either moved
-    theta-relatively away from the last coarse anchor or at least
-    K_d * min(2^fails, 64) consecutive gradient steps have accumulated
+    THETA-relatively away from the last coarse anchor or at least
+    K_D * min(2^fails, 64) consecutive gradient steps have accumulated
     since then (the anchor-retry allowance, doubled by each attempt in a
     row that fell back).  Without the retry gate, consecutive coarse
     steps are never blocked (q resets to zero on each one) and the fine
@@ -493,7 +502,7 @@ def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
     proximity clause is tested first, and R g is formed only when it
     holds; a caller that holds R g passes it as ``grad_H``.
     """
-    if not _proximity_clause(state, x, config):
+    if not _proximity_clause(state, x):
         return False
     if grad_H is None:
         grad_H = chain.restrict(grad_mu)
@@ -501,15 +510,15 @@ def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
 
 
 def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
-                  config: SolverConfig, slope: float = None,
-                  s_start: float = None, r_x: np.ndarray = None,
-                  Bd: np.ndarray = None) -> float:
-    """Largest s in {s0 * tau^i} with F_mu(x+s d) <= F_mu(x) + c s <d, grad>.
+                  slope: float = None, s_start: float = None,
+                  r_x: np.ndarray = None, Bd: np.ndarray = None) -> float:
+    """Largest s in {S0 * TAU^i} with
+    F_mu(x+s d) <= F_mu(x) + ARMIJO_C s <d, grad>.
 
     For convex F_mu the acceptance set along a descent direction is an
     interval [0, s_hat], so the largest accepted grid point is well
     defined and can be located from any grid point: ``s_start`` (itself
-    of the form s0 * tau^i, e.g. the previously accepted step) is scanned
+    of the form S0 * TAU^i, e.g. the previously accepted step) is scanned
     up while accepted and down while rejected, giving the same result as
     the plain top-down scan with fewer evaluations.
 
@@ -532,17 +541,17 @@ def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
 
     def accepted(step):
         return view.value(x + step * d, r=r_x + step * Bd) \
-            <= f_x + config.armijo_c * step * slope
+            <= f_x + ARMIJO_C * step * slope
 
-    s = config.s0 if s_start is None else min(s_start, config.s0)
+    s = S0 if s_start is None else min(s_start, S0)
     if accepted(s):
-        grown = s / config.tau
-        while grown <= config.s0 * (1.0 + 1e-12) and accepted(grown):
+        grown = s / TAU
+        while grown <= S0 * (1.0 + 1e-12) and accepted(grown):
             s = grown
-            grown = s / config.tau
-        return min(s, config.s0)
+            grown = s / TAU
+        return min(s, S0)
     for _ in range(LINE_SEARCH_CAP):
-        s *= config.tau
+        s *= TAU
         if accepted(s):
             return s
     raise LineSearchError(
@@ -604,14 +613,14 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
     # by coherence the coarse entry gradient is R grad F_mu(x), so an
     # entry-stationary solve is skipped without building the model.
     grad_H = chain.restrict(grad_mu)
-    if _norm(grad_H) < config.coarse_tol:
+    if _norm(grad_H) < COARSE_TOL:
         return x, "entry_stationary"
     if not coarse_condition(state, x, grad_mu, chain, config, grad_H):
         return x, "condition_lost"
     model = build_coarse_model(problem, chain, x, view.mu, grad_H=grad_H)
-    res = mfista(model, model.start, config.coarse_tol, config.coarse_budget)
+    res = mfista(model, model.start, COARSE_TOL, COARSE_BUDGET)
     # a solve that never moved: a start stationary within rounding of
-    # coarse_tol, or an L_H that does not bound the coarse curvature
+    # COARSE_TOL, or an L_H that does not bound the coarse curvature
     if not res.values[-1] < res.values[0]:
         return x, "no_decrease"
     d = chain.prolong(res.x - model.anchor)
@@ -624,7 +633,7 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
             f"k={k}: slope {slope:.6e} vs bound {bound:.6e}")
     Bd = problem.apply(d)
     try:
-        s = armijo_search(view, x, d, config, slope=slope,
+        s = armijo_search(view, x, d, slope=slope,
                           s_start=state.s_prev, r_x=r_x, Bd=Bd)
     except LineSearchError:
         return x, "line_search_failed"
@@ -701,7 +710,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     y, r_y, g, F_y = run.start  # F_y: incumbent objective, updated every step
     z, r_z, r_x = y.copy(), r_y, r_y
     L_f = problem.L_f
-    state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=config.s0)
+    state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=S0)
     # gradient-branch (eta, alpha) of iteration k, formed once: here for
     # k = 0, then at the end of iteration k-1, where it also weights the
     # next anchor's pass
@@ -717,7 +726,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 
         kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
-                and _proximity_clause(state, x, config) \
+                and _proximity_clause(state, x) \
                 and coarse_condition(state, x, g + view.g_grad(x), chain,
                                      config):
             x_c, step = _try_coarse_step(problem, chain, view, state,

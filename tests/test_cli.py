@@ -178,7 +178,7 @@ class TestSolve:
         assert code == 1
         assert "lam must be finite and nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--eps", "--s0", "--mu"])
+    @pytest.mark.parametrize("flag", ["--eps", "--kappa", "--mu"])
     def test_infinite_parameter_exit_three(self, tiny_instance, capsys, flag):
         mpath, vpath = tiny_instance
         assert run_cli(["solve", mpath, vpath, flag, "inf"]) == 3

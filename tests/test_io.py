@@ -259,11 +259,16 @@ class TestExperimentFiles:
             parse_experiment_file(path)
 
     @pytest.mark.parametrize("line", [
-        "mu_schedule=horizon", "zeta=0.5", "magma.line_search_cap=1"])
+        "mu_schedule=horizon", "zeta=0.5", "magma.line_search_cap=1"] + [
+        prefix + setting for setting in (
+            "theta=0.5", "K_d=30", "armijo_c=0.5", "tau=0.95", "s0=10",
+            "coarse_tol=1e-3", "coarse_budget=100")
+        for prefix in ("", "magma.")])
     def test_removed_config_key_is_unknown(self, tmp_path, line):
-        # the smoothing schedule, its zeta and the line-search cap are no
-        # solver settings: mu is the one smoothing level of a solve, and
-        # the cap is solvers.LINE_SEARCH_CAP
+        # the smoothing schedule, its zeta, the line-search cap and magma's
+        # line-search and coarse-condition parameters are no solver
+        # settings: mu is the one smoothing level of a solve, and the rest
+        # are constants of solvers (LINE_SEARCH_CAP, THETA, K_D, ...)
         path = tmp_path / "spec.txt"
         path.write_text(f"m=6\nn=4\n{line}\n")
         key = line.split("=")[0]

@@ -78,11 +78,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("bad", [
         dict(eps=0.0), dict(max_iters=0), dict(kappa=0.0), dict(kappa=2.0),
-        dict(theta=-1.0), dict(K_d=0), dict(armijo_c=1.0), dict(tau=1.0),
-        dict(s0=0.0), dict(mu=0.0), dict(coarse_tol=0.0),
-        dict(coarse_budget=0), dict(levels=0),
-        dict(eps=math.inf), dict(s0=math.inf), dict(mu=math.inf),
-        dict(theta=math.inf),
+        dict(mu=0.0), dict(levels=0), dict(eps=math.inf), dict(mu=math.inf),
     ])
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -130,6 +126,27 @@ class TestIsta:
                    SolverConfig(eps=1e-14, max_iters=3))
         assert not sol.converged
         assert sol.iterations == 3
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_lipschitz_constant_checked(self, bucket):
+        # as in fista, with L_f at half its value the prox steps overshoot
+        # along the top singular direction and the descent lemma fails.
+        # ista's monotone steps may also settle where no step breaks the
+        # lemma, and then run out their budget unconverged (the check
+        # certifies only the steps taken)
+        raised = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            p = random_lasso(rng, m=60, n=40, lam=0.1, bucket=bucket)
+            cfg = SolverConfig()
+            ista(p, np.zeros(p.dim), cfg)
+            p.L_f *= 0.5
+            try:
+                assert not ista(p, np.zeros(p.dim), cfg).converged
+            except solvers.InvariantViolation as exc:
+                assert "fails the descent lemma" in str(exc)
+                raised += 1
+        assert raised >= 1
 
 
 class TestFista:
@@ -543,8 +560,8 @@ class TestMfista:
             return g
 
         model.lift, model.grad = lift, grad
-        res = mfista(model, model.start, 0.0, cfg.coarse_budget)
-        assert res.iterations == cfg.coarse_budget
+        res = mfista(model, model.start, 0.0, solvers.COARSE_BUDGET)
+        assert res.iterations == solvers.COARSE_BUDGET
         assert res.values[-1] < res.values[0]
         assert len(lifts) == res.iterations
         # the start, every accepted step and every momentum point
@@ -625,16 +642,19 @@ class TestCoarseCondition:
         cfg = SolverConfig(kappa=0.5)
         assert coarse_condition(self._state(), np.zeros(8), g, chain, cfg)
 
-    def test_first_call_skips_proximity_clause(self, rng):
+    def test_first_call_skips_proximity_clause(self, rng, monkeypatch):
         chain = build_chain(8, 2)
-        cfg = SolverConfig(kappa=0.1, K_d=5)
+        monkeypatch.setattr(solvers, "K_D", 5)
+        cfg = SolverConfig(kappa=0.1)
         g = chain.prolong(rng.standard_normal(4))
         state = self._state(x_tilde=None, q=10 ** 9)
         assert coarse_condition(state, np.zeros(8), g, chain, cfg)
 
-    def test_proximity_blocks_until_retry_allowance(self, rng):
+    def test_proximity_blocks_until_retry_allowance(self, rng, monkeypatch):
         chain = build_chain(8, 2)
-        cfg = SolverConfig(kappa=0.1, K_d=5, theta=0.5)
+        monkeypatch.setattr(solvers, "K_D", 5)
+        monkeypatch.setattr(solvers, "THETA", 0.5)
+        cfg = SolverConfig(kappa=0.1)
         g = chain.prolong(rng.standard_normal(4))
         anchor = np.ones(8)
         near = anchor + 1e-3
@@ -643,10 +663,12 @@ class TestCoarseCondition:
         far = anchor * 3
         assert coarse_condition(self._state(anchor, q=0), far, g, chain, cfg)
 
-    def test_failed_attempts_widen_retry_allowance(self, rng):
-        # each failed attempt in a row doubles the allowance K_d, up to 64x
+    def test_failed_attempts_widen_retry_allowance(self, rng, monkeypatch):
+        # each failed attempt in a row doubles the allowance K_D, up to 64x
         chain = build_chain(8, 2)
-        cfg = SolverConfig(kappa=0.1, K_d=5, theta=0.5)
+        monkeypatch.setattr(solvers, "K_D", 5)
+        monkeypatch.setattr(solvers, "THETA", 0.5)
+        cfg = SolverConfig(kappa=0.1)
         g = chain.prolong(rng.standard_normal(4))
         anchor = np.ones(8)
         near = anchor + 1e-3
@@ -662,19 +684,26 @@ class TestArmijo:
         p = L1LeastSquares(np.array([[1.0]]), np.zeros(1), 0.0)
         return SmoothedView(p, 1e-3)
 
-    def test_hand_computed_step(self):
+    @staticmethod
+    def _grid(monkeypatch, c, s0, tau):
+        monkeypatch.setattr(solvers, "ARMIJO_C", c)
+        monkeypatch.setattr(solvers, "S0", s0)
+        monkeypatch.setattr(solvers, "TAU", tau)
+
+    def test_hand_computed_step(self, monkeypatch):
         view = self._quadratic_view()
-        cfg = SolverConfig(armijo_c=0.5, s0=10.0, tau=0.5)
-        s = armijo_search(view, np.array([1.0]), np.array([-1.0]), cfg)
+        self._grid(monkeypatch, c=0.5, s0=10.0, tau=0.5)
+        s = armijo_search(view, np.array([1.0]), np.array([-1.0]))
         assert s == pytest.approx(0.625)
 
-    def test_weak_constant_accepts_s0(self):
+    def test_weak_constant_accepts_s0(self, monkeypatch):
         view = self._quadratic_view()
-        cfg = SolverConfig(armijo_c=1e-12, s0=1.0, tau=0.5)
-        s = armijo_search(view, np.array([1.0]), np.array([-1.0]), cfg)
+        self._grid(monkeypatch, c=1e-12, s0=1.0, tau=0.5)
+        s = armijo_search(view, np.array([1.0]), np.array([-1.0]))
         assert s == 1.0
 
-    def test_accepted_step_satisfies_contract(self, rng):
+    def test_accepted_step_satisfies_contract(self, rng, monkeypatch):
+        self._grid(monkeypatch, c=1e-4, s0=10.0, tau=0.5)
         for _ in range(25):
             p = random_lasso(rng, m=10, n=6)
             view = SmoothedView(p, 1e-2)
@@ -682,13 +711,13 @@ class TestArmijo:
             d = -view.grad(x)
             if np.linalg.norm(d) < 1e-12:
                 continue
-            cfg = SolverConfig(armijo_c=1e-4, s0=10.0, tau=0.5)
-            s = armijo_search(view, x, d, cfg)
+            s = armijo_search(view, x, d)
             slope = float(d @ view.grad(x))
             assert view.value(x + s * d) \
-                <= view.value(x) + cfg.armijo_c * s * slope + 1e-12
+                <= view.value(x) + solvers.ARMIJO_C * s * slope + 1e-12
 
-    def test_warm_start_matches_cold_scan(self, rng):
+    def test_warm_start_matches_cold_scan(self, rng, monkeypatch):
+        self._grid(monkeypatch, c=1e-4, s0=10.0, tau=0.7)
         for _ in range(25):
             p = random_lasso(rng, m=10, n=6)
             view = SmoothedView(p, 1e-2)
@@ -696,16 +725,17 @@ class TestArmijo:
             d = -view.grad(x)
             if np.linalg.norm(d) < 1e-12:
                 continue
-            cfg = SolverConfig(armijo_c=1e-4, s0=10.0, tau=0.7)
-            cold = armijo_search(view, x, d, cfg)
-            warm = armijo_search(view, x, d, cfg, s_start=cold * cfg.tau ** 3)
+            cold = armijo_search(view, x, d)
+            warm = armijo_search(view, x, d, s_start=cold * solvers.TAU ** 3)
             assert warm == pytest.approx(cold, rel=1e-9)
 
     @pytest.mark.parametrize("bucket", [False, True])
-    def test_residual_probes_match_direct_probes(self, rng, bucket):
+    def test_residual_probes_match_direct_probes(self, rng, bucket,
+                                                 monkeypatch):
         # each probe takes its residual as r_x + s B d; the step chosen
         # must be the one a top-down scan of direct F_mu evaluations picks
-        cfg = SolverConfig(armijo_c=1e-4, s0=10.0, tau=0.7)
+        c, s0, tau = 1e-4, 10.0, 0.7
+        self._grid(monkeypatch, c, s0, tau)
         for _ in range(25):
             p = random_lasso(rng, m=12, n=7, bucket=bucket)
             view = SmoothedView(p, 1e-2)
@@ -714,30 +744,29 @@ class TestArmijo:
             slope = float(d @ view.grad(x))
             if not slope < 0:
                 continue
-            s_direct = cfg.s0
+            s_direct = s0
             while view.value(x + s_direct * d) \
-                    > view.value(x) + cfg.armijo_c * s_direct * slope:
-                s_direct *= cfg.tau
-            assert armijo_search(view, x, d, cfg) \
+                    > view.value(x) + c * s_direct * slope:
+                s_direct *= tau
+            assert armijo_search(view, x, d) \
                 == pytest.approx(s_direct, rel=1e-9)
-            assert armijo_search(view, x, d, cfg, slope=slope,
+            assert armijo_search(view, x, d, slope=slope,
                                  r_x=p.residual(x), Bd=p.apply(d),
-                                 s_start=s_direct * cfg.tau ** 2) \
+                                 s_start=s_direct * tau ** 2) \
                 == pytest.approx(s_direct, rel=1e-9)
 
     def test_non_descent_rejected(self):
         view = self._quadratic_view()
         with pytest.raises(ValueError):
-            armijo_search(view, np.array([1.0]), np.array([1.0]),
-                          SolverConfig())
+            armijo_search(view, np.array([1.0]), np.array([1.0]))
 
     def test_cap_exhaustion_raises(self, monkeypatch):
         view = self._quadratic_view()
         # huge c forces rejection of every step in the capped grid
         monkeypatch.setattr(solvers, "LINE_SEARCH_CAP", 5)
-        cfg = SolverConfig(armijo_c=1 - 1e-12, s0=1e6, tau=0.9)
+        self._grid(monkeypatch, c=1 - 1e-12, s0=1e6, tau=0.9)
         with pytest.raises(LineSearchError):
-            armijo_search(view, np.array([1.0]), np.array([-1.0]), cfg)
+            armijo_search(view, np.array([1.0]), np.array([-1.0]))
 
 
 class TestUpdateEtaAlpha:
@@ -750,9 +779,10 @@ class TestUpdateEtaAlpha:
             assert alpha == pytest.approx((k + 2) / (2 * L), rel=1e-12)
             state.k, state.alpha, state.eta = k + 1, alpha, eta
 
-    def test_telescoping_identity_mixed_branches(self, rng):
+    def test_telescoping_identity_mixed_branches(self, rng, monkeypatch):
         L = 2.0
-        cfg = SolverConfig(armijo_c=1e-4, kappa=0.8)
+        monkeypatch.setattr(solvers, "ARMIJO_C", 1e-4)
+        cfg = SolverConfig(kappa=0.8)
         state = MagmaState(k=0, alpha=0.0, eta=L)
         for k in range(60):
             branch = "grad" if k == 0 or rng.uniform() < 0.6 else "coarse"
@@ -916,7 +946,7 @@ class TestMagma:
             assert close(grad_H,
                          chain.restrict(SmoothedView(problem, mu).grad(x)))
 
-        def check_armijo(view, x, d, config, r_x, Bd, **kwargs):
+        def check_armijo(view, x, d, r_x, Bd, **kwargs):
             assert close(r_x, view.problem.residual(x))
             assert close(Bd, view.problem.apply(d))
 
@@ -959,12 +989,13 @@ class TestMagma:
         assert len(mirror_steps) == sol.iterations == len(sol.trace)
         assert sum(sol.step_counts.values()) == sol.iterations
 
-    def test_single_step_coarse_solve_accepted(self):
+    def test_single_step_coarse_solve_accepted(self, monkeypatch):
         # one mfista step from the anchor does at least as well as a
         # gradient step there, which is all the descent bound needs
         p = bucket_instance(seed=3)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
-        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, coarse_budget=1)
+        monkeypatch.setattr(solvers, "COARSE_BUDGET", 1)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.step_counts["coarse"] > 0
         assert all(ev.coarse_iters == 1 for ev in sol.coarse_events)
@@ -976,9 +1007,10 @@ class TestMagma:
         # each setting stops every coarse attempt at the same test; a
         # coarse Lipschitz bound at 1% of the spectral part makes every
         # mfista step overshoot, so the monotone solve never moves
-        overrides = {"entry_stationary": {"coarse_tol": 1e6},
-                     "no_decrease": {"coarse_budget": 3},
-                     "line_search_failed": {"s0": 1e12}}[reason]
+        name, value = {"entry_stationary": ("COARSE_TOL", 1e6),
+                       "no_decrease": ("COARSE_BUDGET", 3),
+                       "line_search_failed": ("S0", 1e12)}[reason]
+        monkeypatch.setattr(solvers, name, value)
         if reason == "line_search_failed":
             monkeypatch.setattr(solvers, "LINE_SEARCH_CAP", 1)
         if reason == "no_decrease":
@@ -992,7 +1024,7 @@ class TestMagma:
                                 understated)
         p = bucket_instance(seed=3)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
-        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, **overrides)
+        cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert sol.step_counts["coarse"] == 0
         assert sol.step_counts["fallback"] > 0
@@ -1012,9 +1044,9 @@ class TestMagma:
                                        solvers.coarse_condition)
         inside, conditions = [], []
 
-        def clause(state, x, config):
+        def clause(state, x):
             # only coarse_condition sees the real clause
-            return real_clause(state, x, config) if inside else True
+            return real_clause(state, x) if inside else True
 
         def condition(*args, **kwargs):
             conditions.append(1)
