@@ -76,10 +76,20 @@ class TestSolverConfig:
     def test_defaults_valid(self):
         SolverConfig()
 
-    @pytest.mark.parametrize("bad", [
-        dict(eps=0.0), dict(max_iters=0), dict(kappa=0.0), dict(kappa=2.0),
-        dict(mu=0.0), dict(levels=0), dict(eps=math.inf), dict(mu=math.inf),
-    ])
+    # each case keeps the id it had when the config also held magma's
+    # constants; bad4-bad7, whose fields became constants, now name
+    # negative and NaN values of the fields left
+    BAD_VALUES = {
+        "bad0": dict(eps=0.0), "bad1": dict(max_iters=0),
+        "bad2": dict(kappa=0.0), "bad3": dict(kappa=2.0),
+        "bad4": dict(eps=-1.0), "bad5": dict(max_iters=-1),
+        "bad6": dict(kappa=math.nan), "bad7": dict(levels=-1),
+        "bad9": dict(mu=0.0), "bad12": dict(levels=0),
+        "bad13": dict(eps=math.inf), "bad15": dict(mu=math.inf),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_VALUES.values()),
+                             ids=list(BAD_VALUES))
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
