@@ -4,7 +4,8 @@ The library solves min F(x) = f(x) + g(x) for l1-regularized least
 squares, f(x) = 0.5*||Ax - b||^2 and g(x) = lam*||x||_1 (L1LeastSquares),
 and its bucket variant for dense error correction.  Solvers: ista,
 fista, which restarts its momentum by the gradient test, agm, and the
-multilevel magma, plus the monotone mfista used on smoothed coarse
+multilevel magma, both of which restart their gradient/mirror coupling
+by the same test, plus the monotone mfista used on smoothed coarse
 models, which restarts its momentum at each rejected step and returns
 when a step without momentum is rejected.
 

@@ -202,20 +202,29 @@ def test_criterion_5_bookkeeping_invariants(descent_runs, rate_runs,
     solutions += [c["magma"] for c in rate_runs["cases"]]
     solutions += [c["agm"] for c in rate_runs["cases"]]
     solutions += [s for pair in degenerate_runs for s in pair]
-    rows_checked = 0
+    rows_checked = restarts = 0
     for sol in solutions:
-        prev = None
-        for row in sol.trace:
-            if prev is not None:
-                resid = row.alpha ** 2 * row.eta - row.alpha \
-                    + 1.0 / (4.0 * row.eta) - prev
-                assert abs(resid) <= 1e-9 * max(1.0, abs(prev))
-                assert 0.0 < row.t <= 1.0
-                rows_checked += 1
-            prev = row.alpha ** 2 * row.eta
-    assert rows_checked > 0
+        # the first row is the seed (eta, alpha) = (L_f, 1/L_f), and every
+        # gradient and fallback row has eta = L_f; the chain starts again
+        # at each later seed row, the first after a restart
+        L_f = sol.trace[0].eta
+        seed = (L_f, 1.0 / L_f)
+        assert sol.trace[0].alpha == seed[1]
+        for prev, row in zip(sol.trace, sol.trace[1:]):
+            assert 0.0 < row.t <= 1.0
+            assert row.step_kind == "coarse" or row.eta == L_f
+            if (row.eta, row.alpha) == seed:
+                restarts += 1
+                continue
+            prev_sum = prev.alpha ** 2 * prev.eta
+            resid = row.alpha ** 2 * row.eta - row.alpha \
+                + 1.0 / (4.0 * row.eta) - prev_sum
+            assert abs(resid) <= 1e-9 * max(1.0, abs(prev_sum))
+            rows_checked += 1
+    assert rows_checked > 0 and restarts > 0
     report(5, "bookkeeping invariants",
-           f"[{rows_checked} iterations across {len(solutions)} runs]")
+           f"[{rows_checked} iterations and {restarts} restarts across "
+           f"{len(solutions)} runs]")
 
 
 def test_criterion_6_oracle_equivalence():
@@ -309,11 +318,12 @@ def eps_stop_products():
 
 
 def test_criterion_8_qualitative_speedup(eps_stop_products):
-    """magma reaches eps in at most half of textbook fista's fine products.
+    """magma reaches eps in at most half of textbook fista's fine products,
+    and in no more than the library's restarted fista's.
 
-    The baseline is Beck & Teboulle's fista, without restart, as in the
-    paper's comparison; the report adds the library's restarted fista's
-    products over magma's as information only.  This gates the
+    The first baseline is Beck & Teboulle's fista, without restart, as in
+    the paper's comparison; the second is the fair one, since magma
+    restarts its coupling by the same gradient test.  This gates the
     time-to-eps phase only: at lam=1e-6 the ||D(x)|| < eps stop fires
     well before the optimum.  Only products with B and B^T on the fine
     level are counted, not magma's coarse products with A_H.  The
@@ -324,12 +334,14 @@ def test_criterion_8_qualitative_speedup(eps_stop_products):
     for seed, products in eps_stop_products:
         assert products["magma"] <= 0.5 * products["textbook fista"], \
             (seed, products)
+        assert products["magma"] <= products["restarted fista"], \
+            (seed, products)
         ratios.append(products["textbook fista"] / products["magma"])
         restarted.append(products["restarted fista"] / products["magma"])
     report(8, "qualitative speedup",
            f"[fista/magma fine products {min(ratios):.1f}-{max(ratios):.1f}; "
            f"restarted fista/magma {min(restarted):.2f}-"
-           f"{max(restarted):.2f}, informational]")
+           f"{max(restarted):.2f}]")
 
 
 def test_restart_cuts_fista_products(eps_stop_products):
