@@ -11,8 +11,8 @@ when a step without momentum is rejected.
 
 Each operation has one public name: the methods of L1LeastSquares,
 SmoothedView, RestrictionChain and CoarseModel, and the functions
-prox_step, prog, gradient_mapping and mirror_step for the steps the
-guarantee lemmas are stated for.
+prox_step, metric_prox_step, metric_inner, prog, gradient_mapping and
+mirror_step for the steps the guarantee lemmas are stated for.
 """
 
 from .problem import (
@@ -20,6 +20,8 @@ from .problem import (
     SmoothedView,
     gradient_mapping,
     lipschitz_estimate,
+    metric_inner,
+    metric_prox_step,
     mirror_step,
     power_iteration,
     prog,

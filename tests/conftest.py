@@ -123,14 +123,16 @@ class CountingLasso(L1LeastSquares):
         return super().residuals_and_gradient(y, z, t)
 
 
-def textbook_fista(problem, x0, eps, max_iters):
-    """Beck & Teboulle's FISTA, without restart: the baseline of the
-    paper's comparison, written out as the library's fista runs it but
-    for the gradient restart, and with no trace, L_f check or budget
-    exit.  Each iteration makes one pass over A at the main iterate x,
-    which gives the stopping test ||D(x)|| < eps, and the momentum point
-    takes its gradient by linearity, so a solve makes one product with B
-    and one with B^T per iteration and one of each at x0.
+def euclidean_fista(problem, x0, eps, max_iters, restart=True):
+    """The library's fista as it was before its prox steps moved to the
+    problem's metric: every step at L_f, and O'Donoghue & Candès'
+    gradient restart in the Euclidean inner product, written out with no
+    trace, L_f check or budget exit.  With ``restart=False`` it is Beck &
+    Teboulle's textbook FISTA, the baseline of the paper's comparison.
+    Each iteration makes one pass over A at the main iterate x, which
+    gives the stopping test ||D(x)|| < eps, and the momentum point takes
+    its gradient by linearity, so a solve makes one product with B and
+    one with B^T per iteration and one of each at x0.
 
     Returns (x, iterations, converged).
     """
@@ -143,12 +145,20 @@ def textbook_fista(problem, x0, eps, max_iters):
         _, g = problem.residuals_and_gradient(x)
         if np.linalg.norm(x - prox_step(problem, x, L, g)) < eps:
             return x, k, True
+        if restart and float((y - x) @ (x - x_prev)) > 0.0:
+            t = 1.0
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = x + beta * (x - x_prev)
         g_y = g + beta * (g - g_prev)
         x_prev, g_prev, t = x, g, t_next
     return x, max_iters, False
+
+
+def textbook_fista(problem, x0, eps, max_iters):
+    """Beck & Teboulle's FISTA, without restart: ``euclidean_fista`` with
+    ``restart=False``.  Returns (x, iterations, converged)."""
+    return euclidean_fista(problem, x0, eps, max_iters, restart=False)
 
 
 def dense_restriction(chain):

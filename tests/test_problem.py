@@ -12,7 +12,10 @@ from mgprox import (
     build_chain,
     build_coarse_model,
     gradient_mapping,
+    gen_correlated_dictionary,
     lipschitz_estimate,
+    metric_inner,
+    metric_prox_step,
     mirror_step,
     power_iteration,
     prog,
@@ -393,7 +396,8 @@ class TestLipschitzEstimate:
         A = rng.standard_normal((20, 30))
         p = L1LeastSquares(A, np.zeros(20), 0.1)
         smax2 = np.linalg.svd(A, compute_uv=False)[0] ** 2
-        assert lipschitz_estimate(p) / SAFETY == pytest.approx(smax2, rel=1e-4)
+        assert lipschitz_estimate(p)[0] / SAFETY == pytest.approx(smax2,
+                                                                  rel=1e-4)
 
     def test_bucket_matches_svd_of_augmented(self, rng):
         A = rng.standard_normal((8, 5))
@@ -449,6 +453,114 @@ class TestLipschitzEstimate:
         monkeypatch.setattr(problem_module, "PASS_BLOCK_BYTES", 1)
         blocked = L1LeastSquares(A, np.zeros(m), 0.1, bucket=bucket)
         assert blocked.L_f == pytest.approx(p.L_f, rel=1e-15, abs=0)
+
+
+def metric_dictionary(kind, rng):
+    """A 30x20 dictionary: one of the family's spiked ones (mean column
+    correlation 0.9), a Gaussian one with no spike, or one of rank 1 or
+    2."""
+    if kind == "spiked":
+        return gen_correlated_dictionary(30, 20, 0.9, rng)
+    if kind == "unspiked":
+        return rng.standard_normal((30, 20))
+    rank = {"rank-1": 1, "rank-2": 2}[kind]
+    return rng.standard_normal((30, rank)) @ rng.standard_normal((rank, 20))
+
+
+def gram(p):
+    """B^T B as a dense array."""
+    B = np.hstack([p.A, np.eye(p.m)]) if p.bucket else p.A
+    return B.T @ B
+
+
+def dense_metric(p):
+    """V = a (I - v v^T) + L_f v v^T as a dense array."""
+    P = np.outer(p.v, p.v)
+    return p.a * (np.eye(p.dim) - P) + p.L_f * P
+
+
+class TestMetric:
+    KINDS = ["spiked", "unspiked", "rank-1", "rank-2"]
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_bounds_second_eigenvalue(self, kind, bucket):
+        # a >= lambda_2(B^T B), and where a < L_f, B^T B <= V: the bound is
+        # certified, not estimated, so it holds on every seed
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p = L1LeastSquares(metric_dictionary(kind, rng),
+                               rng.standard_normal(30), 0.1, bucket=bucket)
+            M = gram(p)
+            scale = np.linalg.eigvalsh(M)[-1]
+            assert p.a >= np.linalg.eigvalsh(M)[-2]
+            assert abs(np.linalg.norm(p.v) - 1.0) <= 1e-12
+            if p.a < p.L_f:
+                assert np.linalg.eigvalsh(dense_metric(p) - M)[0] \
+                    >= -1e-12 * scale
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_clamped_to_L_f(self, kind, bucket):
+        # the Frobenius bound ||A||_F^2 - rho exceeds L_f on a Gaussian
+        # dictionary, where a is L_f and V = L_f I; on the others it is
+        # below
+        rng = np.random.default_rng(0)
+        p = L1LeastSquares(metric_dictionary(kind, rng),
+                           rng.standard_normal(30), 0.1, bucket=bucket)
+        assert p.a <= p.L_f
+        assert (p.a == p.L_f) == (kind == "unspiked")
+
+    def test_one_dimension_is_euclidean(self):
+        p = one_d_lasso(a=2.0)
+        assert p.a == p.L_f and abs(p.v[0]) == 1.0
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", ["spiked", "rank-1", "rank-2"])
+    def test_prox_optimality(self, kind, bucket):
+        # the step w from x satisfies g + V (w - x) + lam s = 0 with
+        # s = sign(w_i) on the nonzero entries and |s_i| <= 1 on the
+        # zeros, to rounding; the larger lam, the more zeros
+        zeros = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lam = float(10.0 ** rng.uniform(-3, 1))
+            p = L1LeastSquares(metric_dictionary(kind, rng),
+                               rng.standard_normal(30), lam, bucket=bucket)
+            V = dense_metric(p)
+            x = rng.standard_normal(p.dim)
+            g = p.f_grad(x)
+            w = metric_prox_step(p, x, g)
+            assert np.array_equal(w, metric_prox_step(p, x))
+            lam_s = -(g + V @ (w - x))
+            on = w != 0
+            zeros += int(np.sum(~on))
+            tol = 1e-13 * (np.abs(V @ x).max() + np.abs(g).max() + lam)
+            assert np.all(np.abs(lam_s[on] - lam * np.sign(w[on])) <= tol)
+            assert np.all(np.abs(lam_s[~on]) <= lam + tol)
+        assert zeros > 0
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_euclidean_metric_is_prox_step_bitwise(self, kind, bucket):
+        rng = np.random.default_rng(1)
+        p = L1LeastSquares(metric_dictionary(kind, rng),
+                           rng.standard_normal(30), 0.1, bucket=bucket)
+        p.a = p.L_f
+        x = rng.standard_normal(p.dim)
+        g = p.f_grad(x)
+        assert metric_prox_step(p, x, g).tobytes() \
+            == prox_step(p, x, p.L_f, g).tobytes()
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inner_product(self, kind, bucket):
+        rng = np.random.default_rng(2)
+        p = L1LeastSquares(metric_dictionary(kind, rng),
+                           rng.standard_normal(30), 0.1, bucket=bucket)
+        u, w = rng.standard_normal((2, p.dim))
+        assert metric_inner(p, u, w) == pytest.approx(
+            float(u @ dense_metric(p) @ w), rel=1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
