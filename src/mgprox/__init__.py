@@ -12,7 +12,11 @@ when a step without momentum is rejected.
 Each operation has one public name: the methods of L1LeastSquares,
 SmoothedView, RestrictionChain and CoarseModel, and the functions
 prox_step, metric_prox_step, metric_inner, prog, gradient_mapping and
-mirror_step for the steps the guarantee lemmas are stated for.
+mirror_step for the steps the guarantee lemmas are stated for.  There
+are two exceptions: build_chain and build_coarse_model are aliases of
+the RestrictionChain and CoarseModel constructors.  They are kept
+because the benchmark harness (perfbench) imports build_chain and times
+coarse model builds by wrapping solvers.build_coarse_model.
 """
 
 from .problem import (

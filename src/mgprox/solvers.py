@@ -1,24 +1,26 @@
 """First-order solvers for composite problems.
 
-ista and fista run on the fine level and take their prox steps in the
-problem's rank-one-corrected metric V = a (I - v v^T) + L_f v v^T
-(problem.metric_prox_step), with a descent-lemma check in the V-norm at
-each step, fista with O'Donoghue & Candès' gradient restart of its
-momentum in the V inner product; mfista, the monotone solver used
-on smoothed coarse models, restarts its momentum at each step its
-monotone test rejects and returns when a step without momentum is
-rejected; magma couples gradient and mirror steps, restarts the
-coupling by the same gradient test as fista,
+ista and fista run on the fine level, in one loop, and take their prox
+steps in the problem's rank-one-corrected metric
+V = a (I - v v^T) + L_f v v^T (problem.metric_prox_step); ista is fista
+with its momentum held at t_k = 1, and fista restarts its momentum by
+O'Donoghue & Candès' gradient test in the V inner product.  mfista, the
+monotone solver used on smoothed coarse models, restarts its momentum at
+each step its monotone test rejects and returns when a step without
+momentum is rejected; magma couples gradient and mirror steps, restarts
+the coupling by the same gradient test as fista,
 and replaces some gradient steps with coarse correction steps obtained
 from a first-order-coherent reduced model.  agm, the coupled scheme
 without coarse steps, is magma on the one-level (identity) chain.  agm
-and magma step in the Euclidean metric, at L_f.
+and magma step in the Euclidean metric, at L_f.  Every gradient step of
+every solver is checked by the descent lemma in the V-norm.
 
 All solvers share one stopping test, ||D(x_k)||_2 < eps with the
-Euclidean D(x) = x - prox_{L_f}(x), and emit a per-iteration trace with
-the columns (k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).  A
-solve ends at the first point that passes the test, or after max_iters
-iterations at its lowest-F iterate (ista: its last), tested once more.
+Euclidean D(x) = x - prox_{L_f}(x), first tested at x0, and emit a
+per-iteration trace with the columns
+(k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).  A solve ends
+at the first point that passes the test, or after max_iters iterations
+at its lowest-F iterate, tested once more.
 Its Solution reports the duality gap of that point
 (L1LeastSquares.duality_gap), an upper bound on F - F* formed from the
 residual and gradient the exit already holds.
@@ -322,29 +324,62 @@ class _SolveRecord:
 # Baseline solvers.
 
 
-def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
-    """Proximal gradient iteration x_{k+1} = prox(x_k); monotone in F.
+def _prox_gradient(problem, x0, config, momentum):
+    """The loop of ista and fista: x_{k+1} = prox(y_k) in the problem's
+    metric V, from y_k = x_k without ``momentum`` and from fista's
+    momentum point with it.
 
-    Each prox step is taken in the problem's metric
-    V = a (I - v v^T) + L_f v v^T (``metric_prox_step``), which is L_f I
-    where a = L_f.  One product with B and one with B^T per iteration,
-    made in one pass over A (``residuals_and_gradient``): the residual of
-    each new iterate gives its objective and, as in fista, checks the
-    descent lemma in the V-norm along the step; its gradient gives the
-    next prox step and the stopping test, which stays Euclidean, at L_f.
+    It tests x0 before the first step, and then each iterate x_{k+1},
+    whose trace row holds F(x_{k+1}) and ||D(x_{k+1})||.  Each iteration
+    makes one pass over A at x_{k+1} (``residuals_and_gradient``), whose
+    residual and gradient give its objective, its stopping test and,
+    with those of y_k, the descent-lemma check of the step.  So a solve
+    reads A once at x0 and once per iteration, and a budget exit once
+    more, as B^T, at its lowest-F iterate.
     """
     run = _SolveRecord(problem, config, x0)
     x, r, g, F = run.start
-    for k in range(config.max_iters + 1):
+    _, Dn = run.stop_test(x, g)
+    if Dn < config.eps:
+        return run.end(x, r, g, F, Dn)
+    x_prev, r_prev, g_prev = x, r, g
+    y, r_y, g_y = x, r, g
+    t = 1.0
+    for k in range(config.max_iters):
+        x = metric_prox_step(problem, y, g_y)
+        r, g = problem.residuals_and_gradient(x)
+        _gradient_step(problem, y, r_y, g_y, x, r, k)
         _, Dn = run.stop_test(x, g)
-        if Dn < config.eps or k == config.max_iters:
-            return run.end(x, r, g, F, Dn)
-        p = metric_prox_step(problem, x, g)
-        r_p, g_p = problem.residuals_and_gradient(p)
-        _gradient_step(x, r, g, p, r_p, problem.L_f, k, problem)
-        x, r, g = p, r_p, g_p
         F = problem.value(x, r)
         run.log("grad", F, Dn)
+        run.keep(x, r, F)
+        if Dn < config.eps:
+            return run.end(x, r, g, F, Dn)
+        if not momentum:
+            y, r_y, g_y = x, r, g
+            continue
+        if metric_inner(problem, y - x, x - x_prev) > 0.0:
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = x + beta * (x - x_prev)
+        r_y = r + beta * (r - r_prev)
+        g_y = g + beta * (g - g_prev)
+        x_prev, r_prev, g_prev, t = x, r, g, t_next
+    return run.budget_exit()
+
+
+def ista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
+    """Proximal gradient iteration x_{k+1} = prox(x_k); monotone in F.
+
+    This is fista with its momentum weight held at t_k = 1 (Beck &
+    Teboulle), run by the same loop: every prox step is taken in the
+    problem's metric V = a (I - v v^T) + L_f v v^T
+    (``metric_prox_step``), which is L_f I where a = L_f, and is checked
+    by the descent lemma in the V-norm; the stopping test stays
+    Euclidean, at L_f.  One pass over A per iteration.
+    """
+    return _prox_gradient(problem, x0, config, momentum=False)
 
 
 def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
@@ -377,34 +412,9 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     r_x and g_x are recomputed exactly every iteration, so rounding does
     not build up.  Each prox step checks the descent lemma in the V-norm
     from y's residual and gradient, and raises InvariantViolation if it
-    fails.  A budget exit tests the lowest-F iterate, kept with its
-    residual, for one more B^T.
+    fails.
     """
-    run = _SolveRecord(problem, config, x0)
-    x, r, g, F = run.start
-    x_prev, r_prev, g_prev = x, r, g
-    y, r_y, g_y = x, r, g
-    t = 1.0
-    L_f = problem.L_f
-    for k in range(config.max_iters):
-        x = metric_prox_step(problem, y, g_y)
-        r, g = problem.residuals_and_gradient(x)
-        _gradient_step(y, r_y, g_y, x, r, L_f, k, problem)
-        _, Dn = run.stop_test(x, g)
-        F = problem.value(x, r)
-        run.log("grad", F, Dn)
-        run.keep(x, r, F)
-        if Dn < config.eps:
-            return run.end(x, r, g, F, Dn)
-        if metric_inner(problem, y - x, x - x_prev) > 0.0:
-            t = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = x + beta * (x - x_prev)
-        r_y = r + beta * (r - r_prev)
-        g_y = g + beta * (g - g_prev)
-        x_prev, r_prev, g_prev, t = x, r, g, t_next
-    return run.budget_exit()
+    return _prox_gradient(problem, x0, config, momentum=True)
 
 
 def update_eta_alpha(state, branch: str, s_k, L_f: float, L_H,
@@ -597,28 +607,28 @@ def _check_bookkeeping(state, eta_n, alpha_n, t, k):
         raise InvariantViolation(f"t_k out of (0, 1] at k={k}: {t}")
 
 
-def _gradient_step(x, r_x, g, p, r_p, L_f, k, metric=None):
-    """Certify L_f along the prox step p of the anchor x, formed with
-    g = B^T r_x, given the residuals r_x = B x - b and r_p = B p - b.
+def _gradient_step(problem, x, r_x, g, p, r_p, k):
+    """Check the descent lemma along the prox step p of the anchor x,
+    formed with g = B^T r_x, given the residuals r_x = B x - b and
+    r_p = B p - b.
 
-    The descent lemma f(p) <= f(x) + <g, p - x> + L_f/2 ||p - x||^2,
-    which the guarantee lemmas assume, costs three dot products here and
-    no product; a violation raises InvariantViolation naming L_f.  Given
-    a problem as ``metric``, the lemma is tested in its V-norm,
-    1/2 <p - x, V (p - x)> (``metric_inner``), for two more.
+    The lemma f(p) <= f(x) + <g, p - x> + 1/2 <p - x, V (p - x)> is taken
+    in the problem's metric V = a (I - v v^T) + L_f v v^T
+    (``metric_inner``), the one the guarantee lemmas of ista and fista
+    assume; where a = L_f it is the lemma for L_f.  A Euclidean step at
+    L_f, as agm and magma take, passes it wherever B^T B <= V, as the
+    problem's a certifies.  It costs at most six dot products and no
+    product; a violation raises InvariantViolation naming L_f and a.
     """
     d = p - x
     f_x = 0.5 * float(r_x @ r_x)
     f_p = 0.5 * float(r_p @ r_p)
-    if metric is None:
-        bound = f_x + float(g @ d) + 0.5 * L_f * float(d @ d)
-        name = f"L_f = {L_f:.6g}"
-    else:
-        bound = f_x + float(g @ d) + 0.5 * metric_inner(metric, d, d)
-        name = f"the metric of a = {metric.a:.6g}, L_f = {L_f:.6g},"
+    bound = f_x + float(g @ d) + 0.5 * metric_inner(problem, d, d)
     if f_p > bound + 1e-12 * max(1.0, abs(f_x)):
+        L_f = problem.L_f
         raise InvariantViolation(
-            f"{name} fails the descent lemma at k={k}: "
+            f"the metric of L_f = {L_f:.6g} and a = {min(problem.a, L_f):.6g} "
+            f"fails the descent lemma at k={k}: "
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
 
 
@@ -734,7 +744,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     stopped by its budget forms one gradient it does not use.  A coarse
     attempt adds one B^T at its re-formed anchor, and its line search one
     B (B d), which gives every probe and the incumbent test their
-    residuals.  Each gradient step checks the descent lemma for L_f.
+    residuals.  Each gradient step checks the descent lemma in the
+    problem's metric V (``_gradient_step``), which a step at L_f passes
+    wherever B^T B <= V.
 
     One smoothed view F_mu, at config.mu, is made at entry and serves the
     coarse condition, every coarse model and every Armijo search.  The
@@ -808,7 +820,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         r_y, r_z, r_next, g_next = problem.residuals_and_gradient(
             y_next, z, _combination_weight(alpha_n, eta_n))
         if kind != "coarse":
-            _gradient_step(x, r_x, g, y_next, r_y, L_f, k)
+            _gradient_step(problem, x, r_x, g, y_next, r_y, k)
             state.q += 1
         y, r_x, g, F_y = y_next, r_next, g_next, problem.value(y_next, r_y)
         run.keep(y, r_y, F_y)

@@ -2,58 +2,73 @@
 
     python tests/compare_solves.py A.jsonl B.jsonl
 
-Exits 0 when both records hold the same solves, line for line, bit for
-bit, and 1 otherwise, naming the first test and field that differ.  An
-empty record also exits 1, since it compares nothing.
+Exits 0 when both records hold the same solves, test by test, bit for
+bit, and 1 otherwise, with one line for every solve that differs: its
+test, its place among that test's solves and the fields that differ,
+the trace's by the names of its differing columns.  An empty record also
+exits 1, since it compares nothing.
 """
 
 import json
 import sys
 
+# The columns of a recorded trace row: mgprox.solvers.TraceRow's fields
+# without elapsed_ns, which the recorder leaves out.
+TRACE_COLUMNS = ("k", "step_kind", "F", "D_norm", "eta", "alpha", "t", "s")
 
-def _first_difference(a, b):
-    """The first field of two solve lines that differs, with the index of
-    the first differing entry of a list; None if they are equal."""
+
+def _differences(a, b):
+    """The fields of two solve lines that differ, in the order of ``a``:
+    the trace named with its differing columns, and its row counts if
+    they differ."""
+    found = []
     for key in list(a) + [k for k in b if k not in a]:
         va, vb = a.get(key), b.get(key)
         if va == vb:
             continue
-        if key == "x" and len(va) == len(vb):  # 16 hex digits per float64
-            i = next(i for i in range(0, len(va), 16)
-                     if va[i:i + 16] != vb[i:i + 16])
-            return f"x[{i // 16}]: bytes {va[i:i + 16]} != {vb[i:i + 16]}"
-        if isinstance(va, list) and isinstance(vb, list):
-            for i, (ra, rb) in enumerate(zip(va, vb)):
-                if ra != rb:
-                    return f"{key}[{i}]: {ra} != {rb}"
-            return f"{key}: {len(va)} entries != {len(vb)}"
-        return f"{key}: {va} != {vb}"
-    return None
+        if key == "trace" and isinstance(va, list) and isinstance(vb, list):
+            cols = sorted({i for ra, rb in zip(va, vb)
+                           for i, (ca, cb) in enumerate(zip(ra, rb))
+                           if ca != cb})
+            parts = [TRACE_COLUMNS[i] for i in cols]
+            if len(va) != len(vb):
+                parts.append(f"rows {len(va)} != {len(vb)}")
+            key = f"trace ({', '.join(parts)})"
+        found.append(key)
+    return found
+
+
+def _by_test(lines):
+    """The solve lines of one record, grouped by test in order."""
+    tests = {}
+    for line in lines:
+        tests.setdefault(line["test"], []).append(line)
+    return tests
 
 
 def compare(path_a, path_b):
-    """(message, solves): a message naming the first difference, None if
-    the records agree, and the number of solves compared."""
-    with open(path_a) as fa, open(path_b) as fb:
-        lines_a = [json.loads(line) for line in fa]
-        lines_b = [json.loads(line) for line in fb]
-    for path, lines in ((path_a, lines_a), (path_b, lines_b)):
+    """(differences, solves): one line for each solve that differs, and
+    for each test that made a different number of solves, none if the
+    records agree; and the number of solves in ``path_a``."""
+    records = []
+    for path in (path_a, path_b):
+        with open(path) as f:
+            lines = [json.loads(line) for line in f]
         if not lines:
-            return f"{path} records no solve", 0
-    for n, (a, b) in enumerate(zip(lines_a, lines_b), start=1):
-        if a["test"] != b["test"]:
-            return (f"solve {n}: made by {a['test']} in {path_a}, "
-                    f"by {b['test']} in {path_b}"), n
-        diff = _first_difference(a, b)
-        if diff is not None:
-            return f"solve {n} of {a['test']}: {diff}", n
-    if len(lines_a) != len(lines_b):
-        n = min(len(lines_a), len(lines_b))
-        extra = (lines_a if len(lines_a) > n else lines_b)[n]
-        return (f"{path_a} records {len(lines_a)} solves, {path_b} "
-                f"{len(lines_b)}; the first unmatched is of "
-                f"{extra['test']}"), n
-    return None, len(lines_a)
+            return [f"{path} records no solve"], 0
+        records.append(_by_test(lines))
+    a, b = records
+    found = []
+    for test in list(a) + [t for t in b if t not in a]:
+        sa, sb = a.get(test, []), b.get(test, [])
+        if len(sa) != len(sb):
+            found.append(f"{test}: {len(sa)} solves in {path_a}, "
+                         f"{len(sb)} in {path_b}")
+        for n, (la, lb) in enumerate(zip(sa, sb), start=1):
+            fields = _differences(la, lb)
+            if fields:
+                found.append(f"{test}, solve {n}: {', '.join(fields)}")
+    return found, sum(len(solves) for solves in a.values())
 
 
 def main(argv=None):
@@ -61,9 +76,11 @@ def main(argv=None):
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    diff, solves = compare(*args)
-    if diff is not None:
-        print(f"solves differ: {diff}")
+    found, solves = compare(*args)
+    if found:
+        print(f"solves differ ({len(found)} of {solves}):")
+        for line in found:
+            print(f"  {line}")
         return 1
     print(f"{solves} solves identical")
     return 0

@@ -38,10 +38,28 @@ def _row(record, skip=()):
             for f in dataclasses.fields(record) if f.name not in skip]
 
 
+def solve_line(test_id, sol):
+    """The record of one Solution made by the test ``test_id``: x as the
+    hex of its bytes, the other numbers as hex floats and ints, and the
+    trace rows without their clock column."""
+    return {
+        "test": test_id,
+        "x": np.ascontiguousarray(sol.x, dtype=float).tobytes().hex(),
+        "objective": _plain(sol.objective),
+        "grad_map_norm": _plain(sol.grad_map_norm),
+        "gap": _plain(sol.gap),
+        "iterations": _plain(sol.iterations),
+        "converged": _plain(sol.converged),
+        "step_counts": {k: _plain(v) for k, v in sol.step_counts.items()},
+        "rejections": {k: _plain(v) for k, v in sol.rejections.items()},
+        "coarse_events": [_row(e) for e in sol.coarse_events],
+        "trace": [_row(r, skip=("elapsed_ns",)) for r in sol.trace],
+    }
+
+
 class _SolveRecorder:
-    """Writes every Solution made while a test runs, under the test's id:
-    x as the hex of its bytes, the other numbers as hex floats and ints,
-    and the trace rows without their clock column.
+    """Writes every Solution made while a test runs, under the test's id,
+    as a ``solve_line``.
 
     It replaces ``mgprox.solvers.Solution`` with a subclass that records
     itself when it is made, so it needs nothing else of the library.
@@ -61,20 +79,7 @@ class _SolveRecorder:
         solvers.Solution = Solution
 
     def write(self, sol):
-        line = {
-            "test": self.test_id,
-            "x": np.ascontiguousarray(sol.x, dtype=float).tobytes().hex(),
-            "objective": _plain(sol.objective),
-            "grad_map_norm": _plain(sol.grad_map_norm),
-            "gap": _plain(sol.gap),
-            "iterations": _plain(sol.iterations),
-            "converged": _plain(sol.converged),
-            "step_counts": {k: _plain(v) for k, v in sol.step_counts.items()},
-            "rejections": {k: _plain(v) for k, v in sol.rejections.items()},
-            "coarse_events": [_row(e) for e in sol.coarse_events],
-            "trace": [_row(r, skip=("elapsed_ns",)) for r in sol.trace],
-        }
-        self.file.write(json.dumps(line) + "\n")
+        self.file.write(json.dumps(solve_line(self.test_id, sol)) + "\n")
 
     @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_setup(self, item):

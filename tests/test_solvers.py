@@ -306,13 +306,36 @@ class TestFista:
         spy_prox_steps(monkeypatch, lambda x, g: seen.append((x, g)))
         cfg = SolverConfig(eps=1e-15, max_iters=600)
         sol = fista(p, np.zeros(p.dim), cfg)
-        # a step from y and a stopping test at x per iteration, and the
-        # budget exit's test at the best iterate
-        assert sol.iterations == 600 and len(seen) == 2 * 600 + 1
+        # a stopping test at x0, a step from y and a stopping test at x
+        # per iteration, and the budget exit's test at the best iterate
+        assert sol.iterations == 600 and len(seen) == 2 * 600 + 2
         for x, g in seen:
             exact = p.f_grad(x)
             assert np.linalg.norm(g - exact) \
                 <= 1e-12 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("solver", [ista, fista])
+    def test_trace_row_holds_its_iterate(self, solver, monkeypatch):
+        # row k holds F and ||D|| of one point, the iterate x_{k+1} that
+        # the (k+1)-th prox step gave
+        p = bucket_instance()
+        assert p.a < p.L_f
+        iterates = []
+        real = solvers.metric_prox_step
+
+        def spy(*args):
+            x = real(*args)
+            iterates.append(x.copy())
+            return x
+
+        monkeypatch.setattr(solvers, "metric_prox_step", spy)
+        sol = solver(p, np.zeros(p.dim), SolverConfig(eps=1e-8,
+                                                      max_iters=300))
+        assert len(iterates) == len(sol.trace) == sol.iterations > 50
+        for row, x in zip(sol.trace, iterates):
+            assert row.F == pytest.approx(p.value(x), rel=1e-12)
+            assert row.D_norm == pytest.approx(
+                np.linalg.norm(gradient_mapping(p, x)), rel=1e-6), row.k
 
     def test_converged_satisfies_stop_independently(self, rng):
         p = random_lasso(rng, m=15, n=10)
@@ -332,9 +355,9 @@ class TestFista:
         seen = []
         real = solvers._gradient_step
 
-        def spy(y, r_y, g_y, x, r_x, *args):
+        def spy(problem, y, r_y, g_y, x, r_x, k):
             seen.append((y, r_y, g_y, x, r_x))
-            return real(y, r_y, g_y, x, r_x, *args)
+            return real(problem, y, r_y, g_y, x, r_x, k)
 
         monkeypatch.setattr(solvers, "_gradient_step", spy)
         cfg = SolverConfig(eps=1e-15, max_iters=400)
@@ -350,8 +373,9 @@ class TestFista:
                 <= 1e-12 * np.linalg.norm(exact)
 
     def test_restart_steps_from_the_iterate(self, rng, monkeypatch):
-        # prox steps alternate with stopping tests: the step from y_k
-        # gives x_{k+1}, tested next.  Where the metric's inner product
+        # after the stopping test at x0, prox steps alternate with
+        # stopping tests: the step from y_k gives x_{k+1}, tested next.
+        # Where the metric's inner product
         # <y_k - x_{k+1}, V (x_{k+1} - x_k)> > 0 the momentum restarts and
         # the next step is taken from y_{k+1} = x_{k+1} itself, as after
         # the first step (t_1 = 1); elsewhere y has momentum and differs
@@ -362,8 +386,9 @@ class TestFista:
         spy_prox_steps(monkeypatch, lambda x, g: points.append(x))
         sol = fista(p, np.zeros(p.dim), SolverConfig(eps=1e-15,
                                                      max_iters=600))
-        assert sol.iterations == 600 and len(points) == 2 * 600 + 1
-        ys, xs = points[0:1200:2], [np.zeros(p.dim)] + points[1:1200:2]
+        assert sol.iterations == 600 and len(points) == 2 * 600 + 2
+        assert np.array_equal(points[0], np.zeros(p.dim))
+        ys, xs = points[1:1201:2], points[0:1201:2]
         assert np.array_equal(ys[1], xs[1])
         restarts = 0
         for k in range(1, 599):
@@ -1021,7 +1046,7 @@ class TestMagma:
                 return real(*args, **kwargs)
             monkeypatch.setattr(solvers, attr, wrapper)
 
-        def check_anchor(x, r_x, g, p_x, r_p, L_f, k):
+        def check_anchor(problem, x, r_x, g, p_x, r_p, k):
             assert close(r_x, p.residual(x))
             assert close(g, p.f_grad(x))
             assert close(r_p, p.residual(p_x))
@@ -1277,6 +1302,17 @@ class TestMagma:
         assert sol.step_counts["coarse"] > 0
         assert [ev.L_H for ev in sol.coarse_events] == event_models
 
+    @pytest.mark.parametrize("name", ["agm", "magma"])
+    def test_metric_checked(self, name):
+        # each gradient step, at L_f, passes the descent lemma in the
+        # V-norm wherever B^T B <= V.  With a at half of lambda_2 that no
+        # longer holds, and the steps break the lemma in V on every bucket
+        # instance (on the plain ones, on 2 of 5)
+        for p in halved_metric_instances(bucket=True):
+            with pytest.raises(solvers.InvariantViolation,
+                               match="fails the descent lemma"):
+                run_solver(name, p, np.zeros(p.dim), SolverConfig())
+
     def test_lipschitz_constant_certified(self):
         # f(x) = 0.5 (2x - 1)^2 has L = 4; with L_f forced to 1 the first
         # prox step breaks the descent lemma
@@ -1461,8 +1497,9 @@ class TestSolveTallies:
                            max_iters=24 if exit == "budget" else 5000)
         sol = run_solver(name, p, x0, cfg)
         assert sol.converged == (exit != "budget")
-        if exit == "start":  # fista tests its first step, not x0
-            assert sol.iterations == (1 if name == "fista" else 0)
+        if exit == "start":  # every solver tests x0 before its first step
+            assert sol.iterations == 0 and sol.trace == []
+            assert np.array_equal(sol.x, x0)
         trace = sol.trace
         assert sol.iterations == len(trace)
         assert [row.k for row in trace] == list(range(len(trace)))
