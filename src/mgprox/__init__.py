@@ -7,7 +7,9 @@ fista, which restarts its momentum by the gradient test, agm, and the
 multilevel magma, both of which restart their gradient/mirror coupling
 by the same test, plus the monotone mfista used on smoothed coarse
 models, which restarts its momentum at each rejected step and returns
-when a step without momentum is rejected.
+when a step without momentum is rejected.  Every fine-level gradient
+step is a prox step in the problem's rank-one-corrected metric V, and
+agm's and magma's mirror steps are taken in V / L_f.
 
 Each operation has one public name: the methods of L1LeastSquares,
 SmoothedView, RestrictionChain and CoarseModel, and the functions

@@ -10,9 +10,11 @@ Each problem carries, besides the Lipschitz estimate L_f of grad f, the
 metric V = a (I - v v^T) + L_f v v^T of its top eigenvector v and a
 certified bound a on B^T B off v (``lipschitz_estimate``).  The prox
 step in V (``metric_prox_step``) and its inner product
-(``metric_inner``) are what ista and fista step and test with; on a
-spiked dictionary, whose one direction sets L_f, V lets every other
-direction take a step L_f / a times longer.
+(``metric_inner``) are what every solver's gradient steps, restart tests
+and descent-lemma checks use, and agm and magma take their mirror steps
+in M = V / L_f (``mirror_step``); on a spiked dictionary, whose one
+direction sets L_f, V lets every other direction take a step L_f / a
+times longer.
 """
 
 import math
@@ -184,8 +186,8 @@ class L1LeastSquares:
     problem (g == 0), which is convenient for smooth sanity checks.
 
     Building it estimates L_f, the Lipschitz constant of grad f, and the
-    metric V = a (I - v v^T) + L_f v v^T that ista and fista take their
-    prox steps in (``lipschitz_estimate``): v is the unit top eigenvector
+    metric V = a (I - v v^T) + L_f v v^T that every solver takes its
+    gradient steps in (``lipschitz_estimate``): v is the unit top eigenvector
     of B^T B that the power iteration ends on, and a <= L_f bounds B^T B
     on the rest of the space.
 
@@ -380,27 +382,40 @@ def metric_prox_step(problem: L1LeastSquares, x: np.ndarray,
     step in the problem's metric V = a (I - v v^T) + L_f v v^T.
 
     With a = L_f, V = L_f I and this is ``prox_step(problem, x, L_f, g)``
-    bit for bit.  Otherwise, with c = L_f - a, the step is
-    w = soft(q - (c beta / a) v, lam / a) at q = x - V^{-1} grad f(x),
-    where V^{-1} g = (g - (v.g) v)/a + (v.g/L_f) v (Sherman-Morrison)
-    costs two dot products, and beta = v.(w - q) is the root of a
-    decreasing piecewise-linear function (``_rank_one_shrink``).  A
-    caller that holds grad f(x) passes it as ``g``.
+    bit for bit; otherwise it is ``_metric_prox`` at scale 1, a scalar
+    root find on top of two dot products and a few shrinks.  A caller
+    that holds grad f(x) passes it as ``g``.
     """
-    L_f, a, v = problem.L_f, problem.a, problem.v
+    L_f, a = problem.L_f, problem.a
     if not a < L_f:
         return prox_step(problem, x, L_f, g)
     x = np.asarray(x, dtype=float)
     if g is None:
         g = problem.f_grad(x)
-    # V^{-1} g = u/a + (v.g/L_f) v, with u = g - (v.g) v taken twice
+    return _metric_prox(problem, x, g, 1.0)
+
+
+def _metric_prox(problem, x, g, scale):
+    """argmin_w 1/2 ||w - x||_V^2 + scale (<g, w> + g(w)) in the metric
+    V = a (I - v v^T) + L_f v v^T, for a < L_f.
+
+    With c = L_f - a and the scaled gradient h = scale g, the step is
+    w = soft(q - (c beta / a) v, scale lam / a) at q = x - V^{-1} h, where
+    V^{-1} h = (h - (v.h) v)/a + (v.h/L_f) v (Sherman-Morrison) costs two
+    dot products, and beta = v.(w - q) is the root of a decreasing
+    piecewise-linear function (``_rank_one_shrink``).  At scale 1 this is
+    the prox step in V; h = 1.0 * g is g bit for bit.
+    """
+    L_f, a, v = problem.L_f, problem.a, problem.v
+    h = scale * g
+    # V^{-1} h = u/a + (v.h/L_f) v, with u = h - (v.h) v taken twice
     # against v: u/a is large where a is small, and must carry no rounding
-    # of (v.g) v along v
-    vg = float(v @ g)
-    u = g - vg * v
+    # of (v.h) v along v
+    vh = float(v @ h)
+    u = h - vh * v
     u -= float(v @ u) * v
-    q = x - u / a - (vg / L_f) * v
-    return _rank_one_shrink(q, v, (L_f - a) / a, problem.lam / a)
+    q = x - u / a - (vh / L_f) * v
+    return _rank_one_shrink(q, v, (L_f - a) / a, scale * problem.lam / a)
 
 
 def _rank_one_shrink(q, v, k, tau):
@@ -457,18 +472,25 @@ def metric_inner(problem: L1LeastSquares, u: np.ndarray,
 
 def mirror_step(problem: L1LeastSquares, z: np.ndarray, xi: np.ndarray,
                 alpha: float) -> np.ndarray:
-    """argmin_u 0.5*||u - z||^2 + alpha*<xi, u> + alpha*g(u).
+    """argmin_u 1/2 ||u - z||_M^2 + alpha <xi, u> + alpha g(u), the mirror
+    step in the normalised metric M = V / L_f, in which f is
+    L_f-smooth.
 
-    This Euclidean mirror step is exactly the prox of alpha*g at
-    z - alpha*xi: with an l1 penalty the shrinkage
-    T_(alpha*lam)(z - alpha*xi), with g == 0 the plain translation.
+    With a = L_f, M = I and this is the Euclidean mirror step, the prox
+    of alpha g at z - alpha xi: with an l1 penalty the shrinkage
+    T_(alpha lam)(z - alpha xi), with g == 0 the plain translation.
+    Otherwise it is the prox step in V at scale alpha L_f
+    (``_metric_prox``), so at alpha = 1/L_f it is ``metric_prox_step``
+    up to the rounding of alpha L_f.
     """
     _check_step("alpha", alpha)
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if z.shape != xi.shape:
         raise ValueError(f"shape mismatch: {z.shape} vs {xi.shape}")
-    return problem.g_prox(z - alpha * xi, alpha)
+    if not problem.a < problem.L_f:
+        return problem.g_prox(z - alpha * xi, alpha)
+    return _metric_prox(problem, z, xi, alpha * problem.L_f)
 
 
 def lipschitz_estimate(problem: L1LeastSquares):

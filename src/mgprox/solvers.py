@@ -1,19 +1,19 @@
 """First-order solvers for composite problems.
 
-ista and fista run on the fine level, in one loop, and take their prox
-steps in the problem's rank-one-corrected metric
-V = a (I - v v^T) + L_f v v^T (problem.metric_prox_step); ista is fista
-with its momentum held at t_k = 1, and fista restarts its momentum by
-O'Donoghue & Candès' gradient test in the V inner product.  mfista, the
-monotone solver used on smoothed coarse models, restarts its momentum at
-each step its monotone test rejects and returns when a step without
-momentum is rejected; magma couples gradient and mirror steps, restarts
-the coupling by the same gradient test as fista,
-and replaces some gradient steps with coarse correction steps obtained
-from a first-order-coherent reduced model.  agm, the coupled scheme
-without coarse steps, is magma on the one-level (identity) chain.  agm
-and magma step in the Euclidean metric, at L_f.  Every gradient step of
-every solver is checked by the descent lemma in the V-norm.
+Every fine-level gradient step is a prox step in the problem's
+rank-one-corrected metric V = a (I - v v^T) + L_f v v^T
+(problem.metric_prox_step), and is checked by the descent lemma in the
+V-norm.  ista and fista run in one loop; ista is fista with its momentum
+held at t_k = 1, and fista restarts its momentum by O'Donoghue &
+Candès' gradient test in the V inner product.  mfista, the monotone
+solver used on smoothed coarse models, restarts its momentum at each
+step its monotone test rejects and returns when a step without momentum
+is rejected.  magma couples gradient steps in V with mirror steps in the
+normalised metric M = V / L_f (problem.mirror_step), restarts the
+coupling by the same gradient test as fista, and replaces some gradient
+steps with coarse correction steps obtained from a first-order-coherent
+reduced model, whose eta stays Euclidean.  agm, the coupled scheme
+without coarse steps, is magma on the one-level (identity) chain.
 
 All solvers share one stopping test, ||D(x_k)||_2 < eps with the
 Euclidean D(x) = x - prox_{L_f}(x), first tested at x0, and emit a
@@ -145,11 +145,10 @@ class SolverConfig:
     coarse condition and its Armijo search all work on F_mu with this mu,
     which only makes the coarse model differentiable.
 
-    There is no step-size setting: every stopping test, and every
-    prox-gradient step of agm and magma, is taken at the problem's
-    Lipschitz constant L_f, and every prox step of ista and fista in the
-    problem's metric V, both of which L1LeastSquares computes when it is
-    built.
+    There is no step-size setting: every stopping test is taken at the
+    problem's Lipschitz constant L_f, every gradient step in the
+    problem's metric V and every mirror step of agm and magma in
+    M = V / L_f, all of which L1LeastSquares computes when it is built.
     """
 
     eps: float = 1e-6
@@ -429,6 +428,12 @@ def update_eta_alpha(state, branch: str, s_k, L_f: float, L_H,
     sqrt(eta_k/eta_{k+1}) is the positive root that keeps alpha^2 eta
     telescoping exactly, and reduces to (k+2)/(2 L_f) on all-gradient
     stretches.
+
+    eta is in the units of the mirror step's metric M = V / L_f, in
+    which f is L_f-smooth (B^T B <= V), so the gradient branch's L_f and
+    the telescoping identity are those of the Euclidean scheme.  The
+    coarse branch's L_H/(ARMIJO_C s kappa^2) is still the Euclidean
+    bound: it is not re-derived for M.
     """
     if state.k == 0:
         return L_f, 1.0 / L_f
@@ -614,9 +619,9 @@ def _gradient_step(problem, x, r_x, g, p, r_p, k):
 
     The lemma f(p) <= f(x) + <g, p - x> + 1/2 <p - x, V (p - x)> is taken
     in the problem's metric V = a (I - v v^T) + L_f v v^T
-    (``metric_inner``), the one the guarantee lemmas of ista and fista
-    assume; where a = L_f it is the lemma for L_f.  A Euclidean step at
-    L_f, as agm and magma take, passes it wherever B^T B <= V, as the
+    (``metric_inner``), the one every solver's gradient step
+    (``metric_prox_step``) and the guarantee lemmas assume; where a = L_f
+    it is the lemma for L_f.  It holds wherever B^T B <= V, as the
     problem's a certifies.  It costs at most six dot products and no
     product; a violation raises InvariantViolation naming L_f and a.
     """
@@ -702,24 +707,43 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     coarse step (_try_coarse_step): it solves the coherent coarse model
     with mfista and sets y_{k+1} = x_k + s_k d_k with an Armijo step on
     the smoothed objective.  The mirror step z_{k+1} uses grad f(x_k) and
-    the finalized alpha_{k+1}.  The eta/alpha coupling is what keeps the
-    O(1/sqrt(eps)) accelerated rate; its anchor weight
-    t_k = min(1/(alpha eta), 1) is that of the row's own eta and alpha on
-    gradient and fallback rows only.  A coarse row's t weights the anchor
-    with the eta estimated from the last accepted step size, while its
-    eta and alpha are recomputed with the accepted s_k.
+    the finalized alpha_{k+1}.
 
-    The coupling restarts by O'Donoghue & Candès' gradient test: when
-    the step from the anchor x_k (a coarse step's re-formed anchor
-    included) gives (x_k - y_{k+1}).(y_{k+1} - y_k) > 0, no mirror step
-    is taken; z_{k+1} = y_{k+1}, and the state returns to its seed
-    (k, alpha, eta) = (0, 0, L_f), so the next iteration has t = 1 and
-    steps from y_{k+1} itself.  The test costs one dot product and no
-    product with B.  The bookkeeping check restarts with the recursion:
-    it runs at every iteration but the first of a solve and the first
-    after each restart.  Without the restart magma takes 1.7 to 3.5
-    times as many iterations to the eps stop on the benchmark's three
-    workloads, and agm 6 to 8 times as many.
+    The gradient step is the prox step in the problem's metric
+    V = a (I - v v^T) + L_f v v^T (``metric_prox_step``), and the mirror
+    step z_{k+1} = argmin_u 1/2 ||u - z_k||_M^2 + alpha <grad f(x_k), u>
+    + alpha g(u) is taken in M = V / L_f (``mirror_step``), in which f is
+    L_f-smooth, so the bookkeeping is unchanged (update_eta_alpha).  Only
+    the coarse branch's eta stays Euclidean.  Where a = L_f, V = L_f I,
+    M = I and both are the Euclidean steps at L_f bit for bit.  The
+    stopping test stays the Euclidean ||D(x_k)|| at L_f, so eps keeps its
+    meaning; its prox step is one O(dim) step on top of the gradient
+    step, with no product.
+    On the benchmark's spiked dictionaries, where L_f / a is about 9,
+    the metric takes magma's iterations to the eps stop from 97, 83 and
+    90 to 66, 28 and 21 per solve on bucket_m2000, wide_n4096 and
+    queries_m400.
+
+    The eta/alpha coupling is what keeps the O(1/sqrt(eps)) accelerated
+    rate; its anchor weight t_k = min(1/(alpha eta), 1) is that of the
+    row's own eta and alpha on gradient and fallback rows only.  A coarse
+    row's t weights the anchor with the eta estimated from the last
+    accepted step size, while its eta and alpha are recomputed with the
+    accepted s_k.
+
+    The coupling restarts by O'Donoghue & Candès' gradient test in the V
+    inner product: when the step from the anchor x_k (a coarse step's
+    re-formed anchor included) gives <x_k - y_{k+1}, V (y_{k+1} - y_k)>
+    > 0, no mirror step is taken; z_{k+1} = y_{k+1}, and the state
+    returns to its seed (k, alpha, eta) = (0, 0, L_f), so the next
+    iteration has t = 1 and steps from y_{k+1} itself.  The test costs
+    three dot products and no product with B.  The bookkeeping check
+    restarts with the recursion: it runs at every iteration but the
+    first of a solve and the first after each restart.  Without the
+    restart magma took 1.7 to 3.5 times as many iterations to the eps
+    stop on the benchmark's three workloads, and agm 6 to 8 times as
+    many, when both stepped in the Euclidean metric; in the metric,
+    magma without it takes 138 per queries_m400 solve against 21.
 
     The bookkeeping needs eta_{k+1} (hence s_k) before x_k exists, so the
     iterate is first formed with the gradient-branch weights; a coarse
@@ -745,8 +769,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     attempt adds one B^T at its re-formed anchor, and its line search one
     B (B d), which gives every probe and the incumbent test their
     residuals.  Each gradient step checks the descent lemma in the
-    problem's metric V (``_gradient_step``), which a step at L_f passes
-    wherever B^T B <= V.
+    problem's metric V (``_gradient_step``).
 
     One smoothed view F_mu, at config.mu, is made at entry and serves the
     coarse condition, every coarse model and every Armijo search.  The
@@ -777,10 +800,10 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         eta, alpha = eta_n, alpha_n
         t = _combination_weight(alpha, eta)
         x = t * z + (1.0 - t) * y
-        # the prox step of the stopping test is the gradient step's y
-        y_next, Dn = run.stop_test(x, g)
+        _, Dn = run.stop_test(x, g)
         if Dn < config.eps:
             return run.end(x, r_x, g, problem.value(x, r_x), Dn)
+        y_next = metric_prox_step(problem, x, g)
 
         kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
@@ -807,7 +830,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 
         if state.k >= 1:
             _check_bookkeeping(state, eta, alpha, t, k)
-        if float((x - y_next) @ (y_next - y)) > 0.0:
+        if metric_inner(problem, x - y_next, y_next - y) > 0.0:
             # the gradient restart: no mirror step, and the recursion
             # starts again from its seed, so the next anchor is y_next
             z = y_next
@@ -831,10 +854,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     """Coupled gradient/mirror scheme with alpha_{k+1} = (k+2)/(2 L_f).
 
-    x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k),
-    z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}); k counts the
-    iterations since the last gradient restart, after which
-    z_{k+1} = y_{k+1} and k starts again at 0 (see magma).
+    x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k) in the problem's
+    metric V, z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}) in
+    M = V / L_f; k counts the iterations since the last gradient
+    restart, after which z_{k+1} = y_{k+1} and k starts again at 0 (see
+    magma).
 
     This is magma on the identity chain, whatever config.levels says,
     with magma's products (one pass over A per iteration), restart,

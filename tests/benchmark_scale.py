@@ -11,10 +11,13 @@ It gates convergence of magma and of fista in three forms on every
 seed: the textbook one without restart (conftest.textbook_fista), the
 Euclidean restarted one (conftest.euclidean_fista, the library's fista
 before its prox steps moved to the problem's metric) and the library's,
-which restarts and steps in the metric.  The fista/magma time ratios it
-prints for each form are informational; the metric fista's are below 1,
-as magma loses to it.  The desk-scale speedup gate is criterion 8 in
-test_acceptance.py.
+which restarts and steps in the metric, as magma does.  The fista/magma
+time ratios it prints for each form are informational.  Their medians
+read 23.6 (textbook), 3.27 (Euclidean restarted) and 1.12 (metric) on
+one BLAS thread of a shared 2-core x86-64 machine; the metric fista's
+ranged from 0.89 to 2.67 by seed, above 1 on 6 of the 10, so at this
+scale magma is not faster on every seed.  The desk-scale speedup gate
+is criterion 8 in test_acceptance.py.
 """
 
 import time

@@ -6,7 +6,8 @@ import numbers
 import numpy as np
 import pytest
 
-from mgprox import L1LeastSquares, prox_step, solvers
+from mgprox import (L1LeastSquares, metric_inner, metric_prox_step,
+                    prox_step, solvers)
 
 
 def pytest_addoption(parser):
@@ -164,6 +165,17 @@ def textbook_fista(problem, x0, eps, max_iters):
     """Beck & Teboulle's FISTA, without restart: ``euclidean_fista`` with
     ``restart=False``.  Returns (x, iterations, converged)."""
     return euclidean_fista(problem, x0, eps, max_iters, restart=False)
+
+
+def metric_prog(problem, x):
+    """Decrease value of the prox subproblem in the problem's metric V at
+    x, the prog of ``metric_prox_step``: with d = metric_prox_step(x) - x,
+    -(1/2 <d, V d> + <grad f(x), d> + g(x + d) - g(x)) >= 0.  Where
+    a = L_f it is prog(problem, x, L_f)."""
+    g = problem.f_grad(x)
+    d = metric_prox_step(problem, x, g) - x
+    return -(0.5 * metric_inner(problem, d, d) + float(g @ d)
+             + problem.g_value(x + d) - problem.g_value(x))
 
 
 def dense_restriction(chain):

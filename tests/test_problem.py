@@ -554,6 +554,69 @@ class TestMetric:
 
     @pytest.mark.parametrize("bucket", [False, True])
     @pytest.mark.parametrize("kind", KINDS)
+    def test_euclidean_metric_is_mirror_shrinkage_bitwise(self, kind, bucket):
+        # with a = L_f, M = V / L_f = I and the mirror step is the
+        # shrinkage T_(alpha lam)(z - alpha xi)
+        rng = np.random.default_rng(1)
+        p = L1LeastSquares(metric_dictionary(kind, rng),
+                           rng.standard_normal(30), 0.1, bucket=bucket)
+        p.a = p.L_f
+        z, xi = rng.standard_normal((2, p.dim))
+        alpha = float(rng.uniform(0.1, 10.0)) / p.L_f
+        assert mirror_step(p, z, xi, alpha).tobytes() \
+            == soft_threshold(z - alpha * xi, alpha * p.lam).tobytes()
+
+    @pytest.mark.parametrize("kind", ["spiked", "rank-1", "rank-2"])
+    def test_mirror_step_at_inverse_lipschitz_is_metric_prox_step(self,
+                                                                  kind):
+        # on bucket problems with a < L_f the mirror step at alpha = 1/L_f
+        # is the prox step in V at scale alpha L_f: bit for bit where that
+        # product rounds to 1, and to rounding where it does not
+        exact = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p = L1LeastSquares(metric_dictionary(kind, rng),
+                               rng.standard_normal(30), 0.1, bucket=True)
+            assert p.a < p.L_f
+            x = rng.standard_normal(p.dim)
+            g = p.f_grad(x)
+            w = metric_prox_step(p, x, g)
+            u = mirror_step(p, x, g, 1.0 / p.L_f)
+            if (1.0 / p.L_f) * p.L_f == 1.0:
+                exact += 1
+                assert u.tobytes() == w.tobytes()
+            else:
+                assert np.max(np.abs(u - w)) <= 1e-12 * np.abs(w).max()
+        assert exact > 0
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", ["spiked", "rank-1", "rank-2"])
+    def test_mirror_optimality(self, kind, bucket):
+        # the mirror step u from z, taken with a gradient xi of f, satisfies
+        # alpha xi + M (u - z) + alpha lam s = 0 in M = V / L_f, with s as
+        # in test_prox_optimality, to rounding
+        zeros = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            lam = float(10.0 ** rng.uniform(-3, 1))
+            p = L1LeastSquares(metric_dictionary(kind, rng),
+                               rng.standard_normal(30), lam, bucket=bucket)
+            M = dense_metric(p) / p.L_f
+            z = rng.standard_normal(p.dim)
+            xi = p.f_grad(rng.standard_normal(p.dim))
+            alpha = float(rng.uniform(0.1, 10.0)) / p.L_f
+            u = mirror_step(p, z, xi, alpha)
+            lam_s = -(xi + M @ (u - z) / alpha)
+            on = u != 0
+            zeros += int(np.sum(~on))
+            tol = 1e-12 * (np.abs(M @ z).max() / alpha + np.abs(xi).max()
+                           + lam)
+            assert np.all(np.abs(lam_s[on] - lam * np.sign(u[on])) <= tol)
+            assert np.all(np.abs(lam_s[~on]) <= lam + tol)
+        assert zeros > 0
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_inner_product(self, kind, bucket):
         rng = np.random.default_rng(2)
         p = L1LeastSquares(metric_dictionary(kind, rng),
