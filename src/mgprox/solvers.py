@@ -10,10 +10,12 @@ solver used on smoothed coarse models, restarts its momentum at each
 step its monotone test rejects and returns when a step without momentum
 is rejected.  magma couples gradient steps in V with mirror steps in the
 normalised metric M = V / L_f (problem.mirror_step), restarts the
-coupling by the same gradient test as fista, and replaces some gradient
-steps with coarse correction steps obtained from a first-order-coherent
-reduced model, whose eta stays Euclidean.  agm, the coupled scheme
-without coarse steps, is magma on the one-level (identity) chain.
+coupling by the same gradient test as fista and by a function-value
+test, which discards a step that raised F and steps again from the
+iterate it keeps, and replaces some gradient steps with coarse
+correction steps obtained from a first-order-coherent reduced model,
+whose eta stays Euclidean.  agm, the coupled scheme without coarse
+steps, is magma on the one-level (identity) chain.
 
 All solvers share one stopping test, ||D(x_k)||_2 < eps with the
 Euclidean D(x) = x - prox_{L_f}(x), first tested at x0, and emit a
@@ -745,6 +747,32 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     many, when both stepped in the Euclidean metric; in the metric,
     magma without it takes 138 per queries_m400 solve against 21.
 
+    The coupling also restarts by O'Donoghue & Candès' function-value
+    test, made monotone as in Beck & Teboulle's MFISTA: when the pass
+    at the end of a row gives F(y_{k+1}) > F(y_k), y_{k+1} is discarded.
+    magma keeps y_k with its residual and F, sets z = y_k and returns
+    the state to its seed, so the next row has t = 1 and steps from y_k
+    itself; its gradient B^T r_{y_k} costs one product with B^T, on
+    such rows only.  The seed pair is the one formed before the first
+    row, not formed again.  The test is never applied on a row anchored
+    at y_k (state.k = 0 when it starts: the first row, and the first
+    after either restart), whose step is a prox step from y_k that the
+    descent lemma makes monotone up to rounding; rejecting it would
+    repeat the same step forever.  The descent-lemma check runs on the
+    discarded step too, and the gradient test is taken first, on the
+    step as it was.  So the trace's F, that of the y each row keeps,
+    does not rise except by rounding on a row anchored at y.  Without
+    it the gradient row right after an accepted coarse step, anchored
+    at t z + (1-t) y with the old z, raised F up to 2600x on
+    bucket_m2000 and the run crawled back for about K_D rows; with it
+    magma takes 66, 28 and 21 iterations to the eps stop down to 5, 10
+    and 5.25 (bucket_m2000, wide_n4096, queries_m400), with the
+    function restart firing once or twice per solve.  At certified
+    accuracy (duality gap at most 1% of F) the counts barely move.  The
+    gradient test stays beside it: with the function test alone, the
+    certified count on queries_m400's code 0 at lam = 1e-2 lam_max rose
+    from 217 to 272.
+
     The bookkeeping needs eta_{k+1} (hence s_k) before x_k exists, so the
     iterate is first formed with the gradient-branch weights; a coarse
     attempt re-forms it with the coarse-branch eta estimated from the
@@ -768,8 +796,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     stopped by its budget forms one gradient it does not use.  A coarse
     attempt adds one B^T at its re-formed anchor, and its line search one
     B (B d), which gives every probe and the incumbent test their
-    residuals.  Each gradient step checks the descent lemma in the
-    problem's metric V (``_gradient_step``).
+    residuals; a function restart adds one B^T at the y it keeps, and
+    its pass's gradient goes unused.  Each gradient step checks the
+    descent lemma in the problem's metric V (``_gradient_step``).
 
     One smoothed view F_mu, at config.mu, is made at entry and serves the
     coarse condition, every coarse model and every Armijo search.  The
@@ -788,16 +817,18 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     run = _SolveRecord(problem, config, x0, ("grad", "coarse", "fallback"),
                        REJECTION_REASONS)
     view = SmoothedView(problem, config.mu)
-    y, r_y, g, F_y = run.start  # F_y: incumbent objective, updated every step
+    y, r_y, g, F_y = run.start  # F_y: incumbent objective, F(y)
     z, r_z, r_x = y.copy(), r_y, r_y
     L_f = problem.L_f
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=S0)
     # gradient-branch (eta, alpha) of iteration k, formed once: here for
     # k = 0, then at the end of iteration k-1, where it also weights the
-    # next anchor's pass
-    eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None, config)
+    # next anchor's pass; a function restart takes the seed pair again
+    seed = update_eta_alpha(state, "grad", None, L_f, None, config)
+    eta_n, alpha_n = seed
     for k in range(config.max_iters):
         eta, alpha = eta_n, alpha_n
+        anchored_at_y = state.k == 0
         t = _combination_weight(alpha, eta)
         x = t * z + (1.0 - t) * y
         _, Dn = run.stop_test(x, g)
@@ -833,20 +864,29 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         if metric_inner(problem, x - y_next, y_next - y) > 0.0:
             # the gradient restart: no mirror step, and the recursion
             # starts again from its seed, so the next anchor is y_next
-            z = y_next
+            z_next = y_next
             state.k, state.alpha, state.eta = 0, 0.0, L_f
         else:
-            z = mirror_step(problem, z, g, alpha)
+            z_next = mirror_step(problem, z, g, alpha)
             state.k, state.alpha, state.eta = state.k + 1, alpha, eta
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None,
                                           config)
-        r_y, r_z, r_next, g_next = problem.residuals_and_gradient(
-            y_next, z, _combination_weight(alpha_n, eta_n))
+        r_p, r_z_next, r_next, g_next = problem.residuals_and_gradient(
+            y_next, z_next, _combination_weight(alpha_n, eta_n))
         if kind != "coarse":
-            _gradient_step(problem, x, r_x, g, y_next, r_y, k)
+            _gradient_step(problem, x, r_x, g, y_next, r_p, k)
             state.q += 1
-        y, r_x, g, F_y = y_next, r_next, g_next, problem.value(y_next, r_y)
-        run.keep(y, r_y, F_y)
+        F_next = problem.value(y_next, r_p)
+        if F_next > F_y and not anchored_at_y:
+            # the function restart: y_next is discarded, and the next row
+            # steps from y itself, with the seed weights
+            z, r_z, r_x, g = y, r_y, r_y, problem.apply_adjoint(r_y)
+            state.k, state.alpha, state.eta = 0, 0.0, L_f
+            eta_n, alpha_n = seed
+        else:
+            y, r_y, z, r_z = y_next, r_p, z_next, r_z_next
+            r_x, g, F_y = r_next, g_next, F_next
+            run.keep(y, r_y, F_y)
         run.log(kind, F_y, Dn, eta, alpha, t, s)
     return run.budget_exit()
 
@@ -856,13 +896,17 @@ def agm(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
 
     x_k = t_k z_k + (1-t_k) y_k, y_{k+1} = prox(x_k) in the problem's
     metric V, z_{k+1} = Mirr_{z_k}(grad f(x_k), alpha_{k+1}) in
-    M = V / L_f; k counts the iterations since the last gradient
-    restart, after which z_{k+1} = y_{k+1} and k starts again at 0 (see
-    magma).
+    M = V / L_f; k counts the iterations since the last restart (see
+    magma).  After a gradient restart z_{k+1} = y_{k+1}; after a function
+    restart, on a row not anchored at y_k whose y_{k+1} has the higher
+    F, y_{k+1} is discarded and z_{k+1} = y_k.  Either way k starts
+    again at 0, so the trace's F does not rise except by rounding on a
+    row anchored at y.
 
     This is magma on the identity chain, whatever config.levels says,
-    with magma's products (one pass over A per iteration), restart,
-    exits, live checks and step_counts keys.
+    with magma's products (one pass over A per iteration, and one B^T
+    more on each function restart), restarts, exits, live checks and
+    step_counts keys.
     """
     chain = build_chain(problem.n_x, 1, bucket=problem.bucket, m=problem.m)
     return magma(problem, chain, x0, replace(config, levels=1))

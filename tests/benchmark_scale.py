@@ -11,12 +11,15 @@ It gates convergence of magma and of fista in three forms on every
 seed: the textbook one without restart (conftest.textbook_fista), the
 Euclidean restarted one (conftest.euclidean_fista, the library's fista
 before its prox steps moved to the problem's metric) and the library's,
-which restarts and steps in the metric, as magma does.  The fista/magma
-time ratios it prints for each form are informational.  Their medians
-read 23.6 (textbook), 3.27 (Euclidean restarted) and 1.12 (metric) on
-one BLAS thread of a shared 2-core x86-64 machine; the metric fista's
-ranged from 0.89 to 2.67 by seed, above 1 on 6 of the 10, so at this
-scale magma is not faster on every seed.  The desk-scale speedup gate
+which restarts and steps in the metric, as magma does.  It also gates
+criterion 8's magma <= fista in fine products (those with B and B^T,
+counted by conftest.CountingLasso) against the metric fista on every
+seed, and prints both counts: 23-27 for magma (5-6 iterations, 2-3 of
+them coarse) against 140-186 for fista (69-92 iterations).  The
+fista/magma time ratios it prints for each form are informational.
+Their medians read 123 (textbook), 15.1 (Euclidean restarted) and 5.36
+(metric) on one BLAS thread of a shared 2-core x86-64 machine; the
+metric fista's ranged from 3.31 to 7.26 by seed.  The desk-scale gate
 is criterion 8 in test_acceptance.py.
 """
 
@@ -24,7 +27,7 @@ import time
 
 import numpy as np
 
-from conftest import euclidean_fista, textbook_fista
+from conftest import CountingLasso, euclidean_fista, textbook_fista
 from mgprox import ExperimentSpec, SolverConfig, build_chain, fista, gen_instance, magma
 
 
@@ -34,18 +37,21 @@ def test_bucket_m2000_convergence():
         spec = ExperimentSpec(m=2000, n=1024, rho=0.9, k_true=20,
                               corruption=0.1, noise=0.001, seed=seed,
                               lam=1e-6)
-        problem, _, _ = gen_instance(spec)
+        base, _, _ = gen_instance(spec)
+        problem = CountingLasso(base.A, base.b, base.lam, bucket=True)
         x0 = np.zeros(problem.dim)
         chain = build_chain(problem.n_x, 6, bucket=True, m=problem.m)
         cfg_m = SolverConfig(eps=1e-6, max_iters=30000, kappa=0.8, levels=6,
                              mu=1e-6)
         magma(problem, chain, x0, SolverConfig(eps=1e-2, max_iters=30000,
                                                levels=6))  # warm-up
+        problem.calls = dict.fromkeys(problem.calls, 0)
         sol_m = magma(problem, chain, x0, cfg_m)
+        products_m = sum(problem.calls.values())
         assert sol_m.converged
         line = (f"  seed {seed}: magma {sol_m.elapsed_s:.2f}s "
                 f"({sol_m.iterations} it, {sol_m.step_counts['coarse']} "
-                f"coarse)")
+                f"coarse, {products_m} products)")
         runs = []
         for form, reference in (("textbook", textbook_fista),
                                 ("Euclidean restarted", euclidean_fista)):
@@ -53,14 +59,17 @@ def test_bucket_m2000_convergence():
             _, iterations, converged = reference(problem, x0, 1e-6, 30000)
             runs.append((form, time.perf_counter() - start, iterations))
             assert converged
+        problem.calls = dict.fromkeys(problem.calls, 0)
         sol_f = fista(problem, x0, SolverConfig(eps=1e-6, max_iters=30000))
+        products_f = sum(problem.calls.values())
         assert sol_f.converged
         runs.append(("metric", sol_f.elapsed_s, sol_f.iterations))
         for form, s, it in runs:
             ratios[form].append(s / sol_m.elapsed_s)
             line += (f"; {form} fista {s:.2f}s ({it} it) = "
                      f"{ratios[form][-1]:.2f}x")
-        print(line)
+        print(f"{line}; metric fista {products_f} products")
+        assert products_m <= products_f, (seed, products_m, products_f)
     for form, r in ratios.items():
         print(f"  median fista/magma time ratio, {form} fista: "
               f"{float(np.median(r)):.2f} (informational)")
