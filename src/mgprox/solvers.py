@@ -102,8 +102,8 @@ LINE_SEARCH_CAP = 100
 
 # Why a coarse attempt fell back to the gradient step, in the order magma
 # tests them; Solution.rejections counts each.
-REJECTION_REASONS = ("entry_stationary", "condition_lost", "no_decrease",
-                     "line_search_failed", "objective_rejected")
+REJECTION_REASONS = ("entry_stationary", "no_decrease", "line_search_failed",
+                     "objective_rejected")
 
 
 class LineSearchError(RuntimeError):
@@ -542,7 +542,9 @@ def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
     level is starved of prox steps near the optimum.  Before the first
     coarse attempt the proximity clause counts as satisfied.  The
     proximity clause is tested first, and R g is formed only when it
-    holds; a caller that holds R g passes it as ``grad_H``.
+    holds; a caller that holds R g passes it as ``grad_H``.  magma tests
+    the condition once per row, at the row's own anchor, with the
+    grad F_mu(x) and R grad F_mu(x) that its coarse attempt then reuses.
     """
     if not _proximity_clause(state, x):
         return False
@@ -639,44 +641,35 @@ def _gradient_step(problem, x, r_x, g, p, r_p, k):
             f"f(prox(x)) = {f_p:.6e} > {bound:.6e}")
 
 
-def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
-                     config, k):
-    """One coarse attempt at iteration k, from the iterates y and z.
+def _try_coarse_step(problem, chain, view, state, x, r_x, grad_mu, grad_H,
+                     F_y, config, k):
+    """One coarse attempt at iteration k, from the row's anchor x, with
+    its residual r_x = B x - b, grad_mu = grad F_mu(x) and
+    grad_H = R grad_mu, which the row formed for its coarse condition.
 
-    Re-forms the anchor x = t z + (1-t) y with the coarse-branch eta,
-    estimated from the previously accepted step size, and re-tests the
-    coarse condition there.  Then solves the coherent coarse model with
-    mfista, requires it to improve on its start value, checks that the
-    prolonged correction d descends on F_mu, finds an Armijo step s and
-    requires y = x + s d to beat the incumbent objective F_y.
+    Solves the coherent coarse model with mfista, requires it to improve
+    on its start value, checks that the prolonged correction d descends
+    on F_mu, finds an Armijo step s and requires y = x + s d to beat the
+    incumbent objective F_y.  Its one product is B d.
 
-    Returns (x, step): the re-formed anchor, and either the reason the
-    attempt stopped, one of REJECTION_REASONS, or the accepted step
-    (y, grad f(x), eta, alpha, t, s, its CoarseEvent).
+    Returns either the reason the attempt stopped, one of
+    REJECTION_REASONS, or the accepted step (y, eta, alpha, s, its
+    CoarseEvent), whose eta and alpha are the coarse branch's at s.
     """
-    _, L_H = chain.coarse_system(problem, view.mu)
-    eta, alpha = update_eta_alpha(state, "coarse", state.s_prev,
-                                  problem.L_f, L_H, config)
-    t = _combination_weight(alpha, eta)
-    x, r_x = t * z + (1.0 - t) * y, t * r_z + (1.0 - t) * r_y
-    g = problem.apply_adjoint(r_x)
-    grad_mu = g + view.g_grad(x)
     # by coherence the coarse entry gradient is R grad F_mu(x), so an
     # entry-stationary solve is skipped without building the model.
-    grad_H = chain.restrict(grad_mu)
     if _norm(grad_H) < COARSE_TOL:
-        return x, "entry_stationary"
-    if not coarse_condition(state, x, grad_mu, chain, config, grad_H):
-        return x, "condition_lost"
+        return "entry_stationary"
     model = build_coarse_model(problem, chain, x, view.mu, grad_H=grad_H)
     res = mfista(model, model.start, COARSE_TOL, COARSE_BUDGET)
     # a solve that never moved: a start stationary within rounding of
     # COARSE_TOL, or an L_H that does not bound the coarse curvature
     if not res.values[-1] < res.values[0]:
-        return x, "no_decrease"
+        return "no_decrease"
     d = chain.prolong(res.x - model.anchor)
     slope = float(d @ grad_mu)
     gn2 = float(grad_mu @ grad_mu)
+    L_H = model.L
     bound = -config.kappa ** 2 / (2.0 * L_H) * gn2
     if not slope < bound + 1e-9:
         raise InvariantViolation(
@@ -687,16 +680,16 @@ def _try_coarse_step(problem, chain, view, state, y, r_y, z, r_z, F_y,
         s = armijo_search(view, x, d, slope=slope,
                           s_start=state.s_prev, r_x=r_x, Bd=Bd)
     except LineSearchError:
-        return x, "line_search_failed"
+        return "line_search_failed"
     # the Armijo test controls F_mu only; the true objective may grow by
     # up to lam*dim*mu, which keeps undoing late-stage convergence.  Require
     # the coarse step to beat the incumbent y.
     y_new = x + s * d
     if problem.value(y_new, r_x + s * Bd) > F_y:
-        return x, "objective_rejected"
+        return "objective_rejected"
     eta, alpha = update_eta_alpha(state, "coarse", s, problem.L_f, L_H, config)
     event = CoarseEvent(k, slope, math.sqrt(gn2), L_H, s, res.iterations)
-    return x, (y_new, g, eta, alpha, t, s, event)
+    return y_new, eta, alpha, s, event
 
 
 def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
@@ -727,18 +720,18 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     queries_m400.
 
     The eta/alpha coupling is what keeps the O(1/sqrt(eps)) accelerated
-    rate; its anchor weight t_k = min(1/(alpha eta), 1) is that of the
-    row's own eta and alpha on gradient and fallback rows only.  A coarse
-    row's t weights the anchor with the eta estimated from the last
-    accepted step size, while its eta and alpha are recomputed with the
-    accepted s_k.
+    rate.  Every row's anchor weight t_k = min(1/(alpha eta), 1) is that
+    of the gradient branch's eta and alpha, which are the row's own on
+    gradient and fallback rows.  A coarse row records the coarse
+    branch's eta and alpha at the accepted s_k, which the next row's
+    weight is formed from.
 
     The coupling restarts by O'Donoghue & Candès' gradient test in the V
-    inner product: when the step from the anchor x_k (a coarse step's
-    re-formed anchor included) gives <x_k - y_{k+1}, V (y_{k+1} - y_k)>
-    > 0, no mirror step is taken; z_{k+1} = y_{k+1}, and the state
-    returns to its seed (k, alpha, eta) = (0, 0, L_f), so the next
-    iteration has t = 1 and steps from y_{k+1} itself.  The test costs
+    inner product: when the step from the anchor x_k, coarse or not,
+    gives <x_k - y_{k+1}, V (y_{k+1} - y_k)> > 0, no mirror step is
+    taken; z_{k+1} = y_{k+1}, and the state returns to its seed
+    (k, alpha, eta) = (0, 0, L_f), so the next iteration has t = 1 and
+    steps from y_{k+1} itself.  The test costs
     three dot products and no product with B.  The bookkeeping check
     restarts with the recursion: it runs at every iteration but the
     first of a solve and the first after each restart.  Without the
@@ -773,16 +766,22 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     certified count on queries_m400's code 0 at lam = 1e-2 lam_max rose
     from 217 to 272.
 
-    The bookkeeping needs eta_{k+1} (hence s_k) before x_k exists, so the
-    iterate is first formed with the gradient-branch weights; a coarse
-    attempt re-forms it with the coarse-branch eta estimated from the
-    previously accepted step size.  An attempt that stops takes the
-    already-computed gradient step for that iteration (a "fallback");
-    Solution.rejections counts why, by the names in REJECTION_REASONS,
-    and MagmaState.fails widens the retry allowance until an attempt
-    succeeds.  No attempt is made at the first or the last iteration, so
-    a run that stops on its budget makes at most max_iters iterations
-    and ends on a gradient step, as the convergence guarantee requires.
+    The source paper weights a coarse row's anchor with that row's
+    coarse-branch eta, which needs s_k before x_k exists.  magma forms
+    every anchor with the gradient-branch weights, and a coarse attempt
+    starts from the row's anchor x_k, with its residual and gradient and
+    the grad F_mu(x_k) and R grad F_mu(x_k) of its coarse-condition
+    test, so each row has one anchor and one condition test.  An anchor
+    re-formed with a coarse-branch eta estimated from the last accepted
+    step size cost one B^T and one condition test per attempt; dropping
+    it moved the certified counts by -0.2% to +3.4%.  An attempt that
+    stops takes the already-computed gradient step for that iteration (a
+    "fallback"); Solution.rejections counts why, by the names in
+    REJECTION_REASONS, and MagmaState.fails widens the retry allowance
+    until an attempt succeeds.  No attempt is made at the first or the
+    last iteration, so a run that stops on its budget makes at most
+    max_iters iterations and ends on a gradient step, as the convergence
+    guarantee requires.
     On the identity chain (levels = 1) no attempt is made at all, and
     magma is agm.
 
@@ -794,8 +793,8 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     B^T, at the next anchor x = t z + (1-t) y, whose residual is
     t r_z + (1-t) r_y.  So A is read once per iteration, and a run
     stopped by its budget forms one gradient it does not use.  A coarse
-    attempt adds one B^T at its re-formed anchor, and its line search one
-    B (B d), which gives every probe and the incumbent test their
+    attempt makes no product with B^T, and its line search one with B
+    (B d), which gives every probe and the incumbent test their
     residuals; a function restart adds one B^T at the y it keeps, and
     its pass's gradient goes unused.  Each gradient step checks the
     descent lemma in the problem's metric V (``_gradient_step``).
@@ -804,11 +803,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     coarse condition, every coarse model and every Armijo search.  The
     coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that
-    passes it forms grad F_mu(x) and R grad F_mu(x).  A coarse attempt
-    restricts its anchor's smoothed gradient once, for the entry test,
-    the coarse condition and the model.  Building the model makes one
-    A_H and one A_H^T product, which also give mfista its start point,
-    and the mfista solve one pair per inner iteration.
+    passes it forms grad F_mu(x) and R grad F_mu(x), once, for the
+    condition and, when it fires, for the attempt's entry test, model
+    and descent check.  Building the model makes one A_H and one A_H^T
+    product, which also give mfista its start point, and the mfista
+    solve one pair per inner iteration.
     """
     chain._check_problem(problem)
     if chain.levels != config.levels:
@@ -818,7 +817,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                        REJECTION_REASONS)
     view = SmoothedView(problem, config.mu)
     y, r_y, g, F_y = run.start  # F_y: incumbent objective, F(y)
-    z, r_z, r_x = y.copy(), r_y, r_y
+    z, r_x = y.copy(), r_y
     L_f = problem.L_f
     state = MagmaState(k=0, alpha=0.0, eta=L_f, s_prev=S0)
     # gradient-branch (eta, alpha) of iteration k, formed once: here for
@@ -838,26 +837,26 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
 
         kind, s = "grad", NAN
         if 0 < k < config.max_iters - 1 and not chain.is_identity \
-                and _proximity_clause(state, x) \
-                and coarse_condition(state, x, g + view.g_grad(x), chain,
-                                     config):
-            x_c, step = _try_coarse_step(problem, chain, view, state,
-                                         y, r_y, z, r_z, F_y, config, k)
-            # remember the attempt's anchor, accepted or not; without
-            # this the moved-away clause re-fires every iteration and
-            # each failing attempt costs a coarse solve.
-            state.x_tilde, state.q = x_c.copy(), 0
-            if isinstance(step, str):
-                kind = "fallback"
-                run.rejections[step] += 1
-                state.fails += 1
-            else:
-                kind = "coarse"
-                state.fails = 0
-                y_next, g, eta, alpha, t, s, event = step
-                run.events.append(event)
-                state.s_prev = s
-                x = x_c
+                and _proximity_clause(state, x):
+            grad_mu = g + view.g_grad(x)
+            grad_H = chain.restrict(grad_mu)
+            if coarse_condition(state, x, grad_mu, chain, config, grad_H):
+                step = _try_coarse_step(problem, chain, view, state, x, r_x,
+                                        grad_mu, grad_H, F_y, config, k)
+                # remember the attempt's anchor, accepted or not; without
+                # this the moved-away clause re-fires every iteration and
+                # each failing attempt costs a coarse solve.
+                state.x_tilde, state.q = x.copy(), 0
+                if isinstance(step, str):
+                    kind = "fallback"
+                    run.rejections[step] += 1
+                    state.fails += 1
+                else:
+                    kind = "coarse"
+                    state.fails = 0
+                    y_next, eta, alpha, s, event = step
+                    run.events.append(event)
+                    state.s_prev = s
 
         if state.k >= 1:
             _check_bookkeeping(state, eta, alpha, t, k)
@@ -871,7 +870,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
             state.k, state.alpha, state.eta = state.k + 1, alpha, eta
         eta_n, alpha_n = update_eta_alpha(state, "grad", None, L_f, None,
                                           config)
-        r_p, r_z_next, r_next, g_next = problem.residuals_and_gradient(
+        r_p, _, r_next, g_next = problem.residuals_and_gradient(
             y_next, z_next, _combination_weight(alpha_n, eta_n))
         if kind != "coarse":
             _gradient_step(problem, x, r_x, g, y_next, r_p, k)
@@ -880,11 +879,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
         if F_next > F_y and not anchored_at_y:
             # the function restart: y_next is discarded, and the next row
             # steps from y itself, with the seed weights
-            z, r_z, r_x, g = y, r_y, r_y, problem.apply_adjoint(r_y)
+            z, r_x, g = y, r_y, problem.apply_adjoint(r_y)
             state.k, state.alpha, state.eta = 0, 0.0, L_f
             eta_n, alpha_n = seed
         else:
-            y, r_y, z, r_z = y_next, r_p, z_next, r_z_next
+            y, r_y, z = y_next, r_p, z_next
             r_x, g, F_y = r_next, g_next, F_next
             run.keep(y, r_y, F_y)
         run.log(kind, F_y, Dn, eta, alpha, t, s)

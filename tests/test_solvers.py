@@ -1028,9 +1028,9 @@ class TestMagma:
     @pytest.mark.parametrize("bucket", [False, True])
     def test_products_per_iteration(self, bucket, monkeypatch):
         # one pass at the start and one per iteration (two B, one B^T);
-        # every coarse attempt adds one B^T at its anchor, one that
-        # reaches the line search one B (B d), and every function restart
-        # one B^T at the y it keeps
+        # a coarse attempt that reaches the line search adds one B (B d)
+        # and no B^T, and every function restart one B^T at the y it
+        # keeps
         spec = ExperimentSpec(m=200, n=128, rho=0.9, k_true=4,
                               corruption=0.2 if bucket else 0.0, noise=0.01,
                               seed=3, lam=1e-3)
@@ -1045,14 +1045,12 @@ class TestMagma:
         if bucket:
             assert sol.step_counts["coarse"] > 0
         k = sol.iterations
-        coarse = sol.step_counts["coarse"]
-        fallback = sol.step_counts["fallback"]
         restarts = len(discarded_rows(sol.trace, passes))
-        searched = coarse + sol.rejections["line_search_failed"] \
+        searched = sol.step_counts["coarse"] \
+            + sol.rejections["line_search_failed"] \
             + sol.rejections["objective_rejected"]
         assert p.calls["apply"] == 2 * k + 1 + searched
-        assert p.calls["apply_adjoint"] == k + 1 + coarse + fallback \
-            + restarts
+        assert p.calls["apply_adjoint"] == k + 1 + restarts
 
     def test_budget_exit_products(self, monkeypatch):
         # a run stopped by its budget makes the same passes, and its exit
@@ -1068,15 +1066,13 @@ class TestMagma:
         assert not sol.converged and sol.iterations == cfg.max_iters
         assert sol.step_counts["coarse"] > 0
         k = sol.iterations
-        coarse = sol.step_counts["coarse"]
-        fallback = sol.step_counts["fallback"]
         restarts = len(discarded_rows(sol.trace, passes))
         assert restarts > 0
-        searched = coarse + sol.rejections["line_search_failed"] \
+        searched = sol.step_counts["coarse"] \
+            + sol.rejections["line_search_failed"] \
             + sol.rejections["objective_rejected"]
         assert p.calls["apply"] == 2 * k + 1 + searched
-        assert p.calls["apply_adjoint"] == k + 1 + coarse + fallback \
-            + restarts + 1
+        assert p.calls["apply_adjoint"] == k + 1 + restarts + 1
 
     def test_recycled_products_are_exact(self, monkeypatch):
         # anchor residuals and gradients, the line search's B d and every
@@ -1134,20 +1130,19 @@ class TestMagma:
 
     def test_restart_steps_from_the_iterate(self, monkeypatch):
         # row k steps from its anchor x_k = t z_k + (1-t) y_k, with the
-        # row's own t (a coarse row's re-formed anchor included), to
-        # y_{k+1}.  Where the metric's inner product
-        # <x_k - y_{k+1}, V (y_{k+1} - y_k)> > 0 magma takes no mirror
-        # step: z_{k+1} = y_{k+1} and the recursion restarts at
-        # its seed, so the next row has t = 1 and steps from y_{k+1}
-        # itself, and its bookkeeping check is skipped.  Elsewhere
-        # z_{k+1} is the mirror step and the next anchor is not y_{k+1},
-        # except after a seed row (eta, alpha) = (L_f, 1/L_f): there
-        # z_k = y_k = x_k, and the mirror step is the metric prox step up
-        # to rounding.  A row whose function restart discards y_{k+1}
-        # (this run's row 3, right after a coarse step) takes its mirror
-        # step or not by the same test, and the next row steps from y_k
-        # and skips its bookkeeping check.  The instance is spiked, so V
-        # is not L_f I
+        # row's own t (a coarse row's included), to y_{k+1}.  Where the
+        # metric's inner product <x_k - y_{k+1}, V (y_{k+1} - y_k)> > 0
+        # magma takes no mirror step: z_{k+1} = y_{k+1} and the
+        # recursion restarts at its seed, so the next row has t = 1 and
+        # steps from y_{k+1} itself, and its bookkeeping check is
+        # skipped.  Elsewhere z_{k+1} is the mirror step and the next
+        # anchor is not y_{k+1}, except after a seed row
+        # (eta, alpha) = (L_f, 1/L_f): there z_k = y_k = x_k, and the
+        # mirror step is the metric prox step up to rounding.  A row
+        # whose function restart discards y_{k+1} (this run's row 3,
+        # right after a coarse step) takes its mirror step or not by the
+        # same test, and the next row steps from y_k and skips its
+        # bookkeeping check.  The instance is spiked, so V is not L_f I
         p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
         assert p.a < p.L_f
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
@@ -1262,7 +1257,7 @@ class TestMagma:
         # magma tests the proximity clause before it forms the smoothed
         # gradient; a run forced through the full coarse condition at every
         # iteration takes the same steps and ends on the same point.  This
-        # run has accepted coarse steps and two kinds of fallback.
+        # run has accepted coarse steps and fallbacks.
         p = bucket_instance(seed=3, lam=1e-3)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
         cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, mu=1.0)
@@ -1288,12 +1283,11 @@ class TestMagma:
         conditions.clear()
         monkeypatch.setattr(solvers, "_proximity_clause", clause)
         forced = magma(p, chain, np.zeros(p.dim), cfg)
-        attempts = sol.step_counts["coarse"] + sol.step_counts["fallback"]
         assert sol.step_counts["coarse"] > 0
-        assert sol.rejections["condition_lost"] >= 1
         assert sol.rejections["objective_rejected"] >= 1
-        # every iteration but the first and the last, and every attempt
-        assert len(conditions) == cfg.max_iters - 2 + attempts
+        # once at every iteration but the first and the last, and no
+        # second time in an attempt
+        assert len(conditions) == cfg.max_iters - 2
         assert plain_conditions < len(conditions)
         assert forced.iterations == sol.iterations
         assert forced.step_counts == sol.step_counts
@@ -1303,15 +1297,14 @@ class TestMagma:
         assert np.array_equal(forced.x, sol.x)
 
     def test_rejections_sum_to_fallbacks(self):
-        # at mu = 1 this run loses the coarse condition at one re-formed
-        # anchor, and two Armijo steps raise the true objective
+        # at mu = 1 three of this run's Armijo steps raise the true
+        # objective
         p = bucket_instance(seed=3, lam=1e-3)
         chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
         cfg = SolverConfig(eps=1e-8, max_iters=200, kappa=0.6, mu=1.0)
         sol = magma(p, chain, np.zeros(p.dim), cfg)
         assert set(sol.rejections) == set(REJECTION_REASONS)
         assert sum(sol.rejections.values()) == sol.step_counts["fallback"]
-        assert sol.rejections["condition_lost"] >= 1
         assert sol.rejections["objective_rejected"] >= 1
         assert sol.step_counts["coarse"] > 0
 
@@ -1340,6 +1333,72 @@ class TestMagma:
         assert len(mus) >= sol.step_counts["coarse"]
         assert all(mu == cfg.mu for mu in mus)
         assert_telescoping(sol.trace, p.L_f)
+
+    def test_attempt_starts_from_the_rows_anchor(self, monkeypatch):
+        # a coarse attempt builds its model at the row's anchor x_k, bit
+        # for bit the point the row's gradient step was taken from, and
+        # restricts the smoothed gradient the row formed there from its
+        # own grad f(x_k)
+        p = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        steps, built = [], []
+        real_step, real_build = (solvers.metric_prox_step,
+                                 solvers.build_coarse_model)
+
+        def step(problem, x, g):
+            steps.append((x.copy(), g.copy()))
+            return real_step(problem, x, g)
+
+        def build(problem, chain, x, mu, grad_H):
+            x_row, g_row = steps[-1]
+            grad_mu = g_row + SmoothedView(problem, mu).g_grad(x_row)
+            built.append(x.tobytes() == x_row.tobytes()
+                         and grad_H.tobytes()
+                         == chain.restrict(grad_mu).tobytes())
+            return real_build(problem, chain, x, mu, grad_H=grad_H)
+
+        monkeypatch.setattr(solvers, "metric_prox_step", step)
+        monkeypatch.setattr(solvers, "build_coarse_model", build)
+        cfg = SolverConfig(eps=1e-7, max_iters=400, kappa=0.7, levels=2)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        assert len(steps) == sol.iterations
+        assert len(built) >= sol.step_counts["coarse"] > 0
+        assert all(built)
+
+    def test_attempt_costs_one_product_with_B(self, monkeypatch):
+        # a coarse attempt takes the row's residual and gradient at its
+        # anchor: it makes no product with B^T, and one with B, B d,
+        # when it reaches the line search.  Each row's pass makes two
+        # products with B and one with B^T, and a discarded row one
+        # more B^T
+        base = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
+        p = CountingLasso(base.A, base.b, base.lam, bucket=True)
+        chain = build_chain(p.n_x, 2, bucket=True, m=p.m)
+        calls, searched = [], set()
+        real_search, real_log = solvers.armijo_search, solvers._SolveRecord.log
+
+        def search(*args, **kwargs):
+            searched.add(len(calls))
+            return real_search(*args, **kwargs)
+
+        def log(run, *args):
+            real_log(run, *args)
+            calls.append(dict(p.calls))
+
+        passes = record_passes(monkeypatch, p)
+        monkeypatch.setattr(solvers, "armijo_search", search)
+        monkeypatch.setattr(solvers._SolveRecord, "log", log)
+        cfg = SolverConfig(eps=1e-9, max_iters=400, kappa=0.7)
+        sol = magma(p, chain, np.zeros(p.dim), cfg)
+        discarded = set(discarded_rows(sol.trace, passes))
+        attempts = [row.k for row in sol.trace if row.step_kind != "grad"]
+        assert sol.step_counts["coarse"] > 0
+        assert searched >= {e.k for e in sol.coarse_events}
+        for k in attempts:
+            apply, adjoint = (calls[k][op] - calls[k - 1][op]
+                              for op in ("apply", "apply_adjoint"))
+            assert apply == 2 + (k in searched), k
+            assert adjoint == 1 + (k in discarded), k
 
     def test_event_L_H_is_the_solved_models_lipschitz(self, monkeypatch):
         # the coarse-branch eta and mfista's step take one L_H
@@ -1370,8 +1429,8 @@ class TestMagma:
         # x_k = t z_k + (1-t) y_k, taken with grad f(x_k); on most rows it
         # is not the Euclidean prox step at L_f, and a row whose function
         # restart discards y_{k+1} takes that step too.  magma's run has
-        # coarse steps and fallbacks (see test_rejections_sum_to_fallbacks)
-        p = bucket_instance(seed=3, lam=1e-3)
+        # coarse steps and fallbacks, and both runs discard one step
+        p = bucket_instance(seed=1, lam=1e-3)
         assert p.a < p.L_f
         steps = []
         real_step = solvers._gradient_step
@@ -1488,7 +1547,7 @@ class TestFunctionRestart:
     def test_restart_costs_one_adjoint(self, name, monkeypatch):
         # a row that discards its step makes one more product with B^T,
         # at the y it keeps, and the next row has t = 1 and steps from
-        # that y itself, bit for bit.  A coarse attempt adds one B^T too
+        # that y itself, bit for bit.  A coarse attempt adds no B^T
         base = bucket_instance(seed=3, m=200, n=128, lam=1e-5)
         p = CountingLasso(base.A, base.b, base.lam, bucket=True)
         anchors, calls = {}, []
@@ -1512,8 +1571,7 @@ class TestFunctionRestart:
         points = row_points(sol.trace, passes)
         for k, row in enumerate(sol.trace[1:], start=1):
             adjoint = calls[k]["apply_adjoint"] - calls[k - 1]["apply_adjoint"]
-            assert adjoint == 1 + (k in discarded) \
-                + (row.step_kind != "grad"), k
+            assert adjoint == 1 + (k in discarded), k
             if row.step_kind == "grad":
                 assert calls[k]["apply"] - calls[k - 1]["apply"] == 2, k
         for k in discarded:
@@ -1722,10 +1780,11 @@ class TestSolveTallies:
 
 class TestAnchorWeight:
     """A row's t is the anchor weight min(1/(alpha eta), 1) of its own eta
-    and alpha on every gradient and fallback row.  A coarse row is not
-    held to it: its anchor is weighted by the eta estimated from the last
-    accepted step size, and its eta and alpha are recomputed with the
-    accepted one."""
+    and alpha on every gradient and fallback row.  A coarse row steps
+    from the same anchor: its t is the weight of the gradient branch's
+    eta and alpha, formed from the row before's, or 1 after a restart
+    (the seed pair), and its own eta and alpha are the coarse branch's at
+    the accepted step."""
 
     @pytest.mark.parametrize("corruption", [0.0, 0.15],
                              ids=["plain", "bucket"])
@@ -1746,6 +1805,17 @@ class TestAnchorWeight:
                 sol.step_counts["fallback"]
             for row in rows:
                 assert row.t == min(1.0 / (row.alpha * row.eta), 1.0), row
+            seed = (p.L_f, 1.0 / p.L_f)
+            for prev, row in zip(sol.trace, sol.trace[1:]):
+                if row.step_kind != "coarse":
+                    continue
+                eta, alpha = seed
+                if (row.eta, row.alpha) != seed:
+                    state = MagmaState(k=1, alpha=prev.alpha, eta=prev.eta)
+                    eta, alpha = update_eta_alpha(state, "grad", None,
+                                                  p.L_f, None, cfg)
+                    assert (eta, alpha) != (row.eta, row.alpha), row
+                assert row.t == min(1.0 / (alpha * eta), 1.0), row
 
 
 class TestDualityGap:
