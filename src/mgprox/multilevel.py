@@ -8,7 +8,8 @@ and pass the error block through unchanged: R = [R_x, I].
 The coarse model is the reduced smoothed l1 least-squares model on the
 chain's A_H plus a linear correction <v_H, .> that makes its gradient at
 R x_k the restricted smoothed fine gradient; problem, chain, x_k and mu
-alone define it.
+alone define it.  Its gradient steps are taken in the rank-one-corrected
+metric of the coarse dictionary, formed as the fine level's is.
 """
 
 import weakref
@@ -16,7 +17,8 @@ import weakref
 import numpy as np
 
 from .problem import (LIPSCHITZ_SAFETY, SmoothedView, _apply, _apply_adjoint,
-                      _check_dim, power_iteration)
+                      _check_dim, _ky_fan_bound, _metric_descent,
+                      power_iteration)
 
 __all__ = [
     "RestrictionChain",
@@ -137,10 +139,17 @@ class RestrictionChain:
                 f"m={problem.m}")
 
     def coarse_dictionary(self, problem):
-        """A_H = A R_x^T and the spectral estimate of the coarse system
-        (power iteration x1.01, not a certified bound).
+        """(A_H, spectral, v, a): A_H = A R_x^T, the spectral estimate of
+        B_H^T B_H (power iteration x1.01, not a certified bound), the unit
+        vector v that power iteration ends on and the Ky Fan bound
+        a <= spectral on B_H^T B_H off v (``_ky_fan_bound``), so that
+        B_H^T B_H <= a (I - v v^T) + spectral v v^T.
 
-        Cached per problem; A_H does not depend on the anchor point.
+        The fine level's ``lipschitz_estimate`` on the coarse dictionary:
+        keeping v costs no product, and a one read of A_H.  A_H has only
+        n / 2^(levels-1) columns, so the bound is close to lambda_2
+        there.  Cached per problem; none of it depends on the anchor
+        point.
         """
         self._check_problem(problem)
         cached = self._model_cache.get(problem)
@@ -148,23 +157,34 @@ class RestrictionChain:
             return cached
         A_H = self._restrict_x(problem.A)
         bucket = problem.bucket
-        est, _ = power_iteration(
-            lambda v: _apply_adjoint(A_H, _apply(A_H, v, bucket), bucket),
-            self.coarse_dim)
+        last = []
+
+        def op(u):
+            last[:] = (u, _apply_adjoint(A_H, _apply(A_H, u, bucket), bucket))
+            return last[1]
+
+        est, _ = power_iteration(op, self.coarse_dim)
         spectral = LIPSCHITZ_SAFETY * est
-        self._model_cache[problem] = (A_H, spectral)
-        return A_H, spectral
+        v, Mv = last
+        a = _ky_fan_bound(A_H, bucket, est, spectral, v, Mv)
+        self._model_cache[problem] = (A_H, spectral, v, a)
+        return A_H, spectral, v, a
 
     def coarse_system(self, problem, mu: float):
-        """(A_H, L_H): the coarse dictionary, and the Lipschitz estimate of
-        the coarse model at smoothing ``mu``, the spectral estimate plus
-        lam/mu.
+        """(A_H, L_H, v, a_H): the coarse dictionary and the metric
+        V_H = a_H (I - v v^T) + L_H v v^T of the coarse model at smoothing
+        ``mu``: L_H and a_H are the spectral estimate and its Ky Fan
+        bound off v, each plus lam/mu.
 
-        The one place L_H is formed: the coarse-branch eta and the model
-        that mfista solves take the same constant.
+        V_H bounds the model's Hessian B_H^T B_H + diag(g_mu''), since
+        g_mu'' <= lam/mu, and V_H <= L_H I; where the bound is no better
+        than the estimate, a_H = L_H bit for bit and V_H = L_H I.  The one
+        place L_H is formed: the coarse-branch eta and the model that
+        mfista solves take the same constant.
         """
-        A_H, spectral = self.coarse_dictionary(problem)
-        return A_H, spectral + problem.lam / mu
+        A_H, spectral, v, a = self.coarse_dictionary(problem)
+        smooth = problem.lam / mu
+        return A_H, spectral + smooth, v, a + smooth
 
 
 build_chain = RestrictionChain
@@ -178,10 +198,17 @@ class CoarseModel:
     least-squares term with A replaced by A_H (B_H = [A_H, I] in bucket
     form), g_mu the fine level's smoothed penalty, and
     v_H = grad_H - grad(f_H + g_mu)(anchor), so that grad(anchor) is
-    grad_H = R grad(F_mu)(x_k).  A_H and the Lipschitz estimate ``L`` are
-    the chain's ``coarse_system`` at ``mu``: A_H and its spectral estimate
-    are cached on the chain, and v_H is recomputed for every anchor.
-    Passing ``grad_H`` saves one fine-level pass and one restriction.
+    grad_H = R grad(F_mu)(x_k).  A_H, the Lipschitz estimate ``L`` and
+    the metric V_H = a (I - v v^T) + L v v^T are the chain's
+    ``coarse_system`` at ``mu``: they are cached on the chain, and v_H is
+    recomputed for every anchor.  Passing ``grad_H`` saves one fine-level
+    pass and one restriction.
+
+    ``step(w, g)`` is the gradient step w - V_H^{-1} g.  V_H bounds the
+    model's Hessian, so the step descends as the 1/L step does, and
+    V_H <= L I, so it lowers the value by at least ||g||^2 / (2 L); off
+    the top vector v it is L / a times longer.  Where a = L it is
+    w - g / L bit for bit.
 
     A point of the model is one vector [w, r, B_H^T r + v_H], with
     r = B_H w - b: lift(w) forms it, for one product with B_H and one with
@@ -194,7 +221,7 @@ class CoarseModel:
     def __init__(self, problem, chain: RestrictionChain, x_k: np.ndarray,
                  mu: float, grad_H: np.ndarray = None):
         self.view = view = SmoothedView(problem, mu)
-        self.A_H, self.L = chain.coarse_system(problem, mu)
+        self.A_H, self.L, self.v, self.a = chain.coarse_system(problem, mu)
         self.b, self.m, self.bucket = problem.b, problem.m, problem.bucket
         x_k = np.asarray(x_k, dtype=float)
         if grad_H is None:
@@ -216,6 +243,10 @@ class CoarseModel:
         _check_dim(w, self.dim)
         r, Btr = self._products(w)
         return np.concatenate([w, r, Btr + self.v_H])
+
+    def step(self, w, g) -> np.ndarray:
+        """The gradient step w - V_H^{-1} g in the model's metric."""
+        return _metric_descent(w, g, self.v, self.a, self.L)
 
     def _parts(self, p):
         """The blocks w, r and B_H^T r + v_H of the point p."""

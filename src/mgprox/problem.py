@@ -400,22 +400,31 @@ def _metric_prox(problem, x, g, scale):
     V = a (I - v v^T) + L_f v v^T, for a < L_f.
 
     With c = L_f - a and the scaled gradient h = scale g, the step is
-    w = soft(q - (c beta / a) v, scale lam / a) at q = x - V^{-1} h, where
-    V^{-1} h = (h - (v.h) v)/a + (v.h/L_f) v (Sherman-Morrison) costs two
-    dot products, and beta = v.(w - q) is the root of a decreasing
-    piecewise-linear function (``_rank_one_shrink``).  At scale 1 this is
-    the prox step in V; h = 1.0 * g is g bit for bit.
+    w = soft(q - (c beta / a) v, scale lam / a) at q = x - V^{-1} h
+    (``_metric_descent``, two dot products), and beta = v.(w - q) is the
+    root of a decreasing piecewise-linear function
+    (``_rank_one_shrink``).  At scale 1 this is the prox step in V;
+    h = 1.0 * g is g bit for bit.
     """
     L_f, a, v = problem.L_f, problem.a, problem.v
-    h = scale * g
-    # V^{-1} h = u/a + (v.h/L_f) v, with u = h - (v.h) v taken twice
-    # against v: u/a is large where a is small, and must carry no rounding
-    # of (v.h) v along v
+    q = _metric_descent(x, scale * g, v, a, L_f)
+    return _rank_one_shrink(q, v, (L_f - a) / a, scale * problem.lam / a)
+
+
+def _metric_descent(x, h, v, a, L):
+    """x - V^{-1} h in the metric V = a (I - v v^T) + L v v^T of a unit
+    vector v and 0 < a <= L; with a = L, x - h / L bit for bit.
+
+    By Sherman-Morrison V^{-1} h = u/a + (v.h/L) v with u = h - (v.h) v,
+    two dot products: u is taken twice against v, since u/a is large
+    where a is small and must carry no rounding of (v.h) v along v.
+    """
+    if not a < L:
+        return x - h / L
     vh = float(v @ h)
     u = h - vh * v
     u -= float(v @ u) * v
-    q = x - u / a - (vh / L_f) * v
-    return _rank_one_shrink(q, v, (L_f - a) / a, scale * problem.lam / a)
+    return x - u / a - (vh / L) * v
 
 
 def _rank_one_shrink(q, v, k, tau):
@@ -509,17 +518,11 @@ def lipschitz_estimate(problem: L1LeastSquares):
     non-finite; either ends the iteration with a non-finite estimate,
     which ``L1LeastSquares`` rejects.
 
-    a is min(L_f, t + ||e||^2/(L_f - rho)) plus a rounding margin, for
-    t = ||A||_F^2 - rho (bucket: + 2) and the residual
-    e = B^T B v - rho v of the last step.  No power step is added: t
-    takes one read of A (``np.vdot``).  By Ky Fan's inequality the two
-    largest eigenvalues of B^T B sum to at most ||A||_F^2 (bucket:
-    ||A||_F^2 + 2, since B B^T = A A^T + I), so B^T B is at most t on the
-    complement of v, and lambda_2(B^T B) <= t.  With the ||e||^2 term,
-    B^T B <= V = a (I - v v^T) + L_f v v^T whenever a < L_f, a
-    certified bound up to rounding; with a = L_f, V = L_f I, which rests
-    on the estimate.  With one dimension V = L_f whatever a is, and a is
-    L_f.
+    a is the Ky Fan bound of the last step (``_ky_fan_bound``), formed
+    from its v, rho and B^T B v, so no power step is added:
+    B^T B <= V = a (I - v v^T) + L_f v v^T whenever a < L_f, a certified
+    bound up to rounding; with a = L_f, V = L_f I, which rests on the
+    estimate.  With one dimension V = L_f whatever a is, and a is L_f.
     """
     A, bucket = problem.A, problem.bucket
     last = []
@@ -531,10 +534,31 @@ def lipschitz_estimate(problem: L1LeastSquares):
     rho, _ = power_iteration(op, problem.dim)
     L_f = LIPSCHITZ_SAFETY * rho
     v, Mv = last
-    if problem.dim == 1 or not 0.0 < L_f < np.inf:
-        return L_f, v, L_f
+    return L_f, v, _ky_fan_bound(A, bucket, rho, L_f, v, Mv)
+
+
+def _ky_fan_bound(A, bucket, rho, L, v, Mv):
+    """a <= L with B^T B <= a (I - v v^T) + L v v^T, for B = A (bucket:
+    [A, I]), given the unit vector v that a power iteration on B^T B
+    ended on, its Rayleigh quotient rho = v.Mv, Mv = B^T B v and the
+    estimate L > rho of ||B^T B||_2.
+
+    a is min(L, t + ||e||^2/(L - rho)) plus a rounding margin, for
+    t = ||A||_F^2 - rho (bucket: + 2) and e = Mv - rho v, which is
+    orthogonal to v.  By Ky Fan's inequality the two largest eigenvalues
+    of B^T B sum to at most ||A||_F^2 (bucket: ||A||_F^2 + 2, since
+    B B^T = A A^T + I), so B^T B is at most t on the complement of v
+    and lambda_2(B^T B) <= t; the ||e||^2 term covers the coupling of v
+    with that complement.  The bound is certified up to rounding
+    whenever a < L; with a = L the metric is L I, which rests on the
+    estimate.  It takes one read of A (``np.vdot``).  With one
+    dimension, or no positive finite gap L - rho (a vanishing or
+    non-finite B), a is L.
+    """
+    if v.shape[0] == 1 or not 0.0 < rho < L < np.inf:
+        return L
     e = Mv - rho * v
     t = float(np.vdot(A, A)) + (2.0 if bucket else 0.0)
     # the worst-case rounding of the sum of A.size squares
     margin = np.finfo(float).eps * A.size * t
-    return L_f, v, min(L_f, t - rho + float(e @ e) / (L_f - rho) + margin)
+    return min(L, t - rho + float(e @ e) / (L - rho) + margin)

@@ -6,9 +6,10 @@ rank-one-corrected metric V = a (I - v v^T) + L_f v v^T
 V-norm.  ista and fista run in one loop; ista is fista with its momentum
 held at t_k = 1, and fista restarts its momentum by O'Donoghue &
 Candès' gradient test in the V inner product.  mfista, the monotone
-solver used on smoothed coarse models, restarts its momentum at each
-step its monotone test rejects and returns when a step without momentum
-is rejected.  magma couples gradient steps in V with mirror steps in the
+solver used on smoothed coarse models, steps in the coarse model's
+rank-one-corrected metric, restarts its momentum at each step its
+monotone test rejects and returns when a step without momentum is
+rejected.  magma couples gradient steps in V with mirror steps in the
 normalised metric M = V / L_f (problem.mirror_step), restarts the
 coupling by the same gradient test as fista and by a function-value
 test, which discards a step that raised F and steps again from the
@@ -459,13 +460,20 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
 
     ``objective`` works on points, vectors whose first ``dim`` entries are
     the variable w and whose rest is affine in w (CoarseModel): lift(w)
-    forms the point of w, value(p) and grad(p) read one, and ``L`` bounds
-    the curvature.  Each iteration tries the gradient step
-    z = y - grad(y)/L from the momentum point y and keeps it only if
+    forms the point of w, value(p) and grad(p) read one, and step(w, g)
+    is the gradient step w - V^{-1} g in a metric V that bounds the
+    curvature, with V <= L I; a CoarseModel steps in its
+    rank-one-corrected metric V_H, and where that is L I the step is
+    w - g / L bit for bit.  Each iteration tries the gradient step
+    z = step(y, grad(y)) from the momentum point y and keeps it only if
     F(z) <= F(p_prev) (Beck & Teboulle's monotone test), so the iterate
     sequence is nonincreasing in value and its first step already does as
-    well as a gradient step from p0.  A rejected trial restarts the
-    momentum (O'Donoghue & Candès' function-value restart): t = 1, and the
+    well as a gradient step from p0: since V <= L I, it lowers the value
+    by at least ||grad(p0)||^2 / (2 L), the bound the coarse descent
+    check in magma rests on.  On the benchmark's coarse models the
+    metric step is 15-52 times longer than the 1/L step off the top
+    vector.  A rejected trial restarts the momentum
+    (O'Donoghue & Candès' function-value restart): t = 1, and the
     next trial is the plain gradient step from p_prev.  A rejected trial
     that had no momentum (the first, or the one after a restart) would be
     repeated by every later one, so the solve returns p_prev at once.
@@ -480,7 +488,7 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     momentum point of nonzero weight, which is one affine combination of
     points; a momentum-free y is p_prev itself, whose gradient is known.
     """
-    L, n = objective.L, objective.dim
+    n = objective.dim
     g0 = objective.grad(p0)
     F0 = objective.value(p0)
     if _norm(g0) < tol:
@@ -490,7 +498,7 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     t = 1.0
     values = [F0]
     for j in range(1, max_iters + 1):
-        z = objective.lift(y[:n] - g_y / L)
+        z = objective.lift(objective.step(y[:n], g_y))
         Fz = objective.value(z)
         if Fz > F_prev:
             # the monotone test keeps p_prev.  A trial without momentum
@@ -520,36 +528,30 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
 def _proximity_clause(state: MagmaState, x: np.ndarray) -> bool:
     """The cheap half of the coarse condition: x has moved
     THETA-relatively away from the last coarse anchor, or at least
-    K_D * min(2^fails, 64) gradient steps have accumulated since then.
-    True before the first coarse attempt."""
+    K_D * min(2^fails, 64) gradient steps have accumulated since then
+    (the anchor-retry allowance, doubled by each attempt in a row that
+    fell back).  True before the first coarse attempt.  Without the
+    retry gate, consecutive coarse steps are never blocked (q resets to
+    zero on each one) and the fine level is starved of prox steps near
+    the optimum."""
     if state.x_tilde is None:
         return True
     moved = _norm(x - state.x_tilde) > THETA * _norm(state.x_tilde)
     return moved or state.q >= K_D * min(2 ** state.fails, 64)
 
 
-def coarse_condition(state: MagmaState, x: np.ndarray, grad_mu: np.ndarray,
-                     chain: RestrictionChain, config: SolverConfig,
-                     grad_H: np.ndarray = None) -> bool:
-    """Decide whether the coarse direction is worth computing at anchor x.
+def coarse_condition(grad_mu: np.ndarray, grad_H: np.ndarray,
+                     config: SolverConfig) -> bool:
+    """The norm half of the coarse condition: the restriction
+    grad_H = R grad_mu keeps a kappa fraction of the smoothed gradient's
+    norm, ||R g|| > kappa ||g|| (strictly).
 
-    True iff ||R g|| > kappa ||g|| (strictly) and x has either moved
-    THETA-relatively away from the last coarse anchor or at least
-    K_D * min(2^fails, 64) consecutive gradient steps have accumulated
-    since then (the anchor-retry allowance, doubled by each attempt in a
-    row that fell back).  Without the retry gate, consecutive coarse
-    steps are never blocked (q resets to zero on each one) and the fine
-    level is starved of prox steps near the optimum.  Before the first
-    coarse attempt the proximity clause counts as satisfied.  The
-    proximity clause is tested first, and R g is formed only when it
-    holds; a caller that holds R g passes it as ``grad_H``.  magma tests
-    the condition once per row, at the row's own anchor, with the
-    grad F_mu(x) and R grad F_mu(x) that its coarse attempt then reuses.
+    magma tests the other half, the proximity clause
+    (``_proximity_clause``), first, since it needs no product and no
+    smoothed gradient, and forms grad F_mu(x) and R grad F_mu(x) only at
+    a row that passes it; the condition fires where both hold, once per
+    row, at the row's own anchor, and the attempt reuses both gradients.
     """
-    if not _proximity_clause(state, x):
-        return False
-    if grad_H is None:
-        grad_H = chain.restrict(grad_mu)
     return _norm(grad_H) > config.kappa * _norm(grad_mu)
 
 
@@ -663,12 +665,15 @@ def _try_coarse_step(problem, chain, view, state, x, r_x, grad_mu, grad_H,
     model = build_coarse_model(problem, chain, x, view.mu, grad_H=grad_H)
     res = mfista(model, model.start, COARSE_TOL, COARSE_BUDGET)
     # a solve that never moved: a start stationary within rounding of
-    # COARSE_TOL, or an L_H that does not bound the coarse curvature
+    # COARSE_TOL, or a metric that does not bound the coarse curvature
     if not res.values[-1] < res.values[0]:
         return "no_decrease"
     d = chain.prolong(res.x - model.anchor)
     slope = float(d @ grad_mu)
     gn2 = float(grad_mu @ grad_mu)
+    # the solve lowered F_H by at least its first step's
+    # ||grad_H||^2 / (2 L_H), since the model's metric is at most L_H I,
+    # and the coarse condition puts kappa ||grad_mu|| below ||grad_H||
     L_H = model.L
     bound = -config.kappa ** 2 / (2.0 * L_H) * gn2
     if not slope < bound + 1e-9:
@@ -713,11 +718,11 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     M = I and both are the Euclidean steps at L_f bit for bit.  The
     stopping test stays the Euclidean ||D(x_k)|| at L_f, so eps keeps its
     meaning; its prox step is one O(dim) step on top of the gradient
-    step, with no product.
-    On the benchmark's spiked dictionaries, where L_f / a is about 9,
-    the metric takes magma's iterations to the eps stop from 97, 83 and
-    90 to 66, 28 and 21 per solve on bucket_m2000, wide_n4096 and
-    queries_m400.
+    step, with no product.  On the benchmark's spiked dictionaries
+    L_f / a is about 9.  The coarse solves step in the coarse model's
+    own metric V_H (``CoarseModel.step``), whose a_H is the same Ky Fan
+    bound on the coarse dictionary; the descent check and the
+    coarse-branch eta keep L_H, which bounds V_H.
 
     The eta/alpha coupling is what keeps the O(1/sqrt(eps)) accelerated
     rate.  Every row's anchor weight t_k = min(1/(alpha eta), 1) is that
@@ -737,8 +742,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     first of a solve and the first after each restart.  Without the
     restart magma took 1.7 to 3.5 times as many iterations to the eps
     stop on the benchmark's three workloads, and agm 6 to 8 times as
-    many, when both stepped in the Euclidean metric; in the metric,
-    magma without it takes 138 per queries_m400 solve against 21.
+    many, when both stepped in the Euclidean metric.
 
     The coupling also restarts by O'Donoghue & Candès' function-value
     test, made monotone as in Beck & Teboulle's MFISTA: when the pass
@@ -758,11 +762,9 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     it the gradient row right after an accepted coarse step, anchored
     at t z + (1-t) y with the old z, raised F up to 2600x on
     bucket_m2000 and the run crawled back for about K_D rows; with it
-    magma takes 66, 28 and 21 iterations to the eps stop down to 5, 10
-    and 5.25 (bucket_m2000, wide_n4096, queries_m400), with the
-    function restart firing once or twice per solve.  At certified
-    accuracy (duality gap at most 1% of F) the counts barely move.  The
-    gradient test stays beside it: with the function test alone, the
+    the function restart fires once or twice per solve.  At certified
+    accuracy (duality gap at most 1% of F) it barely moves the counts.
+    The gradient test stays beside it: with the function test alone, the
     certified count on queries_m400's code 0 at lam = 1e-2 lam_max rose
     from 217 to 272.
 
@@ -804,10 +806,10 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     coarse condition's proximity clause needs no product and no
     smoothed gradient, so it is tested first; only an iteration that
     passes it forms grad F_mu(x) and R grad F_mu(x), once, for the
-    condition and, when it fires, for the attempt's entry test, model
-    and descent check.  Building the model makes one A_H and one A_H^T
-    product, which also give mfista its start point, and the mfista
-    solve one pair per inner iteration.
+    norm test (``coarse_condition``) and, when it fires, for the
+    attempt's entry test, model and descent check.  Building the model
+    makes one A_H and one A_H^T product, which also give mfista its
+    start point, and the mfista solve one pair per inner iteration.
     """
     chain._check_problem(problem)
     if chain.levels != config.levels:
@@ -840,7 +842,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
                 and _proximity_clause(state, x):
             grad_mu = g + view.g_grad(x)
             grad_H = chain.restrict(grad_mu)
-            if coarse_condition(state, x, grad_mu, chain, config, grad_H):
+            if coarse_condition(grad_mu, grad_H, config):
                 step = _try_coarse_step(problem, chain, view, state, x, r_x,
                                         grad_mu, grad_H, F_y, config, k)
                 # remember the attempt's anchor, accepted or not; without

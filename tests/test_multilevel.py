@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mgprox import (
     SmoothedView,
     build_chain,
     build_coarse_model,
+    gen_correlated_dictionary,
+    mfista,
 )
 from conftest import dense_prolongation, dense_restriction, random_lasso
 
@@ -134,7 +137,7 @@ class TestBuildChain:
         chain = build_chain(n, levels, bucket=bucket, m=m)
         R = _dense_chain(n, levels)
         p = random_lasso(rng, m=m, n=n, bucket=bucket)
-        A_H, _ = chain.coarse_dictionary(p)
+        A_H = chain.coarse_dictionary(p)[0]
         expected = p.A @ R.T
         assert np.linalg.norm(A_H - expected) \
             <= 1e-14 * np.linalg.norm(expected)
@@ -278,7 +281,7 @@ class TestCoarseModel:
     def test_coarse_dictionary_is_A_R_transpose(self, rng):
         p = random_lasso(rng, m=5, n=8)
         chain = build_chain(8, 2)
-        A_H, _ = chain.coarse_dictionary(p)
+        A_H = chain.coarse_dictionary(p)[0]
         R = dense_restriction(chain)
         expected = np.column_stack(
             [p.A @ R[j] for j in range(chain.n_H)])
@@ -304,7 +307,7 @@ class TestCoarseModel:
         # B_H = [A_H, I] (bucket) or A_H
         p = random_lasso(rng, m=9, n=16, bucket=bucket)
         chain = build_chain(16, 3, bucket=bucket, m=p.m)
-        A_H, _ = chain.coarse_dictionary(p)
+        A_H = chain.coarse_dictionary(p)[0]
         mu = 0.05
         x = rng.standard_normal(p.dim)
         grad_H = rng.standard_normal(chain.coarse_dim)
@@ -362,14 +365,15 @@ class TestCoarseModel:
     def test_constructor_takes_system_and_anchor_from_chain(self, rng,
                                                             bucket):
         # the one way to build a model: its A_H is the chain's cached
-        # object and its L the chain's L_H at its mu
+        # object and its L, v and a the chain's metric at its mu
         assert build_coarse_model is CoarseModel
         p = random_lasso(rng, m=9, n=16, bucket=bucket)
         chain = build_chain(16, 3, bucket=bucket, m=p.m)
         x, mu = rng.standard_normal(p.dim), 0.05
         model = build_coarse_model(p, chain, x, mu)
-        A_H, L_H = chain.coarse_system(p, mu)
-        assert model.A_H is A_H and model.L == L_H
+        A_H, L_H, v, a = chain.coarse_system(p, mu)
+        assert model.A_H is A_H and model.v is v
+        assert (model.L, model.a) == (L_H, a)
         assert np.array_equal(model.anchor, chain.restrict(x))
 
     def test_nonpositive_mu_rejected(self, rng):
@@ -389,7 +393,7 @@ class TestCoarseLipschitz:
         p = random_lasso(rng, m=6, n=8, lam=0.0)
         chain = build_chain(8, 2)
         model = build_coarse_model(p, chain, np.zeros(8), 1.0)
-        A_H, spectral = chain.coarse_dictionary(p)
+        spectral = chain.coarse_dictionary(p)[1]
         assert model.L == pytest.approx(spectral)
 
     def test_small_random_vs_svd(self, rng):
@@ -397,7 +401,7 @@ class TestCoarseLipschitz:
         chain = build_chain(8, 2, bucket=True, m=7)
         mu = 0.05
         model = build_coarse_model(p, chain, np.zeros(p.dim), mu)
-        A_H, _ = chain.coarse_dictionary(p)
+        A_H = chain.coarse_dictionary(p)[0]
         dense = np.hstack([A_H, np.eye(7)])
         smax2 = np.linalg.svd(dense, compute_uv=False)[0] ** 2
         expected = SAFETY * smax2 + p.lam / mu
@@ -409,8 +413,93 @@ class TestCoarseLipschitz:
         chain = build_chain(8, 2)
         mu = 0.1
         model = build_coarse_model(p, chain, rng.standard_normal(8), mu)
-        A_H, _ = chain.coarse_dictionary(p)
+        A_H = chain.coarse_dictionary(p)[0]
         w = rng.standard_normal(model.dim) * 0.1
         hess = A_H.T @ A_H + np.diag(
             p.lam * mu ** 2 / (mu ** 2 + w ** 2) ** 1.5)
         assert model.L >= np.linalg.eigvalsh(hess)[-1]
+
+
+def coarse_gram(chain, p):
+    """B_H^T B_H as a dense array."""
+    A_H = chain.coarse_dictionary(p)[0]
+    B_H = np.hstack([A_H, np.eye(p.m)]) if p.bucket else A_H
+    return B_H.T @ B_H
+
+
+class TestCoarseMetric:
+    """The coarse model's metric V_H = a (I - v v^T) + L v v^T: the
+    chain's spectral estimate and its Ky Fan bound off the power
+    iteration's last vector, each plus lam/mu."""
+
+    @staticmethod
+    def _dictionary(kind, rng):
+        if kind == "spiked":
+            return gen_correlated_dictionary(30, 20, 0.9, rng)
+        return rng.standard_normal((30, 20))
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("bucket", [False, True])
+    @pytest.mark.parametrize("kind", ["spiked", "unspiked"])
+    def test_metric_bounds_model_hessian(self, kind, bucket, levels):
+        # B_H^T B_H + (lam/mu) I <= V_H <= L I, on every seed: the model's
+        # Hessian B_H^T B_H + diag(g_mu'') is at most the left side.  On
+        # the spiked dictionaries a < L; on the Gaussian ones the bound is
+        # no better than the estimate, and V_H = L I bit for bit
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            p = L1LeastSquares(self._dictionary(kind, rng),
+                               rng.standard_normal(30), 0.1, bucket=bucket)
+            chain = build_chain(20, levels, bucket=bucket, m=p.m)
+            mu = 0.05
+            model = build_coarse_model(p, chain, rng.standard_normal(p.dim),
+                                       mu)
+            assert abs(np.linalg.norm(model.v) - 1.0) <= 1e-12
+            assert (model.a < model.L) == (kind == "spiked")
+            P = np.outer(model.v, model.v)
+            V_H = model.a * (np.eye(model.dim) - P) + model.L * P
+            M = coarse_gram(chain, p)
+            scale = np.linalg.eigvalsh(M)[-1]
+            smooth = p.lam / mu * np.eye(model.dim)
+            assert np.linalg.eigvalsh(V_H - M - smooth)[0] \
+                >= -1e-12 * scale
+            assert np.linalg.eigvalsh(model.L * np.eye(model.dim) - V_H)[0] \
+                >= -1e-12 * scale
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_step_solves_the_metric(self, rng, bucket):
+        # step(w, g) = w - V_H^{-1} g on a spiked dictionary, and
+        # w - g / L bit for bit where a = L
+        A = gen_correlated_dictionary(30, 20, 0.9, rng)
+        p = L1LeastSquares(A, rng.standard_normal(30), 0.1, bucket=bucket)
+        chain = build_chain(20, 2, bucket=bucket, m=p.m)
+        model = build_coarse_model(p, chain, np.zeros(p.dim), 0.05)
+        assert model.a < model.L
+        P = np.outer(model.v, model.v)
+        V_H = model.a * (np.eye(model.dim) - P) + model.L * P
+        w, g = rng.standard_normal((2, model.dim))
+        assert np.allclose(V_H @ (w - model.step(w, g)), g, rtol=1e-12,
+                           atol=1e-12 * np.linalg.norm(g))
+        model.a = model.L
+        assert np.array_equal(model.step(w, g), w - g / model.L)
+
+    @pytest.mark.parametrize("bucket", [False, True])
+    def test_vanishing_coarse_dictionary(self, bucket):
+        # A = [1, -2] restricts to A_H = 0 at two levels.  On the plain
+        # problem B_H = 0: its power iteration stops at 0 and the metric is
+        # L I, with no division by the vanishing gap L - rho.  Either way a
+        # model builds and takes steps with no warning
+        p = L1LeastSquares(np.array([[1.0, -2.0]]), np.array([1.0]), 0.1,
+                           bucket=bucket)
+        chain = build_chain(2, 2, bucket=bucket, m=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A_H, spectral, v, a = chain.coarse_dictionary(p)
+            assert np.array_equal(A_H, np.zeros((1, 1)))
+            assert a <= spectral == (SAFETY if bucket else 0.0)
+            model = build_coarse_model(p, chain, np.array(
+                [0.5, -0.25] + [0.1] * bucket), 0.05)
+            assert bucket or model.a == model.L == p.lam / 0.05
+            res = mfista(model, model.start, 1e-10, 50)
+        assert res.iterations > 0 and np.all(np.isfinite(res.x))
+        assert res.values[-1] < res.values[0]
