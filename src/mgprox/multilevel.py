@@ -146,10 +146,10 @@ class RestrictionChain:
         B_H^T B_H <= a (I - v v^T) + spectral v v^T.
 
         The fine level's ``lipschitz_estimate`` on the coarse dictionary:
-        keeping v costs no product, and a one read of A_H.  A_H has only
-        n / 2^(levels-1) columns, so the bound is close to lambda_2
+        keeping v costs no product, and a costs one read of A_H.  A_H has
+        only n / 2^(levels-1) columns, so the bound is close to lambda_2
         there.  Cached per problem; none of it depends on the anchor
-        point.
+        point.  ``CoarseModel`` adds lam/mu to spectral and a.
         """
         self._check_problem(problem)
         cached = self._model_cache.get(problem)
@@ -170,22 +170,6 @@ class RestrictionChain:
         self._model_cache[problem] = (A_H, spectral, v, a)
         return A_H, spectral, v, a
 
-    def coarse_system(self, problem, mu: float):
-        """(A_H, L_H, v, a_H): the coarse dictionary and the metric
-        V_H = a_H (I - v v^T) + L_H v v^T of the coarse model at smoothing
-        ``mu``: L_H and a_H are the spectral estimate and its Ky Fan
-        bound off v, each plus lam/mu.
-
-        V_H bounds the model's Hessian B_H^T B_H + diag(g_mu''), since
-        g_mu'' <= lam/mu, and V_H <= L_H I; where the bound is no better
-        than the estimate, a_H = L_H bit for bit and V_H = L_H I.  The one
-        place L_H is formed: the coarse-branch eta and the model that
-        mfista solves take the same constant.
-        """
-        A_H, spectral, v, a = self.coarse_dictionary(problem)
-        smooth = problem.lam / mu
-        return A_H, spectral + smooth, v, a + smooth
-
 
 build_chain = RestrictionChain
 
@@ -198,16 +182,18 @@ class CoarseModel:
     least-squares term with A replaced by A_H (B_H = [A_H, I] in bucket
     form), g_mu the fine level's smoothed penalty, and
     v_H = grad_H - grad(f_H + g_mu)(anchor), so that grad(anchor) is
-    grad_H = R grad(F_mu)(x_k).  A_H, the Lipschitz estimate ``L`` and
-    the metric V_H = a (I - v v^T) + L v v^T are the chain's
-    ``coarse_system`` at ``mu``: they are cached on the chain, and v_H is
-    recomputed for every anchor.  Passing ``grad_H`` saves one fine-level
-    pass and one restriction.
+    grad_H = R grad(F_mu)(x_k).  A_H is the chain's ``coarse_dictionary``,
+    cached on the chain; the model's Lipschitz estimate ``L`` and the
+    metric V_H = a (I - v v^T) + L v v^T take its spectral estimate and
+    its Ky Fan bound, each plus lam/mu, which bounds the smoothed
+    penalty's curvature, so V_H bounds the model's Hessian and
+    V_H <= L I.  magma's coarse-branch eta and coarse descent check take
+    the same L.  v_H is recomputed for every anchor; passing ``grad_H``
+    saves one fine-level pass and one restriction.
 
-    ``step(w, g)`` is the gradient step w - V_H^{-1} g.  V_H bounds the
-    model's Hessian, so the step descends as the 1/L step does, and
-    V_H <= L I, so it lowers the value by at least ||g||^2 / (2 L); off
-    the top vector v it is L / a times longer.  Where a = L it is
+    ``step(w, g)`` is the gradient step w - V_H^{-1} g.  It descends as
+    the 1/L step does and lowers the value by at least ||g||^2 / (2 L);
+    off the top vector v it is L / a times longer.  Where a = L it is
     w - g / L bit for bit.
 
     A point of the model is one vector [w, r, B_H^T r + v_H], with
@@ -221,7 +207,9 @@ class CoarseModel:
     def __init__(self, problem, chain: RestrictionChain, x_k: np.ndarray,
                  mu: float, grad_H: np.ndarray = None):
         self.view = view = SmoothedView(problem, mu)
-        self.A_H, self.L, self.v, self.a = chain.coarse_system(problem, mu)
+        self.A_H, spectral, self.v, a = chain.coarse_dictionary(problem)
+        smooth = problem.lam / mu
+        self.L, self.a = spectral + smooth, a + smooth
         self.b, self.m, self.bucket = problem.b, problem.m, problem.bucket
         x_k = np.asarray(x_k, dtype=float)
         if grad_H is None:

@@ -254,16 +254,14 @@ class L1LeastSquares:
         grad f(x).  The pass counts as one product with B per point and
         one with B^T.
 
-        A is read in row blocks of about PASS_BLOCK_BYTES, and each
-        block's share of g is added while the block is still in cache;
-        g is ``apply_adjoint(r_x)`` summed block by block.  One point's
-        residual is that of ``residual`` bit for bit, with a BLAS that
-        forms A @ w in groups of 4 rows, as OpenBLAS does, and when A is
-        one block the pass makes the same operations as those calls.  Two
-        points share one matrix-matrix product per block, which costs
-        about what one A @ w does but rounds otherwise: r_y and r_z agree
-        with ``residual`` to rounding, and r_x is t r_z + (1-t) r_y
-        exactly.
+        g is ``apply_adjoint(r_x)`` summed block by block (``_pass``).
+        One point's residual is that of ``residual`` bit for bit, with a
+        BLAS that forms A @ w in groups of 4 rows, as OpenBLAS does, and
+        when A is one block the pass makes the same operations as those
+        calls.  Two points share one matrix-matrix product per block,
+        which costs about what one A @ w does but rounds otherwise: r_y
+        and r_z agree with ``residual`` to rounding, and r_x is
+        t r_z + (1-t) r_y exactly.
         """
         points = (y,) if z is None else (y, z)
         for w in points:
@@ -438,12 +436,11 @@ def _rank_one_shrink(q, v, k, tau):
     the bracket that the signs of h give; a step that would leave it
     halves the bracket instead.  A Newton step lands on the root exactly
     when it stays on its linear piece, which is when the shrink keeps its
-    pattern of signs there; on the benchmark's problems that takes two to
-    four shrinks.  The shrink at the root is then corrected by one more
-    Newton step, applied along v on its nonzero entries rather than by
-    shrinking again: the entries of q - k beta v are of the order of tau,
-    which is large where a is small, and their rounding would otherwise
-    stay in v.w.
+    pattern of signs there.  The shrink at the root is then corrected by
+    one more Newton step, applied along v on its nonzero entries rather
+    than by shrinking again: the entries of q - k beta v are of the order
+    of tau, which is large where a is small, and their rounding would
+    otherwise stay in v.w.
     """
     vq, vv = float(v @ q), v * v
     lo, hi = -math.inf, math.inf
@@ -519,10 +516,7 @@ def lipschitz_estimate(problem: L1LeastSquares):
     which ``L1LeastSquares`` rejects.
 
     a is the Ky Fan bound of the last step (``_ky_fan_bound``), formed
-    from its v, rho and B^T B v, so no power step is added:
-    B^T B <= V = a (I - v v^T) + L_f v v^T whenever a < L_f, a certified
-    bound up to rounding; with a = L_f, V = L_f I, which rests on the
-    estimate.  With one dimension V = L_f whatever a is, and a is L_f.
+    from its v, rho and B^T B v, so no power step is added.
     """
     A, bucket = problem.A, problem.bucket
     last = []

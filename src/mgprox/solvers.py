@@ -1,32 +1,18 @@
-"""First-order solvers for composite problems.
+"""First-order solvers for l1 least squares: ista, fista, agm, the
+multilevel magma, and mfista, the monotone solver of magma's coarse
+models.
 
 Every fine-level gradient step is a prox step in the problem's
 rank-one-corrected metric V = a (I - v v^T) + L_f v v^T
-(problem.metric_prox_step), and is checked by the descent lemma in the
-V-norm.  ista and fista run in one loop; ista is fista with its momentum
-held at t_k = 1, and fista restarts its momentum by O'Donoghue &
-Candès' gradient test in the V inner product.  mfista, the monotone
-solver used on smoothed coarse models, steps in the coarse model's
-rank-one-corrected metric, restarts its momentum at each step its
-monotone test rejects and returns when a step without momentum is
-rejected.  magma couples gradient steps in V with mirror steps in the
-normalised metric M = V / L_f (problem.mirror_step), restarts the
-coupling by the same gradient test as fista and by a function-value
-test, which discards a step that raised F and steps again from the
-iterate it keeps, and replaces some gradient steps with coarse
-correction steps obtained from a first-order-coherent reduced model,
-whose eta stays Euclidean.  agm, the coupled scheme without coarse
-steps, is magma on the one-level (identity) chain.
-
-All solvers share one stopping test, ||D(x_k)||_2 < eps with the
-Euclidean D(x) = x - prox_{L_f}(x), first tested at x0, and emit a
-per-iteration trace with the columns
-(k, step_kind, F, D_norm, eta, alpha, t, s, elapsed_ns).  A solve ends
-at the first point that passes the test, or after max_iters iterations
-at its lowest-F iterate, tested once more.
-Its Solution reports the duality gap of that point
-(L1LeastSquares.duality_gap), an upper bound on F - F* formed from the
-residual and gradient the exit already holds.
+(problem.metric_prox_step), checked by the descent lemma in the V-norm,
+and agm's and magma's mirror steps are taken in M = V / L_f
+(problem.mirror_step).  All solvers share one stopping test,
+||D(x_k)||_2 < eps with the Euclidean D(x) = x - prox_{L_f}(x), first
+tested at x0, and log one TraceRow per iteration.  A solve ends at the
+first point that passes the test, or after max_iters iterations at its
+lowest-F iterate, tested once more.  Its Solution reports the duality
+gap of that point (L1LeastSquares.duality_gap), an upper bound on
+F - F* formed from the residual and gradient the exit already holds.
 
 A run owns its state exclusively; several runs sharing one (immutable)
 problem may proceed concurrently.
@@ -87,8 +73,8 @@ K_D = 30
 # The Armijo constant c, also unpublished.  It does double duty: it both
 # accepts line-search steps and scales the coarse-branch eta as
 # L_H/(c s kappa^2), so the customary 1e-4 inflates eta by four orders of
-# magnitude and wipes out the momentum after every coarse step (measured
-# 10x more iterations at benchmark scale); 0.5 keeps the coupling tight.
+# magnitude and wipes out the momentum after every coarse step; 0.5 keeps
+# the coupling tight.
 ARMIJO_C = 0.5
 # The Armijo scan's grid {S0 * TAU^i}: its shrink factor and its top.
 TAU = 0.95
@@ -391,19 +377,18 @@ def fista(problem: L1LeastSquares, x0, config: SolverConfig) -> Solution:
     Every prox step is taken in the problem's metric
     V = a (I - v v^T) + L_f v v^T (``metric_prox_step``), in which f is
     1-smooth: v is the top eigenvector of B^T B and a a certified bound
-    on B^T B off v (``lipschitz_estimate``).  On the benchmark's spiked
-    dictionaries L_f / a is about 9, and the metric takes about a third
-    of the Euclidean iterations to the eps stop.  Where a = L_f, as on
-    unspiked instances, V = L_f I and the step is ``prox_step`` at L_f,
-    bit for bit.  The stopping test stays Euclidean, at L_f.
+    on B^T B off v (``lipschitz_estimate``), so on a spiked dictionary
+    every direction off v takes a step L_f / a times longer.  Where
+    a = L_f, as on unspiked instances, V = L_f I and the step is
+    ``prox_step`` at L_f, bit for bit.  The stopping test stays
+    Euclidean, at L_f.
 
     The momentum restarts by O'Donoghue & Candès' gradient test in the
     V inner product: when the prox step x = prox(y) gives
     <y - x, V (x - x_prev)> > 0, t is reset to 1, so beta = 0 and the
     next step is taken from y = x.  The test costs three dot products
-    and no product with B.  Without it this is Beck & Teboulle's
-    textbook FISTA, the paper's baseline, which takes 6-8x more
-    iterations to the eps stop on the benchmark's instances.
+    and no product with B.  Without it, and at V = L_f I, this is Beck
+    & Teboulle's textbook FISTA, the paper's baseline.
 
     Each iteration makes one product with B and one with B^T, in one
     pass over A (``residuals_and_gradient``).  The residual
@@ -470,9 +455,7 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
     sequence is nonincreasing in value and its first step already does as
     well as a gradient step from p0: since V <= L I, it lowers the value
     by at least ||grad(p0)||^2 / (2 L), the bound the coarse descent
-    check in magma rests on.  On the benchmark's coarse models the
-    metric step is 15-52 times longer than the 1/L step off the top
-    vector.  A rejected trial restarts the momentum
+    check in magma rests on.  A rejected trial restarts the momentum
     (O'Donoghue & Candès' function-value restart): t = 1, and the
     next trial is the plain gradient step from p_prev.  A rejected trial
     that had no momentum (the first, or the one after a restart) would be
@@ -506,13 +489,13 @@ def mfista(objective, p0, tol: float, max_iters: int) -> CoarseSolveResult:
             # later trial would repeat; otherwise restart from that step,
             # whose gradient is known
             values.append(F_prev)
-            if y is p_prev or j == max_iters:
+            if y is p_prev:
                 return CoarseSolveResult(p_prev[:n], j, values)
             y, g_y, t = p_prev, g_prev, 1.0
             continue
         g_z = objective.grad(z)
         values.append(Fz)
-        if _norm(g_z) < tol or j == max_iters:
+        if _norm(g_z) < tol:
             return CoarseSolveResult(z[:n], j, values)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
@@ -556,40 +539,33 @@ def coarse_condition(grad_mu: np.ndarray, grad_H: np.ndarray,
 
 
 def armijo_search(view: SmoothedView, x: np.ndarray, d: np.ndarray,
-                  slope: float = None, s_start: float = None,
-                  r_x: np.ndarray = None, Bd: np.ndarray = None) -> float:
+                  slope: float, s_start: float, r_x: np.ndarray,
+                  Bd: np.ndarray) -> float:
     """Largest s in {S0 * TAU^i} with
-    F_mu(x+s d) <= F_mu(x) + ARMIJO_C s <d, grad>.
+    F_mu(x+s d) <= F_mu(x) + ARMIJO_C s slope, for slope = <d, grad F_mu(x)>.
 
     For convex F_mu the acceptance set along a descent direction is an
     interval [0, s_hat], so the largest accepted grid point is well
     defined and can be located from any grid point: ``s_start`` (itself
     of the form S0 * TAU^i, e.g. the previously accepted step) is scanned
     up while accepted and down while rejected, giving the same result as
-    the plain top-down scan with fewer evaluations.
+    the plain top-down scan from S0 with fewer evaluations.
 
-    Every probe takes its residual as r_x + s B d and makes no product
-    with B; the residual ``r_x`` = B x - b and ``Bd`` = B d are formed
-    once each unless the caller passes them.
+    Every probe takes its residual as r_x + s Bd, from the residual
+    r_x = B x - b and Bd = B d, and makes no product with B.
 
     Raises LineSearchError after LINE_SEARCH_CAP probes below the start;
-    raises ValueError if d is not a descent direction at x.
+    raises ValueError if d is not a descent direction at x (slope >= 0).
     """
-    if slope is None:
-        slope = float(d @ view.grad(x))
     if not slope < 0:
         raise ValueError(f"d is not a descent direction (slope {slope:.3e})")
-    if r_x is None:
-        r_x = view.problem.residual(x)
-    if Bd is None:
-        Bd = view.problem.apply(d)
     f_x = view.value(x, r=r_x)
 
     def accepted(step):
         return view.value(x + step * d, r=r_x + step * Bd) \
             <= f_x + ARMIJO_C * step * slope
 
-    s = S0 if s_start is None else min(s_start, S0)
+    s = min(s_start, S0)
     if accepted(s):
         grown = s / TAU
         while grown <= S0 * (1.0 + 1e-12) and accepted(grown):
@@ -701,7 +677,7 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
           config: SolverConfig) -> Solution:
     """Multilevel accelerated gradient/mirror solver.
 
-    Each iteration forms x_k = t_k z_k + (1-t_k) y_k, stops if
+    Each iteration forms the anchor x_k = t_k z_k + (1-t_k) y_k, stops if
     ||D(x_k)|| < eps, then either takes the gradient step
     y_{k+1} = prox(x_k) or, when the coarse condition fires, tries a
     coarse step (_try_coarse_step): it solves the coherent coarse model
@@ -713,103 +689,73 @@ def magma(problem: L1LeastSquares, chain: RestrictionChain, x0,
     V = a (I - v v^T) + L_f v v^T (``metric_prox_step``), and the mirror
     step z_{k+1} = argmin_u 1/2 ||u - z_k||_M^2 + alpha <grad f(x_k), u>
     + alpha g(u) is taken in M = V / L_f (``mirror_step``), in which f is
-    L_f-smooth, so the bookkeeping is unchanged (update_eta_alpha).  Only
-    the coarse branch's eta stays Euclidean.  Where a = L_f, V = L_f I,
-    M = I and both are the Euclidean steps at L_f bit for bit.  The
-    stopping test stays the Euclidean ||D(x_k)|| at L_f, so eps keeps its
-    meaning; its prox step is one O(dim) step on top of the gradient
-    step, with no product.  On the benchmark's spiked dictionaries
-    L_f / a is about 9.  The coarse solves step in the coarse model's
-    own metric V_H (``CoarseModel.step``), whose a_H is the same Ky Fan
-    bound on the coarse dictionary; the descent check and the
-    coarse-branch eta keep L_H, which bounds V_H.
+    L_f-smooth, so the bookkeeping is that of the Euclidean scheme
+    (update_eta_alpha); only the coarse branch's eta stays Euclidean.
+    Where a = L_f, V = L_f I, M = I and both are the Euclidean steps at
+    L_f bit for bit.  The stopping test stays the Euclidean ||D(x_k)|| at
+    L_f, so eps keeps its meaning.  The coarse solves step in the coarse
+    model's own metric V_H (``CoarseModel.step``); the descent check and
+    the coarse-branch eta keep L_H, which bounds V_H.  Each gradient
+    step, a discarded one included, checks the descent lemma in V
+    (``_gradient_step``).
 
     The eta/alpha coupling is what keeps the O(1/sqrt(eps)) accelerated
     rate.  Every row's anchor weight t_k = min(1/(alpha eta), 1) is that
     of the gradient branch's eta and alpha, which are the row's own on
-    gradient and fallback rows.  A coarse row records the coarse
-    branch's eta and alpha at the accepted s_k, which the next row's
-    weight is formed from.
+    gradient and fallback rows; the source paper's coarse-branch weight
+    would need s_k before x_k exists.  A coarse attempt starts from the
+    row's anchor, with its residual and gradient and the grad F_mu(x_k)
+    and R grad F_mu(x_k) of the row's one coarse-condition test.  A
+    coarse row records the coarse branch's eta and alpha at the accepted
+    s_k, which the next row's weight is formed from.
 
     The coupling restarts by O'Donoghue & Candès' gradient test in the V
-    inner product: when the step from the anchor x_k, coarse or not,
-    gives <x_k - y_{k+1}, V (y_{k+1} - y_k)> > 0, no mirror step is
-    taken; z_{k+1} = y_{k+1}, and the state returns to its seed
-    (k, alpha, eta) = (0, 0, L_f), so the next iteration has t = 1 and
-    steps from y_{k+1} itself.  The test costs
-    three dot products and no product with B.  The bookkeeping check
-    restarts with the recursion: it runs at every iteration but the
-    first of a solve and the first after each restart.  Without the
-    restart magma took 1.7 to 3.5 times as many iterations to the eps
-    stop on the benchmark's three workloads, and agm 6 to 8 times as
-    many, when both stepped in the Euclidean metric.
+    inner product: when the step from x_k, coarse or not, gives
+    <x_k - y_{k+1}, V (y_{k+1} - y_k)> > 0, no mirror step is taken;
+    z_{k+1} = y_{k+1}, and the state returns to its seed
+    (k, alpha, eta) = (0, 0, L_f), so the next row has t = 1 and steps
+    from y_{k+1} itself.  The bookkeeping check restarts with the
+    recursion: it runs at every row but the first of a solve and the
+    first after each restart.
 
     The coupling also restarts by O'Donoghue & Candès' function-value
-    test, made monotone as in Beck & Teboulle's MFISTA: when the pass
-    at the end of a row gives F(y_{k+1}) > F(y_k), y_{k+1} is discarded.
-    magma keeps y_k with its residual and F, sets z = y_k and returns
-    the state to its seed, so the next row has t = 1 and steps from y_k
-    itself; its gradient B^T r_{y_k} costs one product with B^T, on
-    such rows only.  The seed pair is the one formed before the first
-    row, not formed again.  The test is never applied on a row anchored
-    at y_k (state.k = 0 when it starts: the first row, and the first
-    after either restart), whose step is a prox step from y_k that the
-    descent lemma makes monotone up to rounding; rejecting it would
-    repeat the same step forever.  The descent-lemma check runs on the
-    discarded step too, and the gradient test is taken first, on the
-    step as it was.  So the trace's F, that of the y each row keeps,
-    does not rise except by rounding on a row anchored at y.  Without
-    it the gradient row right after an accepted coarse step, anchored
-    at t z + (1-t) y with the old z, raised F up to 2600x on
-    bucket_m2000 and the run crawled back for about K_D rows; with it
-    the function restart fires once or twice per solve.  At certified
-    accuracy (duality gap at most 1% of F) it barely moves the counts.
-    The gradient test stays beside it: with the function test alone, the
-    certified count on queries_m400's code 0 at lam = 1e-2 lam_max rose
-    from 217 to 272.
+    test, made monotone as in Beck & Teboulle's MFISTA, and taken after
+    the gradient test has seen the step: when the pass at the end of a
+    row gives F(y_{k+1}) > F(y_k), y_{k+1} is discarded,
+    z = y_k and the state returns to its seed, so the next row steps
+    from y_k itself.  It stops the gradient row after an accepted coarse
+    step, anchored with the old z, from undoing that step.  It is never
+    applied on a row anchored at y_k (state.k = 0 when the row starts),
+    whose step is a prox step from y_k that the descent lemma makes
+    monotone up to rounding; rejecting it would repeat the same step
+    forever.  So the trace's F, that of the y each row keeps, does not
+    rise except by rounding on such rows.
 
-    The source paper weights a coarse row's anchor with that row's
-    coarse-branch eta, which needs s_k before x_k exists.  magma forms
-    every anchor with the gradient-branch weights, and a coarse attempt
-    starts from the row's anchor x_k, with its residual and gradient and
-    the grad F_mu(x_k) and R grad F_mu(x_k) of its coarse-condition
-    test, so each row has one anchor and one condition test.  An anchor
-    re-formed with a coarse-branch eta estimated from the last accepted
-    step size cost one B^T and one condition test per attempt; dropping
-    it moved the certified counts by -0.2% to +3.4%.  An attempt that
-    stops takes the already-computed gradient step for that iteration (a
+    An attempt that stops takes the already-computed gradient step (a
     "fallback"); Solution.rejections counts why, by the names in
     REJECTION_REASONS, and MagmaState.fails widens the retry allowance
     until an attempt succeeds.  No attempt is made at the first or the
     last iteration, so a run that stops on its budget makes at most
     max_iters iterations and ends on a gradient step, as the convergence
-    guarantee requires.
-    On the identity chain (levels = 1) no attempt is made at all, and
-    magma is agm.
+    guarantee requires.  On the identity chain (levels = 1) no attempt
+    is made at all, and magma is agm.
 
-    Products: every iteration, whatever its step, ends with one pass over
-    A (``residuals_and_gradient``) at the new y and z, weighted by the
-    next gradient-branch t, which the bookkeeping already gives: two
-    products with B (r_y = B y - b, r_z = B z - b), which each block of A
+    Products: every iteration ends with one pass over A
+    (``residuals_and_gradient``) at the new y and z, weighted by the
+    next gradient-branch t: two products with B, which each block of A
     forms in one matrix-matrix product with both points, and one with
-    B^T, at the next anchor x = t z + (1-t) y, whose residual is
-    t r_z + (1-t) r_y.  So A is read once per iteration, and a run
-    stopped by its budget forms one gradient it does not use.  A coarse
-    attempt makes no product with B^T, and its line search one with B
-    (B d), which gives every probe and the incumbent test their
-    residuals; a function restart adds one B^T at the y it keeps, and
-    its pass's gradient goes unused.  Each gradient step checks the
-    descent lemma in the problem's metric V (``_gradient_step``).
-
-    One smoothed view F_mu, at config.mu, is made at entry and serves the
-    coarse condition, every coarse model and every Armijo search.  The
-    coarse condition's proximity clause needs no product and no
-    smoothed gradient, so it is tested first; only an iteration that
-    passes it forms grad F_mu(x) and R grad F_mu(x), once, for the
-    norm test (``coarse_condition``) and, when it fires, for the
-    attempt's entry test, model and descent check.  Building the model
-    makes one A_H and one A_H^T product, which also give mfista its
-    start point, and the mfista solve one pair per inner iteration.
+    B^T, at the next anchor.  So A is read once per iteration, and a run
+    stopped by its budget forms one gradient it does not use.  A
+    function restart adds one B^T at the y it keeps, and its pass's
+    gradient goes unused.  A coarse attempt makes one product with B
+    (B d), which gives every Armijo probe and the incumbent test their
+    residuals; building its model makes one A_H and one A_H^T product,
+    and mfista one pair per inner iteration.  The proximity clause of
+    the coarse condition needs no product, so it is tested first; only
+    a row that passes it forms grad F_mu(x_k) and R grad F_mu(x_k), for
+    the norm test (``coarse_condition``) and the attempt.  One smoothed
+    view F_mu, at config.mu, serves the coarse condition, every coarse
+    model and every Armijo search.
     """
     chain._check_problem(problem)
     if chain.levels != config.levels:

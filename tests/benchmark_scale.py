@@ -14,13 +14,9 @@ before its prox steps moved to the problem's metric) and the library's,
 which restarts and steps in the metric, as magma does.  It also gates
 criterion 8's magma <= fista in fine products (those with B and B^T,
 counted by conftest.CountingLasso) against the metric fista on every
-seed, and prints both counts: 21-28 for magma (5-7 iterations, 2-3 of
-them coarse) against 140-186 for fista (69-92 iterations).  The
-fista/magma time ratios it prints for each form are informational.
-Their medians read 124 (textbook), 15.8 (Euclidean restarted) and 5.25
-(metric) on one BLAS thread of a shared 2-core x86-64 machine; the
-metric fista's ranged from 3.92 to 7.19 by seed.  The desk-scale gate
-is criterion 8 in test_acceptance.py.
+seed, and prints both counts.  The fista/magma time ratios it prints
+for each form, and their medians, are informational.  The desk-scale
+gate is criterion 8 in test_acceptance.py.
 """
 
 import time

@@ -364,16 +364,17 @@ class TestCoarseModel:
     @pytest.mark.parametrize("bucket", [False, True])
     def test_constructor_takes_system_and_anchor_from_chain(self, rng,
                                                             bucket):
-        # the one way to build a model: its A_H is the chain's cached
-        # object and its L, v and a the chain's metric at its mu
+        # the one way to build a model: its A_H and v are the chain's
+        # cached coarse dictionary's, and its L and a that dictionary's
+        # spectral estimate and Ky Fan bound, each plus lam/mu
         assert build_coarse_model is CoarseModel
         p = random_lasso(rng, m=9, n=16, bucket=bucket)
         chain = build_chain(16, 3, bucket=bucket, m=p.m)
         x, mu = rng.standard_normal(p.dim), 0.05
         model = build_coarse_model(p, chain, x, mu)
-        A_H, L_H, v, a = chain.coarse_system(p, mu)
+        A_H, spectral, v, a = chain.coarse_dictionary(p)
         assert model.A_H is A_H and model.v is v
-        assert (model.L, model.a) == (L_H, a)
+        assert (model.L, model.a) == (spectral + p.lam / mu, a + p.lam / mu)
         assert np.array_equal(model.anchor, chain.restrict(x))
 
     def test_nonpositive_mu_rejected(self, rng):

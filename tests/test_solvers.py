@@ -901,16 +901,26 @@ class TestArmijo:
         monkeypatch.setattr(solvers, "S0", s0)
         monkeypatch.setattr(solvers, "TAU", tau)
 
+    @staticmethod
+    def _search(view, x, d, s_start=None):
+        # the inputs magma passes: the slope <d, grad F_mu(x)>, the scan's
+        # start (S0 for the cold top-down scan), r_x = B x - b and B d
+        p = view.problem
+        slope = float(d @ view.grad(x))
+        return armijo_search(view, x, d, slope,
+                             solvers.S0 if s_start is None else s_start,
+                             p.residual(x), p.apply(d))
+
     def test_hand_computed_step(self, monkeypatch):
         view = self._quadratic_view()
         self._grid(monkeypatch, c=0.5, s0=10.0, tau=0.5)
-        s = armijo_search(view, np.array([1.0]), np.array([-1.0]))
+        s = self._search(view, np.array([1.0]), np.array([-1.0]))
         assert s == pytest.approx(0.625)
 
     def test_weak_constant_accepts_s0(self, monkeypatch):
         view = self._quadratic_view()
         self._grid(monkeypatch, c=1e-12, s0=1.0, tau=0.5)
-        s = armijo_search(view, np.array([1.0]), np.array([-1.0]))
+        s = self._search(view, np.array([1.0]), np.array([-1.0]))
         assert s == 1.0
 
     def test_accepted_step_satisfies_contract(self, rng, monkeypatch):
@@ -922,7 +932,7 @@ class TestArmijo:
             d = -view.grad(x)
             if np.linalg.norm(d) < 1e-12:
                 continue
-            s = armijo_search(view, x, d)
+            s = self._search(view, x, d)
             slope = float(d @ view.grad(x))
             assert view.value(x + s * d) \
                 <= view.value(x) + solvers.ARMIJO_C * s * slope + 1e-12
@@ -936,8 +946,8 @@ class TestArmijo:
             d = -view.grad(x)
             if np.linalg.norm(d) < 1e-12:
                 continue
-            cold = armijo_search(view, x, d)
-            warm = armijo_search(view, x, d, s_start=cold * solvers.TAU ** 3)
+            cold = self._search(view, x, d)
+            warm = self._search(view, x, d, s_start=cold * solvers.TAU ** 3)
             assert warm == pytest.approx(cold, rel=1e-9)
 
     @pytest.mark.parametrize("bucket", [False, True])
@@ -959,17 +969,15 @@ class TestArmijo:
             while view.value(x + s_direct * d) \
                     > view.value(x) + c * s_direct * slope:
                 s_direct *= tau
-            assert armijo_search(view, x, d) \
+            assert self._search(view, x, d) \
                 == pytest.approx(s_direct, rel=1e-9)
-            assert armijo_search(view, x, d, slope=slope,
-                                 r_x=p.residual(x), Bd=p.apply(d),
-                                 s_start=s_direct * tau ** 2) \
+            assert self._search(view, x, d, s_start=s_direct * tau ** 2) \
                 == pytest.approx(s_direct, rel=1e-9)
 
     def test_non_descent_rejected(self):
         view = self._quadratic_view()
         with pytest.raises(ValueError):
-            armijo_search(view, np.array([1.0]), np.array([1.0]))
+            self._search(view, np.array([1.0]), np.array([1.0]))
 
     def test_cap_exhaustion_raises(self, monkeypatch):
         view = self._quadratic_view()
@@ -977,7 +985,7 @@ class TestArmijo:
         monkeypatch.setattr(solvers, "LINE_SEARCH_CAP", 5)
         self._grid(monkeypatch, c=1 - 1e-12, s0=1e6, tau=0.9)
         with pytest.raises(LineSearchError):
-            armijo_search(view, np.array([1.0]), np.array([-1.0]))
+            self._search(view, np.array([1.0]), np.array([-1.0]))
 
 
 class TestUpdateEtaAlpha:
